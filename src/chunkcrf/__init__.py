@@ -28,7 +28,6 @@ from .features import (
 from .ingest import AnnotatedText, CorpusStats, DataFormatError, corpus_stats, read_corpus
 from .lattice import (
     MODEL_KINDS,
-    Edge,
     EdgeClass,
     Lattice,
     LatticeError,

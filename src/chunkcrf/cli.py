@@ -77,7 +77,6 @@ _CONFIG_TYPES = {
     "max_seg_len": int,
     "brown": str,
     "seed": int,
-    "threads": int,
     "out": str,
     "max_iterations": int,
     "tolerance": float,
@@ -113,10 +112,14 @@ def load_config_file(path: str) -> dict:
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """CLI flag > config-file value > built-in default."""
+    """CLI flag > config-file value > built-in default.
+
+    Only the command's own keys are taken, so one config file can serve
+    several commands.
+    """
     config = load_config_file(args.config) if getattr(args, "config", None) else {}
     merged = dict(defaults)
-    merged.update(config)
+    merged.update((key, value) for key, value in config.items() if key in defaults)
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -137,7 +140,6 @@ class RunConfig:
     max_seg_len: int
     brown: str | None
     seed: int
-    threads: int
     out: str
     max_iterations: int
     tolerance: float
@@ -175,7 +177,6 @@ class RunConfig:
             use_shape="s" in flags,
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
-            threads=self.threads,
         )
 
 
@@ -204,7 +205,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             "max_seg_len": 6,
             "brown": None,
             "seed": DEFAULT_SEED,
-            "threads": 1,
             "out": "model.ckcrf",
             "max_iterations": 500,
             "tolerance": 1e-6,
@@ -371,8 +371,7 @@ def build_parser() -> _Parser:
     )
     p_train.add_argument("--max-seg-len", dest="max_seg_len", type=int)
     p_train.add_argument("--brown", help="cluster file (tab-separated)")
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--threads", type=int)
+    p_train.add_argument("--seed", type=int, help="no effect: training is deterministic")
     p_train.add_argument("--out", help="model output path")
     p_train.add_argument("--max-iterations", dest="max_iterations", type=int)
     p_train.add_argument("--tolerance", type=float)

@@ -27,7 +27,6 @@ _LABEL_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 # tokens are maximal alphanumeric-or-underscore runs or maximal runs of
 # non-alphanumeric non-whitespace characters.
 _ANON_PATTERN = r"<[A-Z][A-Z0-9]*>"
-_ANON_RE = re.compile(_ANON_PATTERN + r"\Z")
 _TOKEN_RE = re.compile(rf"{_ANON_PATTERN}|\w+|[^\w\s]+")
 
 
@@ -42,7 +41,6 @@ class Token:
     surface: str
     start: int
     end: int
-    is_anon: bool = False
 
     def __post_init__(self) -> None:
         if not self.start < self.end:
@@ -167,15 +165,12 @@ class LabelSet:
 def tokenize(raw_text: str) -> Sentence:
     """Split text into offset-anchored tokens.
 
-    Anonymization placeholders of the form ``<UPPERCASE>`` stay whole and are
-    flagged; everything else splits into maximal alphanumeric runs and
+    Anonymization placeholders of the form ``<UPPERCASE>`` stay whole;
+    everything else splits into maximal alphanumeric runs and
     maximal runs of other non-whitespace characters.  Concatenating the
     surfaces with the original inter-token whitespace reconstructs the text.
     """
-    tokens = tuple(
-        Token(m.group(), m.start(), m.end(), is_anon=bool(_ANON_RE.match(m.group())))
-        for m in _TOKEN_RE.finditer(raw_text)
-    )
+    tokens = tuple(Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(raw_text))
     return Sentence(raw_text, tokens)
 
 

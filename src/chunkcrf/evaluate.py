@@ -208,16 +208,14 @@ def benchmark_training(
     """Wall-clock per-iteration cost of each configured model on one dataset.
 
     One iteration is one full objective-plus-gradient evaluation, including
-    lattice construction, pinned to a single thread.  Warm-up evaluations are
-    excluded from the statistics.
+    lattice construction.  Warm-up evaluations are excluded from the
+    statistics.
     """
     label_set = derive_label_set(dataset, label_set)
     timings: dict[str, ModelTiming] = {}
     for kind, config in configs.items():
         if config.model_kind != kind:
             raise ValueError(f"config under key {kind!r} is for model {config.model_kind!r}")
-        if config.threads != 1:
-            raise ValueError("benchmark runs must be single-threaded for comparability")
         clipped, _ = dataset.clip_spans(config.max_seg_len)
         dictionary, edges = build_feature_space(clipped, label_set, config)
         evaluator = ObjectiveEvaluator(clipped, label_set, config, dictionary)

@@ -7,11 +7,14 @@ tag/label after a ``|`` separator):
   ``W[0]``, tag transition ``T=prev|cur``.
 - segment mode: words inside the segment indexed from the start ``WS[j]``
   and from the end ``WE[j]``, the words before/after the segment
-  ``W[before]`` / ``W[after]``, and a label transition ``TR=prev|cur``
-  emitted only when a previous label is supplied.
+  ``W[before]`` / ``W[after]``, label transition ``TR=prev|cur``.
 - optional augmentations: character prefixes/suffixes up to length 3
   (``PRE``/``SUF``), a word-cluster id for each content word (``BR``/``BRS``),
   and word shapes mirroring every word-valued template (``S``/``SS``/``SE``).
+
+Four template families (token context, tag transition, segment, label
+transition) each have one :class:`FeatureExtractor` method returning their
+vector; a lattice edge carries the vectors of the families on it.
 
 Sentinel words ``<BOS>``/``<EOS>`` stand in at sentence boundaries and pass
 through the shape mapping unchanged; affix and cluster templates skip them.
@@ -105,11 +108,6 @@ class FeatureDictionary:
         if frozen:
             d.freeze()
         return d
-
-    def indices_matching(self, prefixes: tuple[str, ...]) -> np.ndarray:
-        """Indices of all features whose string starts with one of ``prefixes``."""
-        hits = [i for i, s in enumerate(self._strings) if s.startswith(prefixes)]
-        return np.asarray(hits, dtype=np.int64)
 
 
 class BrownClusterMap:
@@ -207,7 +205,7 @@ class FeatureExtractor:
 
     While the dictionary is unfrozen, extraction grows it; afterwards unseen
     feature strings are silently dropped.  Extraction never mutates anything
-    else, so a frozen extractor is safe to share across threads.
+    else, so a frozen extractor can be shared.
     """
 
     def __init__(
@@ -245,17 +243,12 @@ class FeatureExtractor:
                 indices.append(idx)
         return FeatureVector.from_indices(indices)
 
-    def linear_features(self, sentence: Sentence, position: int, prev_tag: str, cur_tag: str) -> FeatureVector:
-        """Token-mode templates at ``position`` (``position == len(sentence)``
-        is the terminal transition; sentinels fill the boundary words)."""
+    def token_context_features(self, sentence: Sentence, position: int, cur_tag: str) -> FeatureVector:
+        """Token-mode word templates at ``position`` (``position ==
+        len(sentence)`` is the terminal step; sentinels fill the boundary
+        words)."""
         if not 0 <= position <= len(sentence):
             raise ValueError(f"position {position} outside [0, {len(sentence)}]")
-        feats = self.token_context_features(sentence, position, cur_tag)
-        feats = feats + [f"{LINEAR_TRANSITION_PREFIX}{prev_tag}|{cur_tag}"]
-        return self._to_vector(feats)
-
-    def token_context_features(self, sentence: Sentence, position: int, cur_tag: str) -> list[str]:
-        """The word-valued part of the token-mode templates (no transition)."""
         w_prev = self._word(sentence, position - 1)
         w_cur = self._word(sentence, position)
         feats = [f"W[-1]={w_prev}|{cur_tag}", f"W[0]={w_cur}|{cur_tag}"]
@@ -266,31 +259,14 @@ class FeatureExtractor:
         if self.config.use_shape:
             feats.append(f"S[-1]={_shape_of(w_prev)}|{cur_tag}")
             feats.append(f"S[0]={_shape_of(w_cur)}|{cur_tag}")
-        return feats
-
-    def segment_features(
-        self,
-        sentence: Sentence,
-        first_token: int,
-        last_token: int,
-        label: str,
-        prev_label: str | None = None,
-    ) -> FeatureVector:
-        """Segment-mode templates for tokens ``first_token..last_token``.
-
-        The transition template fires only when ``prev_label`` is given;
-        split-node lattices omit it on segment edges and carry it on their
-        transition edges instead.
-        """
-        feats = self.segment_context_features(sentence, first_token, last_token, label)
-        if prev_label is not None:
-            feats = feats + [f"{SEGMENT_TRANSITION_PREFIX}{prev_label}|{label}"]
         return self._to_vector(feats)
 
-    def segment_context_features(
-        self, sentence: Sentence, first_token: int, last_token: int, label: str
-    ) -> list[str]:
-        """The word-valued part of the segment templates (no transition)."""
+    def token_transition_features(self, prev_tag: str, cur_tag: str) -> FeatureVector:
+        """The token-mode tag transition template."""
+        return self._to_vector([f"{LINEAR_TRANSITION_PREFIX}{prev_tag}|{cur_tag}"])
+
+    def segment_features(self, sentence: Sentence, first_token: int, last_token: int, label: str) -> FeatureVector:
+        """Segment-mode word templates for tokens ``first_token..last_token``."""
         length = last_token - first_token + 1
         if not 0 <= first_token <= last_token < len(sentence):
             raise ValueError(f"segment ({first_token}, {last_token}) outside sentence of {len(sentence)} tokens")
@@ -324,8 +300,8 @@ class FeatureExtractor:
                 feats.append(f"SE[{j}]={word_shape(w)}|{label}")
             feats.append(f"S[before]={_shape_of(before)}|{label}")
             feats.append(f"S[after]={_shape_of(after)}|{label}")
-        return feats
+        return self._to_vector(feats)
 
     def transition_features(self, prev_label: str, label: str) -> FeatureVector:
-        """The bare segment-label transition template."""
+        """The segment-mode label transition template."""
         return self._to_vector([f"{SEGMENT_TRANSITION_PREFIX}{prev_label}|{label}"])

@@ -73,27 +73,13 @@ class Node:
         return f"{self.kind.value.capitalize()}({self.position},{self.label})"
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    src: int
-    dst: int
-    edge_class: EdgeClass
-    features: FeatureVector
-
-
-def _concat_features(a: FeatureVector, b: FeatureVector) -> FeatureVector:
-    if len(a) == 0:
-        return b
-    if len(b) == 0:
-        return a
-    return FeatureVector(
-        np.concatenate([a.indices, b.indices]),
-        np.concatenate([a.values, b.values]),
-    )
-
-
 class Lattice:
-    """Immutable compiled lattice: nodes, edges, adjacency, flat feature arrays."""
+    """Immutable compiled lattice: nodes, edge arrays, adjacency, CSR features.
+
+    Edge ``e`` runs from ``edge_src[e]`` to ``edge_dst[e]``; its features are
+    ``feat_idx``/``feat_val`` between ``feat_ptr[e]`` and ``feat_ptr[e + 1]``,
+    and ``feat_edge`` maps every feature entry back to its edge.
+    """
 
     def __init__(
         self,
@@ -103,45 +89,38 @@ class Lattice:
         max_seg_len: int,
         nodes: list[Node],
         node_ids: dict[tuple, int],
-        edges: list[Edge],
         edge_index: dict[tuple[int, int], int],
+        edge_src: list[int],
+        edge_dst: list[int],
+        feat_counts: list[int],
+        feat_parts: list[FeatureVector],
     ) -> None:
         self.model_kind = model_kind
         self.sentence = sentence
         self.label_set = label_set
         self.max_seg_len = max_seg_len
         self.nodes = nodes
-        self.edges = edges
         self._node_ids = node_ids
         self._edge_index = edge_index
         self.root = 0
         self.leaf = len(nodes) - 1
 
-        num_edges = len(edges)
-        self.edge_src = np.fromiter((e.src for e in edges), dtype=np.int32, count=num_edges)
-        self.edge_dst = np.fromiter((e.dst for e in edges), dtype=np.int32, count=num_edges)
-
-        in_lists: list[list[int]] = [[] for _ in nodes]
-        out_lists: list[list[int]] = [[] for _ in nodes]
-        for eid, e in enumerate(edges):
-            in_lists[e.dst].append(eid)
-            out_lists[e.src].append(eid)
+        self.edge_src = np.asarray(edge_src, dtype=np.int32)
+        self.edge_dst = np.asarray(edge_dst, dtype=np.int32)
+        num_edges = len(self.edge_src)
+        bounds = np.arange(1, len(nodes))
         # In-edges sorted by source id: decoding prefers the topologically
         # earliest predecessor on ties, which argmax-first then implements.
-        self.in_edges = [
-            np.asarray(sorted(eids, key=lambda i: edges[i].src), dtype=np.int32) for eids in in_lists
-        ]
-        self.out_edges = [np.asarray(eids, dtype=np.int32) for eids in out_lists]
+        by_dst = np.lexsort((self.edge_src, self.edge_dst)).astype(np.int32)
+        self.in_edges = np.split(by_dst, np.searchsorted(self.edge_dst[by_dst], bounds))
+        by_src = np.argsort(self.edge_src, kind="stable").astype(np.int32)
+        self.out_edges = np.split(by_src, np.searchsorted(self.edge_src[by_src], bounds))
 
-        counts = np.fromiter((len(e.features) for e in edges), dtype=np.int64, count=num_edges)
+        counts = np.asarray(feat_counts, dtype=np.int64)
         self.feat_ptr = np.zeros(num_edges + 1, dtype=np.int64)
         np.cumsum(counts, out=self.feat_ptr[1:])
-        if num_edges:
-            self.feat_idx = np.concatenate([e.features.indices for e in edges])
-            self.feat_val = np.concatenate([e.features.values for e in edges])
-        else:
-            self.feat_idx = np.zeros(0, dtype=np.int32)
-            self.feat_val = np.zeros(0, dtype=np.float64)
+        self.feat_idx = np.concatenate([part.indices for part in feat_parts])
+        self.feat_val = np.concatenate([part.values for part in feat_parts])
         self.feat_edge = np.repeat(np.arange(num_edges, dtype=np.int32), counts)
 
         self._check_connected()
@@ -152,32 +131,36 @@ class Lattice:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_src)
 
     def _check_connected(self) -> None:
         fwd = np.zeros(self.num_nodes, dtype=bool)
         fwd[self.root] = True
         for v in range(self.num_nodes):
             if fwd[v]:
-                for eid in self.out_edges[v]:
-                    fwd[self.edges[eid].dst] = True
+                fwd[self.edge_dst[self.out_edges[v]]] = True
         bwd = np.zeros(self.num_nodes, dtype=bool)
         bwd[self.leaf] = True
         for v in range(self.num_nodes - 1, -1, -1):
             if bwd[v]:
-                for eid in self.in_edges[v]:
-                    bwd[self.edges[eid].src] = True
+                bwd[self.edge_src[self.in_edges[v]]] = True
         if not (fwd.all() and bwd.all()):
             raise AssertionError("lattice has unreachable or dead-end nodes")
 
     def edge_id(self, src: int, dst: int) -> int | None:
         return self._edge_index.get((src, dst))
 
+    def edge_class(self, eid: int) -> EdgeClass:
+        """Segment edges are exactly those that end on a segment node."""
+        if self.nodes[self.edge_dst[eid]].kind in (NodeKind.SEG, NodeKind.END):
+            return EdgeClass.SEGMENT
+        return EdgeClass.TRANSITION
+
     def edge_list_text(self) -> str:
         """Debug export: one ``from -> to [class]`` line per edge."""
         lines = [
-            f"{self.nodes[e.src]} -> {self.nodes[e.dst]} [{e.edge_class.value}]"
-            for e in self.edges
+            f"{self.nodes[src]} -> {self.nodes[dst]} [{self.edge_class(eid).value}]"
+            for eid, (src, dst) in enumerate(zip(self.edge_src, self.edge_dst))
         ]
         return "\n".join(lines) + "\n"
 
@@ -265,8 +248,11 @@ class _Builder:
         self.max_seg_len = max_seg_len
         self.nodes: list[Node] = []
         self.node_ids: dict[tuple, int] = {}
-        self.edges: list[Edge] = []
         self.edge_index: dict[tuple[int, int], int] = {}
+        self.edge_src: list[int] = []
+        self.edge_dst: list[int] = []
+        self.feat_counts: list[int] = []
+        self.feat_parts: list[FeatureVector] = []
 
     def add_node(self, key: tuple, node: Node) -> int:
         nid = len(self.nodes)
@@ -274,11 +260,16 @@ class _Builder:
         self.node_ids[key] = nid
         return nid
 
-    def add_edge(self, src: int, dst: int, cls: EdgeClass, features: FeatureVector) -> None:
+    def add_edge(self, src: int, dst: int, *parts: FeatureVector) -> None:
+        """Append an edge whose features are ``parts`` laid end to end; the
+        parts are shared memo vectors, copied once when the lattice is built."""
         if not src < dst:
             raise AssertionError("edges must go forward in topological order")
-        self.edge_index[(src, dst)] = len(self.edges)
-        self.edges.append(Edge(src, dst, cls, features))
+        self.edge_index[(src, dst)] = len(self.edge_src)
+        self.edge_src.append(src)
+        self.edge_dst.append(dst)
+        self.feat_counts.append(sum(len(part) for part in parts))
+        self.feat_parts.extend(parts)
 
     def build(self) -> Lattice:
         return Lattice(
@@ -288,8 +279,11 @@ class _Builder:
             self.max_seg_len,
             self.nodes,
             self.node_ids,
-            self.edges,
             self.edge_index,
+            self.edge_src,
+            self.edge_dst,
+            self.feat_counts,
+            self.feat_parts,
         )
 
 
@@ -297,10 +291,8 @@ class _FeatureMemo:
     """Per-build cache so identical templates are expanded once.
 
     Segment templates depend only on (first, last, label); the transition
-    template only on the label pair.  Edges that share them get the cached
-    vectors concatenated, which is what keeps the conventional segment
-    lattice's larger edge count visible in construction cost without
-    re-running string expansion per edge.
+    template only on the label pair.  Edges that share them share the cached
+    vectors, so string expansion runs once per distinct part, not per edge.
     """
 
     def __init__(self, extractor: FeatureExtractor | None, sentence: Sentence) -> None:
@@ -317,7 +309,7 @@ class _FeatureMemo:
         key = (first, last, label)
         fv = self._segments.get(key)
         if fv is None:
-            fv = self.extractor.segment_features(self.sentence, first, last, label, prev_label=None)
+            fv = self.extractor.segment_features(self.sentence, first, last, label)
             self._segments[key] = fv
         return fv
 
@@ -337,9 +329,7 @@ class _FeatureMemo:
         key = (position, cur_tag)
         fv = self._token_ctx.get(key)
         if fv is None:
-            fv = self.extractor._to_vector(
-                self.extractor.token_context_features(self.sentence, position, cur_tag)
-            )
+            fv = self.extractor.token_context_features(self.sentence, position, cur_tag)
             self._token_ctx[key] = fv
         return fv
 
@@ -349,8 +339,7 @@ class _FeatureMemo:
         key = (prev_tag, cur_tag)
         fv = self._token_tr.get(key)
         if fv is None:
-            idx = self.extractor.dictionary.index(f"T={prev_tag}|{cur_tag}")
-            fv = FeatureVector.from_indices([] if idx is None else [idx])
+            fv = self.extractor.token_transition_features(prev_tag, cur_tag)
             self._token_tr[key] = fv
         return fv
 
@@ -380,8 +369,7 @@ def build_linear(sentence: Sentence, label_set: LabelSet, extractor: FeatureExtr
     for tag in tags:
         if tag.startswith("I-"):
             continue
-        fv = _concat_features(memo.token_context(0, tag), memo.token_transition(START_LABEL, tag))
-        b.add_edge(0, b.node_ids[("tag", 0, tag)], EdgeClass.TRANSITION, fv)
+        b.add_edge(0, b.node_ids[("tag", 0, tag)], memo.token_context(0, tag), memo.token_transition(START_LABEL, tag))
     for i in range(1, n):
         for cur in tags:
             dst = b.node_ids[("tag", i, cur)]
@@ -391,14 +379,12 @@ def build_linear(sentence: Sentence, label_set: LabelSet, extractor: FeatureExtr
                     continue
                 if not _bio_ok(prev, cur):
                     continue
-                fv = _concat_features(ctx, memo.token_transition(prev, cur))
-                b.add_edge(b.node_ids[("tag", i - 1, prev)], dst, EdgeClass.TRANSITION, fv)
+                b.add_edge(b.node_ids[("tag", i - 1, prev)], dst, ctx, memo.token_transition(prev, cur))
     for tag in tags:
         if n == 1 and tag.startswith("I-"):
             continue
         ctx = memo.token_context(n, STOP_LABEL)
-        fv = _concat_features(ctx, memo.token_transition(tag, STOP_LABEL))
-        b.add_edge(b.node_ids[("tag", n - 1, tag)], leaf, EdgeClass.TRANSITION, fv)
+        b.add_edge(b.node_ids[("tag", n - 1, tag)], leaf, ctx, memo.token_transition(tag, STOP_LABEL))
     return b.build()
 
 
@@ -437,15 +423,12 @@ def build_semi(
                 j = i - k
                 seg_fv = memo.segment(j + 1, i, label)
                 if j < 0:
-                    fv = _concat_features(seg_fv, memo.transition(START_LABEL, label))
-                    b.add_edge(0, dst, EdgeClass.SEGMENT, fv)
+                    b.add_edge(0, dst, seg_fv, memo.transition(START_LABEL, label))
                 else:
                     for prev in alphabet:
-                        fv = _concat_features(seg_fv, memo.transition(prev, label))
-                        b.add_edge(b.node_ids[("seg", j, prev)], dst, EdgeClass.SEGMENT, fv)
+                        b.add_edge(b.node_ids[("seg", j, prev)], dst, seg_fv, memo.transition(prev, label))
     for label in alphabet:
-        fv = memo.transition(label, STOP_LABEL)
-        b.add_edge(b.node_ids[("seg", n - 1, label)], leaf, EdgeClass.TRANSITION, fv)
+        b.add_edge(b.node_ids[("seg", n - 1, label)], leaf, memo.transition(label, STOP_LABEL))
     return b.build()
 
 
@@ -475,20 +458,20 @@ def build_weak(
     leaf = b.add_node(("leaf",), Node(NodeKind.LEAF, n))
 
     for label in alphabet:
-        b.add_edge(0, b.node_ids[("begin", 0, label)], EdgeClass.TRANSITION, memo.transition(START_LABEL, label))
+        b.add_edge(0, b.node_ids[("begin", 0, label)], memo.transition(START_LABEL, label))
     for j in range(n):
         for label in alphabet:
             src = b.node_ids[("begin", j, label)]
             limit = _segment_length_limit(label, max_seg_len, outside_max_len)
             for i in range(j, min(j + limit, n)):
-                b.add_edge(src, b.node_ids[("end", i, label)], EdgeClass.SEGMENT, memo.segment(j, i, label))
+                b.add_edge(src, b.node_ids[("end", i, label)], memo.segment(j, i, label))
     for i in range(n - 1):
         for prev in alphabet:
             src = b.node_ids[("end", i, prev)]
             for label in alphabet:
-                b.add_edge(src, b.node_ids[("begin", i + 1, label)], EdgeClass.TRANSITION, memo.transition(prev, label))
+                b.add_edge(src, b.node_ids[("begin", i + 1, label)], memo.transition(prev, label))
     for label in alphabet:
-        b.add_edge(b.node_ids[("end", n - 1, label)], leaf, EdgeClass.TRANSITION, memo.transition(label, STOP_LABEL))
+        b.add_edge(b.node_ids[("end", n - 1, label)], leaf, memo.transition(label, STOP_LABEL))
     return b.build()
 
 

@@ -6,9 +6,8 @@ The objective over a dataset is
 
 and its gradient is gold-path feature counts minus expected feature counts
 (from edge posteriors) minus ``2 * lam * w``.  Both are returned in
-maximization orientation; the optimizer loop negates them.  Evaluation over
-instances may be spread across threads, but per-instance contributions are
-always reduced in dataset order so results are bit-reproducible.
+maximization orientation; the optimizer loop negates them.  Per-instance
+contributions are reduced in dataset order, so results are bit-reproducible.
 
 Chunks longer than the segment-length limit cannot be represented in the
 segment lattices; such spans are dropped from the gold structure (their
@@ -21,7 +20,6 @@ import json
 import logging
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,7 +68,6 @@ class TrainConfig:
     use_shape: bool = False
     max_iterations: int = 500
     tolerance: float = 1e-6
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.model_kind not in MODEL_KINDS:
@@ -79,8 +76,6 @@ class TrainConfig:
             raise ValueError("regularization strength must be positive")
         if self.max_seg_len < 1:
             raise ValueError("max_seg_len must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @property
     def feature_config(self) -> FeatureConfig:
@@ -197,7 +192,6 @@ class ObjectiveEvaluator:
         self.dictionary = dictionary
         self.extractor = FeatureExtractor(config.feature_config, dictionary, brown)
         self.lam = config.lam
-        self.threads = config.threads
         self.items: list[DataItem] = []
         self.skipped = 0
         for item in dataset.items:
@@ -239,11 +233,7 @@ class ObjectiveEvaluator:
         if len(w) != len(self.dictionary):
             raise ValueError(f"weight vector of length {len(w)} does not match {len(self.dictionary)} features")
 
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                terms = list(pool.map(lambda it: self._instance_terms(it, w), self.items))
-        else:
-            terms = [self._instance_terms(item, w) for item in self.items]
+        terms = [self._instance_terms(item, w) for item in self.items]
 
         value = 0.0
         idx_parts: list[np.ndarray] = []
@@ -468,37 +458,84 @@ def save_model(model: Model, path: str) -> None:
         fh.write(weights)
 
 
+# Header field -> the JSON type it must hold.
+_HEADER_TYPES = {
+    "model_kind": str,
+    "chunk_labels": list,
+    "feature_config": dict,
+    "brown": (dict, type(None)),
+    "features": list,
+    "metadata": dict,
+}
+
+
 def load_model(path: str) -> Model:
+    """Read a model written by :func:`save_model`.
+
+    Every length field must match the bytes present, nothing may follow the
+    weights, and the header must hold exactly the fields :func:`save_model`
+    writes; any deviation raises :class:`ModelFormatError`.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise ModelFormatError(f"{path}: not a model file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != MODEL_VERSION:
-            raise ModelFormatError(f"{path}: unsupported model version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode())
-        (dim,) = struct.unpack("<Q", fh.read(8))
-        weights = np.frombuffer(fh.read(dim * 8), dtype="<f8").astype(np.float64)
-    fc = header["feature_config"]
+        data = fh.read()
+    pos = 0
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal pos
+        if size > len(data) - pos:
+            raise ModelFormatError(f"{path}: truncated model file ({what})")
+        pos += size
+        return data[pos - size : pos]
+
+    if take(len(MODEL_MAGIC), "magic") != MODEL_MAGIC:
+        raise ModelFormatError(f"{path}: not a model file (bad magic)")
+    (version,) = struct.unpack("<I", take(4, "version"))
+    if version != MODEL_VERSION:
+        raise ModelFormatError(f"{path}: unsupported model version {version}")
+    (header_len,) = struct.unpack("<Q", take(8, "header length"))
+    header_bytes = take(header_len, "header")
+    (dim,) = struct.unpack("<Q", take(8, "weight count"))
+    weights = np.frombuffer(take(dim * 8, "weights"), dtype="<f8").astype(np.float64)
+    if pos != len(data):
+        raise ModelFormatError(f"{path}: {len(data) - pos} trailing bytes after the weights")
+
+    try:
+        header = json.loads(header_bytes.decode())
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise ModelFormatError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict) or set(header) != set(_HEADER_TYPES):
+        raise ModelFormatError(f"{path}: header fields are not {sorted(_HEADER_TYPES)}")
+    for key, kind in _HEADER_TYPES.items():
+        if not isinstance(header[key], kind):
+            raise ModelFormatError(f"{path}: header field {key!r} has the wrong type")
+    if header["model_kind"] not in MODEL_KINDS:
+        raise ModelFormatError(f"{path}: unknown model kind {header['model_kind']!r}")
+    if not all(isinstance(f, str) for f in header["features"]):
+        raise ModelFormatError(f"{path}: feature table holds a non-string")
     dictionary = FeatureDictionary.from_strings(header["features"])
     if len(dictionary) != dim:
         raise ModelFormatError(f"{path}: feature table and weight vector disagree")
-    return Model(
-        header["model_kind"],
-        LabelSet(tuple(header["chunk_labels"])),
-        FeatureConfig(
-            use_affix=fc["use_affix"],
-            use_brown=fc["use_brown"],
-            use_shape=fc["use_shape"],
-            affix_max_len=fc["affix_max_len"],
-            max_seg_len=fc["max_seg_len"],
-        ),
-        dictionary,
-        weights,
-        BrownClusterMap(header["brown"]) if header["brown"] is not None else None,
-        dict(header["metadata"]),
-    )
+    fc = header["feature_config"]
+    try:
+        model = Model(
+            header["model_kind"],
+            LabelSet(tuple(header["chunk_labels"])),
+            FeatureConfig(
+                use_affix=fc["use_affix"],
+                use_brown=fc["use_brown"],
+                use_shape=fc["use_shape"],
+                affix_max_len=fc["affix_max_len"],
+                max_seg_len=fc["max_seg_len"],
+            ),
+            dictionary,
+            weights,
+            BrownClusterMap(header["brown"]) if header["brown"] is not None else None,
+            dict(header["metadata"]),
+        )
+        model.extractor()  # cluster features need a cluster map
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: invalid header ({exc!r})") from exc
+    return model
 
 
 def export_model_json(model: Model) -> dict:

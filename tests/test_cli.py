@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from chunkcrf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from chunkcrf.core import CharSpan
 from chunkcrf.ingest import annotate, read_jsonl, write_jsonl
 from chunkcrf.synth import separable_corpus
+from chunkcrf.training import MODEL_MAGIC, MODEL_VERSION
 
 
 @pytest.fixture
@@ -117,6 +119,34 @@ class TestTrainPredictEval:
         config = tmp_path / "run.cfg"
         config.write_text("bogus = 1\n", encoding="utf-8")
         assert run(["train", "--config", config]) == EXIT_DATA
+
+    def test_removed_threads_key_is_a_data_error(self, corpus_files, tmp_path, capsys):
+        train, _ = corpus_files
+        config = tmp_path / "run.cfg"
+        config.write_text(f"train = {train}\nlambda = 0.25\nmax-iterations = 1\nthreads = 2\n", encoding="utf-8")
+        assert run(["train", "--config", config, "--out", tmp_path / "m.ckcrf"]) == EXIT_DATA
+        assert "unknown key 'threads'" in capsys.readouterr().err
+
+    def test_config_key_of_another_command_is_ignored(self, corpus_files, tmp_path):
+        train, _ = corpus_files
+        config = tmp_path / "shared.cfg"
+        config.write_text(
+            f"train = {train}\nlambda = 0.25\nmax-iterations = 5\nsentences = 5\n"
+            f"out = {tmp_path / 'm.ckcrf'}\n",
+            encoding="utf-8",
+        )
+        assert run(["train", "--config", config]) == EXIT_OK
+        assert (tmp_path / "m.ckcrf").exists()
+
+    def test_predict_with_corrupt_model_is_a_data_error(self, corpus_files, tmp_path, capsys):
+        _, dev = corpus_files
+        model_path = tmp_path / "cut.ckcrf"
+        model_path.write_bytes(MODEL_MAGIC + struct.pack("<I", MODEL_VERSION) + b"\x05\x00\x00")
+        assert run(["predict", "--model-file", model_path, "--input", dev]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "truncated" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_lambda_required_without_grid(self, corpus_files, tmp_path):
         train, _ = corpus_files

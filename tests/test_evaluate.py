@@ -152,12 +152,6 @@ class TestBenchmark:
             report.timings["semi"].mean / report.timings["weak"].mean
         )
 
-    def test_multithreaded_configs_rejected(self):
-        ds = Dataset.from_annotated(timing_corpus(5, num_chunk_labels=1, seed=4))
-        configs = {"semi": TrainConfig(model_kind="semi", lam=1.0, threads=2)}
-        with pytest.raises(ValueError):
-            benchmark_training(ds, configs)
-
     def test_sweep_csv_schema(self):
         rows = [SweepRow("semi", 2, 10, 6, 1234, 0.5), SweepRow("weak", 2, 10, 6, 999, 0.4)]
         text = sweep_rows_to_csv(rows)

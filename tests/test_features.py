@@ -19,6 +19,13 @@ def strings_of(extractor, fv):
     return {extractor.dictionary.string(i) for i in fv.indices}
 
 
+def linear_strings(extractor, sentence, position, prev_tag, cur_tag):
+    """Strings on a linear-trellis edge: token context plus tag transition."""
+    return strings_of(extractor, extractor.token_context_features(sentence, position, cur_tag)) | strings_of(
+        extractor, extractor.token_transition_features(prev_tag, cur_tag)
+    )
+
+
 class TestWordShape:
     @pytest.mark.parametrize(
         "word,shape",
@@ -73,39 +80,38 @@ class TestLinearTemplates:
     def test_base_expansion_at_sentence_start(self):
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(), d)
-        fv = ext.linear_features(tokenize("Dr teh says"), 0, "<START>", "B-NP")
-        assert strings_of(ext, fv) == {"W[-1]=<BOS>|B-NP", "W[0]=Dr|B-NP", "T=<START>|B-NP"}
+        strings = linear_strings(ext, tokenize("Dr teh says"), 0, "<START>", "B-NP")
+        assert strings == {"W[-1]=<BOS>|B-NP", "W[0]=Dr|B-NP", "T=<START>|B-NP"}
 
     def test_shape_flag_adds_shape_features(self):
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(use_shape=True), d)
-        fv = ext.linear_features(tokenize("Dr teh says"), 0, "<START>", "B-NP")
-        assert {"S[-1]=<BOS>|B-NP", "S[0]=Xx|B-NP"} <= strings_of(ext, fv)
+        strings = linear_strings(ext, tokenize("Dr teh says"), 0, "<START>", "B-NP")
+        assert {"S[-1]=<BOS>|B-NP", "S[0]=Xx|B-NP"} <= strings
 
     def test_frozen_dictionary_drops_unseen(self):
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(), d)
-        ext.linear_features(tokenize("Dr teh says"), 0, "<START>", "B-NP")
+        linear_strings(ext, tokenize("Dr teh says"), 0, "<START>", "B-NP")
         d.freeze()
-        fv = ext.linear_features(tokenize("new words here"), 0, "<START>", "B-NP")
-        assert strings_of(ext, fv) == {"W[-1]=<BOS>|B-NP", "T=<START>|B-NP"}
+        strings = linear_strings(ext, tokenize("new words here"), 0, "<START>", "B-NP")
+        assert strings == {"W[-1]=<BOS>|B-NP", "T=<START>|B-NP"}
 
     def test_affix_features(self):
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(use_affix=True), d)
-        fv = ext.linear_features(tokenize("says"), 0, "<START>", "O")
+        strings = linear_strings(ext, tokenize("says"), 0, "<START>", "O")
         expected = {
             "PRE1=s|O", "SUF1=s|O",
             "PRE2=sa|O", "SUF2=ys|O",
             "PRE3=say|O", "SUF3=ays|O",
         }
-        assert expected <= strings_of(ext, fv)
+        assert expected <= strings
 
     def test_brown_features(self):
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(use_brown=True), d, BrownClusterMap({"says": "0110"}))
-        fv = ext.linear_features(tokenize("says"), 0, "<START>", "O")
-        assert "BR[0]=0110|O" in strings_of(ext, fv)
+        assert "BR[0]=0110|O" in linear_strings(ext, tokenize("says"), 0, "<START>", "O")
 
 
 class TestSegmentTemplates:
@@ -125,8 +131,8 @@ class TestSegmentTemplates:
     def test_transition_only_with_previous_label(self):
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(), d)
-        with_prev = strings_of(ext, ext.segment_features(tokenize("Dr teh says"), 0, 1, "NP", prev_label="O"))
         without = strings_of(ext, ext.segment_features(tokenize("Dr teh says"), 0, 1, "NP"))
+        with_prev = without | strings_of(ext, ext.transition_features("O", "NP"))
         assert with_prev - without == {"TR=O|NP"}
 
     def test_length_one_forward_and_backward_bind_the_same_word(self):
@@ -149,7 +155,7 @@ class TestSegmentTemplates:
         base_d = FeatureDictionary()
         base = strings_of(
             FeatureExtractor(FeatureConfig(), base_d),
-            FeatureExtractor(FeatureConfig(), base_d).segment_features(s, 0, 1, "NP", prev_label="O"),
+            FeatureExtractor(FeatureConfig(), base_d).segment_features(s, 0, 1, "NP"),
         )
         for cfg in (
             FeatureConfig(use_affix=True),
@@ -158,7 +164,7 @@ class TestSegmentTemplates:
         ):
             d = FeatureDictionary()
             ext = FeatureExtractor(cfg, d)
-            more = strings_of(ext, ext.segment_features(s, 0, 1, "NP", prev_label="O"))
+            more = strings_of(ext, ext.segment_features(s, 0, 1, "NP"))
             assert base <= more
 
     def test_extraction_is_deterministic(self):
@@ -167,7 +173,7 @@ class TestSegmentTemplates:
         for _ in range(2):
             d = FeatureDictionary()
             ext = FeatureExtractor(FeatureConfig(use_affix=True, use_shape=True), d)
-            fv = ext.segment_features(s, 1, 2, "NP", prev_label="O")
+            fv = ext.segment_features(s, 1, 2, "NP")
             results.append((tuple(fv.indices.tolist()), d.strings))
         assert results[0] == results[1]
 

@@ -31,6 +31,10 @@ def make_extractor(max_seg_len=6, **flags):
     return FeatureExtractor(FeatureConfig(max_seg_len=max_seg_len, **flags), d)
 
 
+def edge_feature_ids(lattice, eid):
+    return lattice.feat_idx[lattice.feat_ptr[eid] : lattice.feat_ptr[eid + 1]].tolist()
+
+
 def spanset(lattice, edge_path):
     spans = lattice.path_spans(path_nodes(lattice, edge_path))
     return tuple((s.first_token, s.last_token, s.label) for s in spans)
@@ -124,17 +128,17 @@ class TestWeak:
 
     def test_segment_edges_never_change_label(self):
         lat = build_weak(synthetic_sentence(4), NP, 3, make_extractor(3))
-        for e in lat.edges:
-            if e.edge_class is EdgeClass.SEGMENT:
-                assert lat.nodes[e.src].label == lat.nodes[e.dst].label
+        for eid, (src, dst) in enumerate(zip(lat.edge_src, lat.edge_dst)):
+            if lat.edge_class(eid) is EdgeClass.SEGMENT:
+                assert lat.nodes[src].label == lat.nodes[dst].label
 
     def test_segment_edges_carry_no_transition_features(self):
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(max_seg_len=3), d)
         lat = build_weak(synthetic_sentence(4), NP, 3, ext)
-        for e in lat.edges:
-            names = {d.string(i) for i in e.features.indices}
-            if e.edge_class is EdgeClass.SEGMENT:
+        for eid in range(lat.num_edges):
+            names = {d.string(i) for i in edge_feature_ids(lat, eid)}
+            if lat.edge_class(eid) is EdgeClass.SEGMENT:
                 assert not any(name.startswith(TRANSITION_PREFIXES) for name in names)
             else:
                 assert all(name.startswith("TR=") for name in names)
@@ -143,7 +147,7 @@ class TestWeak:
         labels = LabelSet(("NP",))
         lat = build_weak(synthetic_sentence(10), labels, 6, make_extractor())
         num_labels = len(labels.alphabet)
-        segment_edges = sum(1 for e in lat.edges if e.edge_class is EdgeClass.SEGMENT)
+        segment_edges = sum(1 for eid in range(lat.num_edges) if lat.edge_class(eid) is EdgeClass.SEGMENT)
         transition_edges = lat.num_edges - segment_edges
         assert segment_edges <= 10 * 6 * num_labels
         assert transition_edges <= 10 * num_labels**2 + 2 * num_labels
@@ -159,8 +163,11 @@ class TestEdgeFeatures:
         # outside segments are single-token, so no edge skips position 2
         assert lat.edge_id(lat._node_ids[("seg", 1, "NP")], dst) is None
         eid = lat.edge_id(lat._node_ids[("seg", 2, "NP")], dst)
-        direct = ext.segment_features(s, 3, 3, "O", prev_label="NP")
-        assert set(lat.edges[eid].features.indices.tolist()) == set(direct.indices.tolist())
+        direct = (
+            ext.segment_features(s, 3, 3, "O").indices.tolist()
+            + ext.transition_features("NP", "O").indices.tolist()
+        )
+        assert edge_feature_ids(lat, eid) == direct
 
     def test_linear_edge_features_match_direct_extraction(self):
         d = FeatureDictionary()
@@ -170,8 +177,11 @@ class TestEdgeFeatures:
         src = lat._node_ids[("tag", 0, "B-NP")]
         dst = lat._node_ids[("tag", 1, "I-NP")]
         eid = lat.edge_id(src, dst)
-        direct = ext.linear_features(s, 1, "B-NP", "I-NP")
-        assert set(lat.edges[eid].features.indices.tolist()) == set(direct.indices.tolist())
+        direct = (
+            ext.token_context_features(s, 1, "I-NP").indices.tolist()
+            + ext.token_transition_features("B-NP", "I-NP").indices.tolist()
+        )
+        assert edge_feature_ids(lat, eid) == direct
 
     def test_features_cached_once_per_segment(self):
         d = FeatureDictionary()
@@ -183,7 +193,7 @@ class TestEdgeFeatures:
             lat.edge_id(lat._node_ids[("seg", 0, prev)], lat._node_ids[("seg", 1, "NP")])
             for prev in ("O", "NP")
         ]
-        names = [{d.string(i) for i in lat.edges[e].features.indices} for e in ids]
+        names = [{d.string(i) for i in edge_feature_ids(lat, e)} for e in ids]
         assert names[0] ^ names[1] == {"TR=O|NP", "TR=NP|NP"}
 
 
@@ -243,5 +253,4 @@ def test_weak_export_golden_file():
 def test_topological_order_is_respected_everywhere():
     for kind in ("linear", "semi", "weak"):
         lat = build_lattice(kind, synthetic_sentence(5), LabelSet(("NP", "VP")), 3, make_extractor(3))
-        for e in lat.edges:
-            assert e.src < e.dst
+        assert np.all(lat.edge_src < lat.edge_dst)

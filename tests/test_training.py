@@ -1,19 +1,24 @@
 """Objective/gradient correctness, the optimizer loop, and serialization."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from chunkcrf.core import LabelSet, WordSpan, tokenize
-from chunkcrf.features import SEGMENT_TRANSITION_PREFIX, LINEAR_TRANSITION_PREFIX
+from chunkcrf.features import SEGMENT_TRANSITION_PREFIX, LINEAR_TRANSITION_PREFIX, FeatureConfig, FeatureDictionary
 from chunkcrf.inference import log_partition, viterbi
 from chunkcrf.lattice import build_lattice
 from chunkcrf.synth import separable_corpus
 from chunkcrf.training import (
     LAMBDA_GRID,
+    MODEL_MAGIC,
+    MODEL_VERSION,
     Dataset,
     DataItem,
+    Model,
     ModelFormatError,
     ObjectiveEvaluator,
     TrainConfig,
@@ -119,19 +124,6 @@ class TestObjective:
         value, _ = ev.objective_and_gradient(np.zeros(len(dictionary)))
         assert np.isfinite(value)
 
-    def test_threads_do_not_change_the_result(self):
-        items = separable_corpus(20, seed=2)
-        ds = Dataset.from_annotated(items)
-        serial, d = make_evaluator(ds, "weak", max_seg_len=6)
-        cfg = TrainConfig(model_kind="weak", lam=0.1, max_seg_len=6, threads=3)
-        threaded = ObjectiveEvaluator(ds, derive_label_set(ds), cfg, d)
-        rng = np.random.default_rng(4)
-        w = rng.normal(size=len(d))
-        v1, g1 = serial.objective_and_gradient(w)
-        v2, g2 = threaded.objective_and_gradient(w)
-        assert v1 == v2
-        np.testing.assert_array_equal(g1, g2)
-
 
 class TestTrain:
     def test_separable_corpus_reaches_perfect_training_f1(self):
@@ -221,6 +213,82 @@ class TestSerialization:
         path = tmp_path / "bogus.ckcrf"
         path.write_bytes(b"NOTAMODELFILE....")
         with pytest.raises(ModelFormatError, match="magic"):
+            load_model(str(path))
+
+    def _tiny_file(self, tmp_path):
+        dictionary = FeatureDictionary.from_strings(["TR=O|NP", "WS[0]=a|NP"])
+        model = Model("weak", NP, FeatureConfig(), dictionary, np.array([0.5, -1.0]))
+        path = tmp_path / "tiny.ckcrf"
+        save_model(model, str(path))
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "where", ["magic", "version", "header-length", "header", "weight-count", "weights", "last-byte"]
+    )
+    def test_truncated_file_rejected(self, tmp_path, where):
+        path, data = self._tiny_file(tmp_path)
+        (header_len,) = struct.unpack_from("<Q", data, 12)
+        cut = {
+            "magic": 4,
+            "version": 10,
+            "header-length": 15,
+            "header": 20 + header_len // 2,
+            "weight-count": 20 + header_len + 4,
+            "weights": len(data) - 9,
+            "last-byte": len(data) - 1,
+        }[where]
+        path.write_bytes(data[:cut])
+        with pytest.raises(ModelFormatError, match="truncated"):
+            load_model(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, data = self._tiny_file(tmp_path)
+        path.write_bytes(data + b"\x00")
+        with pytest.raises(ModelFormatError, match="trailing"):
+            load_model(str(path))
+
+    @staticmethod
+    def _write_with_header(path, header: bytes, weights=(0.5, -1.0)):
+        path.write_bytes(
+            MODEL_MAGIC
+            + struct.pack("<IQ", MODEL_VERSION, len(header))
+            + header
+            + struct.pack("<Q", len(weights))
+            + np.asarray(weights, dtype="<f8").tobytes()
+        )
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda h: h.pop("brown"),
+            lambda h: h.update(extra=1),
+            lambda h: h.update(features="TR=O|NP"),
+            lambda h: h.update(features=["TR=O|NP", 7]),
+            lambda h: h.update(model_kind="crf"),
+            lambda h: h.update(chunk_labels=["O"]),
+            lambda h: h["feature_config"].pop("max_seg_len"),
+            lambda h: h["feature_config"].update(affix_max_len="3"),
+            lambda h: h["feature_config"].update(use_brown=True),
+        ],
+        ids=[
+            "missing-field", "extra-field", "wrong-type", "non-string-feature", "unknown-kind",
+            "bad-label", "missing-config-field", "bad-config-value", "clusters-without-map",
+        ],
+    )
+    def test_invalid_header_rejected(self, tmp_path, mutate):
+        path, data = self._tiny_file(tmp_path)
+        (header_len,) = struct.unpack_from("<Q", data, 12)
+        header = json.loads(data[20 : 20 + header_len])
+        mutate(header)
+        self._write_with_header(path, json.dumps(header).encode())
+        with pytest.raises(ModelFormatError):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("header", [b"{not json", b"\xff\xfe", b"[]"], ids=["syntax", "encoding", "not-an-object"])
+    def test_unreadable_header_rejected(self, tmp_path, header):
+        path = tmp_path / "m.ckcrf"
+        self._write_with_header(path, header)
+        with pytest.raises(ModelFormatError):
             load_model(str(path))
 
     def test_save_is_deterministic(self, tmp_path):
