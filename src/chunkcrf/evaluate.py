@@ -207,9 +207,10 @@ def benchmark_training(
 ) -> BenchReport:
     """Wall-clock per-iteration cost of each configured model on one dataset.
 
-    One iteration is one full objective-plus-gradient evaluation, including
-    lattice construction.  Warm-up evaluations are excluded from the
-    statistics.
+    One iteration is one full objective-plus-gradient evaluation over
+    lattices compiled beforehand, as in training: edge scoring,
+    forward-backward and gradient accumulation, without lattice
+    construction.  Warm-up evaluations are excluded from the statistics.
     """
     label_set = derive_label_set(dataset, label_set)
     timings: dict[str, ModelTiming] = {}

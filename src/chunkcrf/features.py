@@ -44,21 +44,20 @@ TRANSITION_PREFIXES = (LINEAR_TRANSITION_PREFIX, SEGMENT_TRANSITION_PREFIX)
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Sparse features: parallel index/value arrays, indicator value 1.0."""
+    """Sparse indicator features: the ids of the features that fire (each
+    with value 1)."""
 
     indices: np.ndarray
-    values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.indices)
 
     @staticmethod
     def from_indices(indices: list[int]) -> "FeatureVector":
-        idx = np.asarray(indices, dtype=np.int32)
-        return FeatureVector(idx, np.ones(len(idx), dtype=np.float64))
+        return FeatureVector(np.asarray(indices, dtype=np.int32))
 
 
-EMPTY_FEATURES = FeatureVector(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.float64))
+EMPTY_FEATURES = FeatureVector.from_indices([])
 
 
 class FeatureDictionary:

@@ -1,8 +1,9 @@
 """Exact log-space dynamic programming over labeling lattices.
 
-All accumulation happens in log space with max-shifted log-sum-exp; scores
-are plain dot products between the weight vector and each edge's sparse
-features.  Everything here is a pure function of an immutable lattice plus a
+All accumulation happens in log space with max-shifted log-sum-exp; an
+edge's score is the dot product of the weight vector with its indicator
+features, computed once per part of the lattice and summed over the edge's
+two parts.  Everything here is a pure function of an immutable lattice plus a
 weight vector, so concurrent use over different sentences needs no locking.
 """
 
@@ -24,10 +25,15 @@ def _logsumexp(values: np.ndarray) -> float:
 
 
 def edge_scores(lattice: Lattice, weights: np.ndarray) -> np.ndarray:
-    """Per-edge linear scores w . f(e)."""
+    """Per-edge linear scores w . f(e).
+
+    Each part's weights are summed from zero in feature order, and an edge's
+    second part is at most one transition feature, so every score equals the
+    in-order sum over the edge's features bit for bit.
+    """
     w = np.asarray(weights, dtype=np.float64)
-    contrib = w[lattice.feat_idx] * lattice.feat_val
-    return np.bincount(lattice.feat_edge, weights=contrib, minlength=lattice.num_edges)
+    part = np.bincount(lattice.part_row, weights=w[lattice.part_idx], minlength=lattice.num_parts)
+    return part[lattice.edge_parts[:, 0]] + part[lattice.edge_parts[:, 1]]
 
 
 def forward_log(lattice: Lattice, scores: np.ndarray) -> np.ndarray:

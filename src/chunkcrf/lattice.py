@@ -18,8 +18,17 @@ the legal labelings of one sentence:
 Nodes are stored in topological order (outside label first within a layer;
 decoding tie-breaks rely on that).  Edges always point from a lower to a
 higher node id, and every node is reachable from the root and co-reachable
-from the leaf.  Feature vectors are computed once at construction; a built
-lattice is immutable and safe to share read-only.
+from the leaf.
+
+Features are stored once per distinct *part*, not once per edge.  A part is
+one feature vector of a template family at one place: a segment (first, last,
+label), a token context (position, tag) or a label pair.  Every edge names
+two parts (a second, empty part pads an edge that has one), so an edge's
+score is the sum of two part scores, and many edges share each part: in a
+``semi`` lattice all ``|labels|`` edges into one segment share its segment
+part, and all edges between one label pair share its transition part.
+Features are computed once at construction; a built lattice is immutable and
+safe to share read-only, so a training run compiles each sentence once.
 """
 
 from __future__ import annotations
@@ -74,11 +83,13 @@ class Node:
 
 
 class Lattice:
-    """Immutable compiled lattice: nodes, edge arrays, adjacency, CSR features.
+    """Immutable compiled lattice: nodes, edge arrays, adjacency, part table.
 
     Edge ``e`` runs from ``edge_src[e]`` to ``edge_dst[e]``; its features are
-    ``feat_idx``/``feat_val`` between ``feat_ptr[e]`` and ``feat_ptr[e + 1]``,
-    and ``feat_edge`` maps every feature entry back to its edge.
+    those of parts ``edge_parts[e, 0]`` and ``edge_parts[e, 1]``, in that
+    order.  The part table lists every part's feature ids once, part by part:
+    ``part_idx`` holds the ids and ``part_row`` the part of each entry (sorted,
+    so part ``p`` is one contiguous run).  Part 0 is the empty part.
     """
 
     def __init__(
@@ -89,11 +100,10 @@ class Lattice:
         max_seg_len: int,
         nodes: list[Node],
         node_ids: dict[tuple, int],
-        edge_index: dict[tuple[int, int], int],
         edge_src: list[int],
         edge_dst: list[int],
-        feat_counts: list[int],
-        feat_parts: list[FeatureVector],
+        edge_parts: list[int],
+        parts: list[FeatureVector],
     ) -> None:
         self.model_kind = model_kind
         self.sentence = sentence
@@ -101,27 +111,24 @@ class Lattice:
         self.max_seg_len = max_seg_len
         self.nodes = nodes
         self._node_ids = node_ids
-        self._edge_index = edge_index
         self.root = 0
         self.leaf = len(nodes) - 1
 
         self.edge_src = np.asarray(edge_src, dtype=np.int32)
         self.edge_dst = np.asarray(edge_dst, dtype=np.int32)
-        num_edges = len(self.edge_src)
         bounds = np.arange(1, len(nodes))
         # In-edges sorted by source id: decoding prefers the topologically
-        # earliest predecessor on ties, which argmax-first then implements.
+        # earliest predecessor on ties, which argmax-first then implements,
+        # and edge_id binary-searches them.
         by_dst = np.lexsort((self.edge_src, self.edge_dst)).astype(np.int32)
         self.in_edges = np.split(by_dst, np.searchsorted(self.edge_dst[by_dst], bounds))
         by_src = np.argsort(self.edge_src, kind="stable").astype(np.int32)
         self.out_edges = np.split(by_src, np.searchsorted(self.edge_src[by_src], bounds))
 
-        counts = np.asarray(feat_counts, dtype=np.int64)
-        self.feat_ptr = np.zeros(num_edges + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.feat_ptr[1:])
-        self.feat_idx = np.concatenate([part.indices for part in feat_parts])
-        self.feat_val = np.concatenate([part.values for part in feat_parts])
-        self.feat_edge = np.repeat(np.arange(num_edges, dtype=np.int32), counts)
+        self.edge_parts = np.asarray(edge_parts, dtype=np.int32).reshape(-1, 2)
+        self.num_parts = len(parts)
+        self.part_idx = np.concatenate([part.indices for part in parts])
+        self.part_row = np.repeat(np.arange(self.num_parts, dtype=np.int32), [len(part) for part in parts])
 
         self._check_connected()
 
@@ -148,7 +155,17 @@ class Lattice:
             raise AssertionError("lattice has unreachable or dead-end nodes")
 
     def edge_id(self, src: int, dst: int) -> int | None:
-        return self._edge_index.get((src, dst))
+        """Id of the edge from ``src`` to ``dst``, or ``None`` if there is none."""
+        eids = self.in_edges[dst]
+        k = int(np.searchsorted(self.edge_src[eids], src))
+        if k < len(eids) and self.edge_src[eids[k]] == src:
+            return int(eids[k])
+        return None
+
+    def edge_features(self, eid: int) -> np.ndarray:
+        """Feature ids of edge ``eid``: its first part's, then its second's."""
+        bounds = np.searchsorted(self.part_row, [self.edge_parts[eid], self.edge_parts[eid] + 1])
+        return np.concatenate([self.part_idx[lo:hi] for lo, hi in bounds.T])
 
     def edge_class(self, eid: int) -> EdgeClass:
         """Segment edges are exactly those that end on a segment node."""
@@ -204,8 +221,8 @@ class Lattice:
             cursor += 1
         return segments
 
-    def gold_node_path(self, spans: list[WordSpan]) -> list[int]:
-        """Node path realizing the given chunk structure.
+    def gold_edge_ids(self, spans: list[WordSpan]) -> list[int]:
+        """Edge path realizing the given chunk structure.
 
         Raises :class:`LatticeError` when the structure is not representable
         (unknown label, segment too long, or a missing edge).
@@ -230,14 +247,13 @@ class Lattice:
                 raise LatticeError(f"no lattice node for {key}")
             path.append(node)
         path.append(self.leaf)
+        edges = []
         for src, dst in zip(path, path[1:]):
-            if self.edge_id(src, dst) is None:
+            eid = self.edge_id(src, dst)
+            if eid is None:
                 raise LatticeError(f"missing edge {self.nodes[src]} -> {self.nodes[dst]}")
-        return path
-
-    def gold_edge_ids(self, spans: list[WordSpan]) -> list[int]:
-        path = self.gold_node_path(spans)
-        return [self._edge_index[(src, dst)] for src, dst in zip(path, path[1:])]
+            edges.append(eid)
+        return edges
 
 
 class _Builder:
@@ -248,11 +264,13 @@ class _Builder:
         self.max_seg_len = max_seg_len
         self.nodes: list[Node] = []
         self.node_ids: dict[tuple, int] = {}
-        self.edge_index: dict[tuple[int, int], int] = {}
         self.edge_src: list[int] = []
         self.edge_dst: list[int] = []
-        self.feat_counts: list[int] = []
-        self.feat_parts: list[FeatureVector] = []
+        self.edge_parts: list[int] = []
+        self.parts: list[FeatureVector] = [EMPTY_FEATURES]
+        # Keyed by object identity: the memo hands out one vector per
+        # distinct part, and ``parts`` keeps each alive while ids are in use.
+        self.part_ids: dict[int, int] = {id(EMPTY_FEATURES): 0}
 
     def add_node(self, key: tuple, node: Node) -> int:
         nid = len(self.nodes)
@@ -260,16 +278,22 @@ class _Builder:
         self.node_ids[key] = nid
         return nid
 
-    def add_edge(self, src: int, dst: int, *parts: FeatureVector) -> None:
-        """Append an edge whose features are ``parts`` laid end to end; the
-        parts are shared memo vectors, copied once when the lattice is built."""
+    def _part_id(self, part: FeatureVector) -> int:
+        pid = self.part_ids.get(id(part))
+        if pid is None:
+            pid = self.part_ids[id(part)] = len(self.parts)
+            self.parts.append(part)
+        return pid
+
+    def add_edge(self, src: int, dst: int, first: FeatureVector, second: FeatureVector = EMPTY_FEATURES) -> None:
+        """Append an edge whose features are the memo vectors ``first`` then
+        ``second``; each distinct vector becomes one part of the lattice."""
         if not src < dst:
             raise AssertionError("edges must go forward in topological order")
-        self.edge_index[(src, dst)] = len(self.edge_src)
         self.edge_src.append(src)
         self.edge_dst.append(dst)
-        self.feat_counts.append(sum(len(part) for part in parts))
-        self.feat_parts.extend(parts)
+        self.edge_parts.append(self._part_id(first))
+        self.edge_parts.append(self._part_id(second))
 
     def build(self) -> Lattice:
         return Lattice(
@@ -279,11 +303,10 @@ class _Builder:
             self.max_seg_len,
             self.nodes,
             self.node_ids,
-            self.edge_index,
             self.edge_src,
             self.edge_dst,
-            self.feat_counts,
-            self.feat_parts,
+            self.edge_parts,
+            self.parts,
         )
 
 
@@ -292,7 +315,8 @@ class _FeatureMemo:
 
     Segment templates depend only on (first, last, label); the transition
     template only on the label pair.  Edges that share them share the cached
-    vectors, so string expansion runs once per distinct part, not per edge.
+    vector, so string expansion runs once per distinct part, not per edge,
+    and the lattice stores that vector once, as one part.
     """
 
     def __init__(self, extractor: FeatureExtractor | None, sentence: Sentence) -> None:

@@ -40,7 +40,7 @@ from .features import (
     FeatureExtractor,
 )
 from .ingest import AnnotatedText
-from .lattice import MODEL_KINDS, LatticeError, build_lattice
+from .lattice import MODEL_KINDS, Lattice, LatticeError, build_lattice
 from .inference import edge_scores, marginals_from_scores, viterbi
 
 log = logging.getLogger("chunkcrf")
@@ -76,6 +76,10 @@ class TrainConfig:
             raise ValueError("regularization strength must be positive")
         if self.max_seg_len < 1:
             raise ValueError("max_seg_len must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if not self.tolerance >= 0:
+            raise ValueError("tolerance must be a non-negative number")
 
     @property
     def feature_config(self) -> FeatureConfig:
@@ -175,8 +179,11 @@ def build_feature_space(
 class ObjectiveEvaluator:
     """Bound objective/gradient over a fixed dataset, dictionary, and config.
 
+    Every lattice is compiled once, here, with its gold edge path; gold
+    feature counts are summed once for the whole dataset.  An evaluation then
+    only scores edges, runs forward-backward and accumulates expected counts.
     Instances whose gold structure is not representable in their lattice are
-    detected once up front, logged, and skipped thereafter.
+    detected here, logged, and skipped.
     """
 
     def __init__(
@@ -190,68 +197,53 @@ class ObjectiveEvaluator:
         self.label_set = label_set
         self.config = config
         self.dictionary = dictionary
-        self.extractor = FeatureExtractor(config.feature_config, dictionary, brown)
         self.lam = config.lam
-        self.items: list[DataItem] = []
+        extractor = FeatureExtractor(config.feature_config, dictionary, brown)
+        # (lattice, gold edge ids) per trainable instance, in dataset order.
+        self.instances: list[tuple[Lattice, np.ndarray]] = []
         self.skipped = 0
+        gold_idx: list[np.ndarray] = []
         for item in dataset.items:
             if len(item.sentence) == 0:
                 self.skipped += 1
                 log.warning("skipping empty sentence %r", item.sentence.raw_text)
                 continue
-            lat = self._lattice(item)
+            lat = build_lattice(config.model_kind, item.sentence, label_set, config.max_seg_len, extractor)
             try:
-                lat.gold_edge_ids(list(item.word_spans))
+                gold_edges = np.asarray(lat.gold_edge_ids(list(item.word_spans)), dtype=np.intp)
             except LatticeError as exc:
                 self.skipped += 1
                 log.warning("skipping unrepresentable instance (%s): %r", exc, item.sentence.raw_text)
                 continue
-            self.items.append(item)
-        if not self.items:
+            self.instances.append((lat, gold_edges))
+            gold_idx.extend(lat.edge_features(e) for e in gold_edges)
+        if not self.instances:
             raise ValueError("no trainable instances")
-
-    def _lattice(self, item: DataItem):
-        return build_lattice(
-            self.config.model_kind, item.sentence, self.label_set, self.config.max_seg_len, self.extractor
-        )
-
-    def _instance_terms(self, item: DataItem, weights: np.ndarray):
-        lat = self._lattice(item)
-        scores = edge_scores(lat, weights)
-        marg = marginals_from_scores(lat, scores)
-        gold_edges = lat.gold_edge_ids(list(item.word_spans))
-        gold_score = float(scores[gold_edges].sum())
-        value = gold_score - marg.log_partition
-        gold_slices = [slice(lat.feat_ptr[e], lat.feat_ptr[e + 1]) for e in gold_edges]
-        gold_idx = np.concatenate([lat.feat_idx[s] for s in gold_slices]) if gold_slices else lat.feat_idx[:0]
-        gold_val = np.concatenate([lat.feat_val[s] for s in gold_slices]) if gold_slices else lat.feat_val[:0]
-        expected_val = -marg.edge_posteriors[lat.feat_edge] * lat.feat_val
-        return value, gold_idx, gold_val, lat.feat_idx, expected_val
+        # Indicator counts are small integers, so this sum is exact.
+        self.gold_counts = np.bincount(np.concatenate(gold_idx), minlength=len(dictionary)).astype(np.float64)
 
     def objective_and_gradient(self, weights: np.ndarray) -> tuple[float, np.ndarray]:
         w = np.asarray(weights, dtype=np.float64)
         if len(w) != len(self.dictionary):
             raise ValueError(f"weight vector of length {len(w)} does not match {len(self.dictionary)} features")
 
-        terms = [self._instance_terms(item, w) for item in self.items]
-
         value = 0.0
         idx_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
-        for v, gidx, gval, eidx, eval_ in terms:
-            value += v
-            idx_parts.append(gidx)
-            val_parts.append(gval)
-            idx_parts.append(eidx)
-            val_parts.append(eval_)
-
-        dim = len(self.dictionary)
-        if idx_parts:
-            grad = np.bincount(
-                np.concatenate(idx_parts), weights=np.concatenate(val_parts), minlength=dim
+        for lat, gold_edges in self.instances:
+            scores = edge_scores(lat, w)
+            marg = marginals_from_scores(lat, scores)
+            value += float(scores[gold_edges].sum()) - marg.log_partition
+            part_post = np.bincount(
+                lat.edge_parts.ravel(), weights=np.repeat(marg.edge_posteriors, 2), minlength=lat.num_parts
             )
-        else:
-            grad = np.zeros(dim)
+            idx_parts.append(lat.part_idx)
+            val_parts.append(part_post[lat.part_row])
+
+        expected = np.bincount(
+            np.concatenate(idx_parts), weights=np.concatenate(val_parts), minlength=len(self.dictionary)
+        )
+        grad = self.gold_counts - expected
         value -= self.lam * float(w @ w)
         grad -= 2.0 * self.lam * w
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):

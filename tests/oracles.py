@@ -40,8 +40,8 @@ def path_nodes(lattice: Lattice, edge_path: list[int]) -> list[int]:
 
 
 def edge_score(lattice: Lattice, eid: int, weights: np.ndarray) -> float:
-    lo, hi = lattice.feat_ptr[eid], lattice.feat_ptr[eid + 1]
-    return float((weights[lattice.feat_idx[lo:hi]] * lattice.feat_val[lo:hi]).sum())
+    """In-order sum of the weights of the edge's indicator features."""
+    return float(sum(weights[f] for f in lattice.edge_features(eid)))
 
 
 def path_score(lattice: Lattice, edge_path: list[int], weights: np.ndarray) -> float:

@@ -152,6 +152,16 @@ class TestTrainPredictEval:
         train, _ = corpus_files
         assert run(["train", "--train", train, "--out", tmp_path / "m.ckcrf"]) == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--tolerance", "-1"), ("--tolerance", "nan"), ("--max-iterations", "0")]
+    )
+    def test_invalid_stopping_rule_is_a_data_error(self, corpus_files, tmp_path, capsys, flag, value):
+        train, _ = corpus_files
+        out = tmp_path / "m.ckcrf"
+        assert run(["train", "--train", train, "--lambda", "0.1", flag, value, "--out", out]) == EXIT_DATA
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_error_exit_code(self, capsys):
         assert run(["train", "--model", "bogus"]) == EXIT_USAGE
         err = capsys.readouterr().err

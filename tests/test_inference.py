@@ -25,6 +25,7 @@ from oracles import (
     brute_best_paths,
     brute_edge_marginals,
     brute_log_partition,
+    edge_score,
     path_nodes,
     path_score,
     random_instance,
@@ -134,7 +135,7 @@ class TestViterbi:
         gold = lat.gold_edge_ids([WordSpan(0, 1, "NP")])
         w = np.zeros(len(d))
         for eid in gold:
-            w[lat.feat_idx[lat.feat_ptr[eid] : lat.feat_ptr[eid + 1]]] = 1.0
+            w[lat.edge_features(eid)] = 1.0
         spans, _ = viterbi(lat, w)
         assert [(s.first_token, s.last_token, s.label) for s in spans] == [(0, 1, "NP")]
 
@@ -226,3 +227,13 @@ class TestProperties:
         best_paths, best_score = brute_best_paths(lat, w, tol=1e-9)
         assert score == pytest.approx(best_score, abs=1e-9)
         assert node_path in [path_nodes(lat, p) for p in best_paths]
+
+    @settings(deadline=None)
+    @given(lattices_with_weights())
+    def test_edge_lookup_and_scores_match_the_edge_arrays(self, case):
+        lat, w = case
+        edges = {(int(src), int(dst)): eid for eid, (src, dst) in enumerate(zip(lat.edge_src, lat.edge_dst))}
+        for src in range(lat.num_nodes):
+            for dst in range(lat.num_nodes):
+                assert lat.edge_id(src, dst) == edges.get((src, dst))
+        assert edge_scores(lat, w).tolist() == [edge_score(lat, eid, w) for eid in range(lat.num_edges)]

@@ -32,7 +32,7 @@ def make_extractor(max_seg_len=6, **flags):
 
 
 def edge_feature_ids(lattice, eid):
-    return lattice.feat_idx[lattice.feat_ptr[eid] : lattice.feat_ptr[eid + 1]].tolist()
+    return lattice.edge_features(eid).tolist()
 
 
 def spanset(lattice, edge_path):
@@ -195,6 +195,14 @@ class TestEdgeFeatures:
         ]
         names = [{d.string(i) for i in edge_feature_ids(lat, e)} for e in ids]
         assert names[0] ^ names[1] == {"TR=O|NP", "TR=NP|NP"}
+
+    def test_each_distinct_part_is_stored_once(self):
+        d = FeatureDictionary()
+        lat = build_semi(tokenize("a b c"), NP, 2, FeatureExtractor(FeatureConfig(max_seg_len=2), d))
+        # the empty part, 5 NP and 3 O segments, and 8 label pairs
+        # (START, NP, O -> NP, O; NP, O -> STOP)
+        assert lat.num_parts == 1 + 8 + 8
+        assert len(lat.part_idx) < sum(len(lat.edge_features(e)) for e in range(lat.num_edges))
 
 
 class TestGoldPaths:

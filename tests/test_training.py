@@ -12,6 +12,7 @@ from chunkcrf.features import SEGMENT_TRANSITION_PREFIX, LINEAR_TRANSITION_PREFI
 from chunkcrf.inference import log_partition, viterbi
 from chunkcrf.lattice import build_lattice
 from chunkcrf.synth import separable_corpus
+import chunkcrf.training
 from chunkcrf.training import (
     LAMBDA_GRID,
     MODEL_MAGIC,
@@ -31,7 +32,7 @@ from chunkcrf.training import (
     tune_lambda,
 )
 
-from oracles import random_gold
+from oracles import brute_edge_marginals, random_gold
 
 NP = LabelSet(("NP",))
 
@@ -98,6 +99,35 @@ class TestObjective:
                     assert abs(grad[k] - fd) / abs(grad[k]) < 1e-4
 
     @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    def test_gradient_matches_per_edge_counts(self, kind):
+        # Reference: gold-path features minus every edge's features weighted
+        # by its brute-force posterior, edge by edge.
+        ds = toy_dataset([("a b c", [WordSpan(1, 2, "NP")]), ("b a", []), ("c", [WordSpan(0, 0, "NP")])])
+        ev, d = make_evaluator(ds, kind, lam=0.25, max_seg_len=2)
+        w = np.random.default_rng(17).uniform(-2, 2, len(d))
+        _, grad = ev.objective_and_gradient(w)
+        expected = -2 * 0.25 * w
+        for item, (lat, _) in zip(ds.items, ev.instances):
+            for eid in lat.gold_edge_ids(list(item.word_spans)):
+                np.add.at(expected, lat.edge_features(eid), 1.0)
+            for eid, post in enumerate(brute_edge_marginals(lat, w)):
+                np.add.at(expected, lat.edge_features(eid), -post)
+        np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    def test_evaluations_do_not_depend_on_earlier_ones(self, kind):
+        ds = Dataset.from_annotated(separable_corpus(12, seed=9))
+        ev, d = make_evaluator(ds, kind)
+        rng = np.random.default_rng(4)
+        w1, w2 = rng.normal(size=len(d)), rng.normal(size=len(d))
+        first = ev.objective_and_gradient(w1)
+        second = ev.objective_and_gradient(w2)
+        third = ev.objective_and_gradient(w1)
+        fresh = make_evaluator(ds, kind)[0].objective_and_gradient(w2)
+        assert first[0] == third[0] and first[1].tobytes() == third[1].tobytes()
+        assert second[0] == fresh[0] and second[1].tobytes() == fresh[1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
     def test_objective_is_concave(self, kind):
         ds = toy_dataset([("a b c", [WordSpan(1, 2, "NP")]), ("b a", [])])
         ev, d = make_evaluator(ds, kind, lam=0.25, max_seg_len=2)
@@ -151,6 +181,29 @@ class TestTrain:
         values = [float(line.split(",")[1]) for line in lines]
         assert len(values) >= 2
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
+
+    def test_each_lattice_is_built_once_per_pass(self, monkeypatch):
+        # one pass registers features, one compiles the evaluator's
+        # lattices; the optimizer's evaluations build none
+        builds = []
+        original = chunkcrf.training.build_lattice
+
+        def counting_build(*args, **kwargs):
+            builds.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(chunkcrf.training, "build_lattice", counting_build)
+        ds = Dataset.from_annotated(separable_corpus(30, seed=8))
+        model = train(ds, TrainConfig(model_kind="weak", lam=0.1, max_iterations=10))
+        assert model.metadata["iterations"] > 1
+        assert len(builds) == 2 * 30
+
+    @pytest.mark.parametrize(
+        "field, value", [("tolerance", -1.0), ("tolerance", math.nan), ("max_iterations", 0), ("max_iterations", -2)]
+    )
+    def test_invalid_stopping_rule_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(model_kind="weak", lam=0.1, **{field: value})
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
