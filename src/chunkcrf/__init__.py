@@ -28,6 +28,7 @@ from .features import (
 from .ingest import AnnotatedText, CorpusStats, DataFormatError, corpus_stats, read_corpus
 from .lattice import (
     MODEL_KINDS,
+    Batch,
     EdgeClass,
     Lattice,
     LatticeError,

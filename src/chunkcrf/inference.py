@@ -1,10 +1,18 @@
 """Exact log-space dynamic programming over labeling lattices.
 
-All accumulation happens in log space with max-shifted log-sum-exp; an
-edge's score is the dot product of the weight vector with its indicator
-features, computed once per part of the lattice and summed over the edge's
-two parts.  Everything here is a pure function of an immutable lattice plus a
-weight vector, so concurrent use over different sentences needs no locking.
+Every program runs on a :class:`~chunkcrf.lattice.LevelGraph`: one lattice,
+or a :class:`~chunkcrf.lattice.Batch` holding several lattices of one family
+whose nodes are numbered level by level.  Forward and Viterbi walk the levels
+bottom-up, backward top-down, and each level is a handful of numpy
+reductions (``maximum.reduceat`` and an ``add.reduceat`` log-sum-exp) over
+the contiguous run of that level's edges, so the cost is per level and per
+edge, with no Python work per node.  One call covers every member of a batch,
+and a member's results do not depend on which other lattices share its batch.
+
+An edge's score is the dot product of the weight vector with its indicator
+features, computed once per part and summed over the edge's two parts.
+Arithmetic runs with numpy's floating-point warnings off; a log partition or
+a best path score that is not finite raises :class:`NumericalError` instead.
 """
 
 from __future__ import annotations
@@ -14,17 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabelSet, WordSpan
-from .lattice import Lattice, build_lattice, synthetic_sentence
+from .lattice import Lattice, LevelGraph, Sweep, build_lattice, synthetic_sentence
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    m = values.max()
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.exp(values - m).sum()))
+class NumericalError(RuntimeError):
+    """Objective, gradient, log partition or best path score became non-finite."""
 
 
-def edge_scores(lattice: Lattice, weights: np.ndarray) -> np.ndarray:
+def edge_scores(graph: LevelGraph, weights: np.ndarray) -> np.ndarray:
     """Per-edge linear scores w . f(e).
 
     Each part's weights are summed from zero in feature order, and an edge's
@@ -32,37 +37,43 @@ def edge_scores(lattice: Lattice, weights: np.ndarray) -> np.ndarray:
     in-order sum over the edge's features bit for bit.
     """
     w = np.asarray(weights, dtype=np.float64)
-    part = np.bincount(lattice.part_row, weights=w[lattice.part_idx], minlength=lattice.num_parts)
-    return part[lattice.edge_parts[:, 0]] + part[lattice.edge_parts[:, 1]]
+    part = np.bincount(graph.part_row, weights=w[graph.part_idx], minlength=graph.num_parts)
+    with np.errstate(all="ignore"):
+        return part[graph.edge_parts[:, 0]] + part[graph.edge_parts[:, 1]]
 
 
-def forward_log(lattice: Lattice, scores: np.ndarray) -> np.ndarray:
-    """Log-sums of path prefixes ending at each node (root = 0)."""
-    alpha = np.full(lattice.num_nodes, -np.inf)
-    alpha[lattice.root] = 0.0
-    src = lattice.edge_src
-    for v in range(1, lattice.num_nodes):
-        eids = lattice.in_edges[v]
-        if len(eids) == 1:
-            e = eids[0]
-            alpha[v] = alpha[src[e]] + scores[e]
-        else:
-            alpha[v] = _logsumexp(alpha[src[eids]] + scores[eids])
+def _log_sweep(sweep: Sweep, scores: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Fill ``x`` step by step with the log-sum-exp over each node's edges of
+    (score + value of the node the edge reads)."""
+    s = scores[sweep.order]
+    for a, b, lo, hi, starts in sweep.steps:
+        vals = x[sweep.read[lo:hi]]
+        vals += s[lo:hi]
+        x[a:b] = np.maximum.reduceat(vals, starts)
+        vals -= x[sweep.write[lo:hi]]
+        np.exp(vals, out=vals)
+        x[a:b] += np.log(np.add.reduceat(vals, starts))
+    return x
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{what} is not finite")
+
+
+def forward_log(graph: LevelGraph, scores: np.ndarray) -> np.ndarray:
+    """Log-sums of path prefixes ending at each node (roots = 0)."""
+    with np.errstate(all="ignore"):
+        alpha = _log_sweep(graph.forward_sweep, scores, np.zeros(graph.num_nodes))
+    _check_finite(alpha[graph.leaves], "log partition")
     return alpha
 
 
-def backward_log(lattice: Lattice, scores: np.ndarray) -> np.ndarray:
-    """Log-sums of path suffixes starting at each node (leaf = 0)."""
-    beta = np.full(lattice.num_nodes, -np.inf)
-    beta[lattice.leaf] = 0.0
-    dst = lattice.edge_dst
-    for v in range(lattice.num_nodes - 2, -1, -1):
-        eids = lattice.out_edges[v]
-        if len(eids) == 1:
-            e = eids[0]
-            beta[v] = scores[e] + beta[dst[e]]
-        else:
-            beta[v] = _logsumexp(scores[eids] + beta[dst[eids]])
+def backward_log(graph: LevelGraph, scores: np.ndarray) -> np.ndarray:
+    """Log-sums of path suffixes starting at each node (leaves = 0)."""
+    with np.errstate(all="ignore"):
+        beta = _log_sweep(graph.backward_sweep, scores, np.zeros(graph.num_nodes))
+    _check_finite(beta[: graph.level_ptr[1]], "log partition")
     return beta
 
 
@@ -74,55 +85,67 @@ def log_partition(lattice: Lattice, weights: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Marginals:
-    """Posterior probability of each edge plus the log normalizer."""
+    """Posterior probability of each edge plus each member's log normalizer."""
 
     edge_posteriors: np.ndarray
-    log_partition: float
+    log_partition: np.ndarray
 
 
-def marginals_from_scores(lattice: Lattice, scores: np.ndarray) -> Marginals:
-    alpha = forward_log(lattice, scores)
-    beta = backward_log(lattice, scores)
-    log_z = alpha[lattice.leaf]
-    post = np.exp(alpha[lattice.edge_src] + scores + beta[lattice.edge_dst] - log_z)
-    return Marginals(post, float(log_z))
+def marginals_from_scores(graph: LevelGraph, scores: np.ndarray) -> Marginals:
+    alpha = forward_log(graph, scores)
+    beta = backward_log(graph, scores)
+    log_z = alpha[graph.leaves]
+    edge_log_z = np.repeat(log_z, np.diff(graph.edge_ptr))
+    with np.errstate(all="ignore"):
+        post = np.exp(alpha[graph.edge_src] + scores + beta[graph.edge_dst] - edge_log_z)
+    return Marginals(post, log_z)
 
 
-def edge_marginals(lattice: Lattice, weights: np.ndarray) -> Marginals:
+def edge_marginals(graph: LevelGraph, weights: np.ndarray) -> Marginals:
     """Forward-backward edge posteriors under the model distribution."""
-    return marginals_from_scores(lattice, edge_scores(lattice, weights))
+    return marginals_from_scores(graph, edge_scores(graph, weights))
 
 
-def viterbi_path(lattice: Lattice, weights: np.ndarray) -> tuple[list[int], float]:
-    """Maximum-score root-to-leaf node path.
+def viterbi_path(graph: LevelGraph, weights: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
+    """Maximum-score root-to-leaf node path of each member, in member-local
+    node ids, with its score.
 
-    Ties are broken toward the topologically earliest predecessor (in-edge
-    lists are source-sorted and argmax keeps the first maximum), which makes
-    decoding deterministic; with all-zero weights every construction decodes
-    to the all-outside labeling.
+    Ties are broken toward the topologically earliest predecessor: each
+    node's in-edges are source-sorted and the first one reaching the maximum
+    wins.  That makes decoding deterministic; with all-zero weights every
+    construction decodes to the all-outside labeling.
     """
-    scores = edge_scores(lattice, weights)
-    delta = np.full(lattice.num_nodes, -np.inf)
-    delta[lattice.root] = 0.0
-    back = np.full(lattice.num_nodes, -1, dtype=np.int64)
-    src = lattice.edge_src
-    for v in range(1, lattice.num_nodes):
-        eids = lattice.in_edges[v]
-        cand = delta[src[eids]] + scores[eids]
-        best = int(np.argmax(cand))
-        delta[v] = cand[best]
-        back[v] = eids[best]
-    path = [lattice.leaf]
-    while path[-1] != lattice.root:
-        path.append(int(src[back[path[-1]]]))
-    path.reverse()
-    return path, float(delta[lattice.leaf])
+    scores = edge_scores(graph, weights)
+    sweep = graph.forward_sweep
+    s = scores[sweep.order]
+    delta = np.zeros(graph.num_nodes)
+    pred = np.zeros(graph.num_nodes, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for a, b, lo, hi, starts in sweep.steps:
+            vals = delta[sweep.read[lo:hi]] + s[lo:hi]
+            delta[a:b] = np.maximum.reduceat(vals, starts)
+            # A NaN segment has no hit; its index stays in range, and the
+            # NaN reaches the leaf's score, which is checked below.
+            hit = np.where(vals == delta[sweep.write[lo:hi]], np.arange(lo, hi), hi - 1)
+            pred[a:b] = sweep.read[np.minimum.reduceat(hit, starts)]
+    best = delta[graph.leaves]
+    _check_finite(best, "best path score")
+    num_roots = int(graph.level_ptr[1])
+    back = pred.tolist()
+    paths = []
+    for leaf in graph.leaves.tolist():
+        path = [leaf]
+        while path[-1] >= num_roots:
+            path.append(back[path[-1]])
+        path.reverse()
+        paths.append(graph.local_ids(path))
+    return paths, best
 
 
 def viterbi(lattice: Lattice, weights: np.ndarray) -> tuple[list[WordSpan], float]:
     """Best labeling as word spans, with its path score."""
-    path, score = viterbi_path(lattice, weights)
-    return lattice.path_spans(path), score
+    (path,), (score,) = viterbi_path(lattice, weights)
+    return lattice.path_spans(path), float(score)
 
 
 def complexity_probe(model_kind: str, n: int, max_seg_len: int, num_labels: int) -> int:

@@ -15,10 +15,12 @@ the legal labelings of one sentence:
   separate decisions, which shrinks the edge count from
   O(n * L * |labels|^2) to O(n * |labels|^2 + n * L * |labels|).
 
-Nodes are stored in topological order (outside label first within a layer;
-decoding tie-breaks rely on that).  Edges always point from a lower to a
-higher node id, and every node is reachable from the root and co-reachable
-from the leaf.
+Nodes are stored level by level (outside label first within a layer;
+decoding tie-breaks rely on that): the root, then one level per position (two
+in ``weak``: its Begin nodes, then its End nodes), then the leaf.  Every edge
+climbs from a lower level to a higher one, and every node is reachable from
+the root and co-reachable from the leaf.  The dynamic programs run level by
+level, over one lattice or over a :class:`Batch` of lattices of one family.
 
 Features are stored once per distinct *part*, not once per edge.  A part is
 one feature vector of a template family at one place: a segment (first, last,
@@ -34,7 +36,9 @@ safe to share read-only, so a training run compiles each sentence once.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,15 +86,99 @@ class Node:
         return f"{self.kind.value.capitalize()}({self.position},{self.label})"
 
 
-class Lattice:
-    """Immutable compiled lattice: nodes, edge arrays, adjacency, part table.
+@dataclass(frozen=True)
+class Sweep:
+    """One direction of a level schedule.
 
-    Edge ``e`` runs from ``edge_src[e]`` to ``edge_dst[e]``; its features are
-    those of parts ``edge_parts[e, 0]`` and ``edge_parts[e, 1]``, in that
-    order.  The part table lists every part's feature ids once, part by part:
-    ``part_idx`` holds the ids and ``part_row`` the part of each entry (sorted,
-    so part ``p`` is one contiguous run).  Part 0 is the empty part.
+    Each step computes the node range ``a:b`` from the edge run ``lo:hi`` of
+    ``order``: the edge at run position ``i`` reads node ``read[i]`` and
+    feeds node ``write[i]``, and ``starts`` holds the offset of each node's
+    first edge within the run (no node's run is empty).
     """
+
+    order: np.ndarray
+    read: np.ndarray
+    write: np.ndarray
+    steps: list[tuple[int, int, int, int, np.ndarray]]
+
+
+class LevelGraph:
+    """Level-ordered DAG with a part table: what the dynamic programs run on.
+
+    Level ``l`` is the node range ``level_ptr[l]:level_ptr[l + 1]``.  Level 0
+    holds the roots, every edge climbs to a higher level, and within a level
+    the nodes with no out-edges (the leaves, one per member) come last.  A
+    :class:`Lattice` is such a graph with one member; a :class:`Batch` is the
+    disjoint union of several.  Member ``i`` owns edges
+    ``edge_ptr[i]:edge_ptr[i + 1]`` and ends in node ``leaves[i]``.
+
+    Adjacency is CSR: node ``v``'s in-edges are
+    ``in_order[in_ptr[v]:in_ptr[v + 1]]``, sorted by source, so each level's
+    in-edges form one run and the lowest source comes first (decoding breaks
+    ties toward it); ``out_order``/``out_ptr`` list out-edges by source.
+
+    Edge ``e``'s features are those of parts ``edge_parts[e, 0]`` and
+    ``edge_parts[e, 1]``, in that order.  The part table lists every part's
+    feature ids once, part by part: ``part_idx`` holds the ids and
+    ``part_row`` the part of each entry (sorted, so part ``p`` is one
+    contiguous run).
+    """
+
+    def _index(self) -> None:
+        n = self.num_nodes
+        self.in_order = np.lexsort((self.edge_src, self.edge_dst)).astype(np.int32)
+        self.in_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_dst, minlength=n))))
+        self.out_order = np.argsort(self.edge_src, kind="stable").astype(np.int32)
+        self.out_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_src, minlength=n))))
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edge_src)
+
+    @property
+    def num_levels(self) -> int:
+        return len(self.level_ptr) - 1
+
+    def node_levels(self) -> np.ndarray:
+        return np.repeat(np.arange(self.num_levels), np.diff(self.level_ptr))
+
+    def in_edge_ids(self, v: int) -> np.ndarray:
+        """Ids of the edges into node ``v``, by source."""
+        return self.in_order[self.in_ptr[v] : self.in_ptr[v + 1]]
+
+    def out_edge_ids(self, v: int) -> np.ndarray:
+        """Ids of the edges out of node ``v``."""
+        return self.out_order[self.out_ptr[v] : self.out_ptr[v + 1]]
+
+    def local_ids(self, nodes: list[int]) -> list[int]:
+        """Member-local ids of the given nodes (a lattice's are its own)."""
+        return nodes
+
+    @cached_property
+    def forward_sweep(self) -> Sweep:
+        """Levels bottom-up, each node from its in-edges."""
+        bounds = self.level_ptr.tolist()
+        return _sweep(self.in_order, self.in_ptr, self.edge_src, self.edge_dst, zip(bounds[1:-1], bounds[2:]))
+
+    @cached_property
+    def backward_sweep(self) -> Sweep:
+        """Levels top-down, each node with out-edges from them; those are
+        the level's first nodes, up to the first leaf."""
+        ptr = self.out_ptr
+        bounds = self.level_ptr.tolist()
+        ranges = [(a, max(a, int(np.searchsorted(ptr, ptr[b])))) for a, b in zip(bounds[-2::-1], bounds[:0:-1])]
+        return _sweep(self.out_order, ptr, self.edge_dst, self.edge_src, ranges)
+
+
+def _sweep(order, ptr, read, write, ranges) -> Sweep:
+    steps = [(a, b, int(ptr[a]), int(ptr[b]), ptr[a:b] - ptr[a]) for a, b in ranges if b > a]
+    return Sweep(order, read[order], write[order], steps)
+
+
+class Lattice(LevelGraph):
+    """Immutable compiled lattice: nodes, levels, edge arrays, adjacency and
+    part table, with one root (node 0) and one leaf (the last node).  Part 0
+    is the empty part."""
 
     def __init__(
         self,
@@ -100,6 +188,7 @@ class Lattice:
         max_seg_len: int,
         nodes: list[Node],
         node_ids: dict[tuple, int],
+        level_ptr: list[int],
         edge_src: list[int],
         edge_dst: list[int],
         edge_parts: list[int],
@@ -111,52 +200,40 @@ class Lattice:
         self.max_seg_len = max_seg_len
         self.nodes = nodes
         self._node_ids = node_ids
+        self.num_nodes = len(nodes)
         self.root = 0
         self.leaf = len(nodes) - 1
+        self.leaves = np.array([self.leaf])
+        self.level_ptr = np.asarray(level_ptr, dtype=np.int64)
 
         self.edge_src = np.asarray(edge_src, dtype=np.int32)
         self.edge_dst = np.asarray(edge_dst, dtype=np.int32)
-        bounds = np.arange(1, len(nodes))
-        # In-edges sorted by source id: decoding prefers the topologically
-        # earliest predecessor on ties, which argmax-first then implements,
-        # and edge_id binary-searches them.
-        by_dst = np.lexsort((self.edge_src, self.edge_dst)).astype(np.int32)
-        self.in_edges = np.split(by_dst, np.searchsorted(self.edge_dst[by_dst], bounds))
-        by_src = np.argsort(self.edge_src, kind="stable").astype(np.int32)
-        self.out_edges = np.split(by_src, np.searchsorted(self.edge_src[by_src], bounds))
-
+        self.edge_ptr = np.array([0, len(edge_src)])
         self.edge_parts = np.asarray(edge_parts, dtype=np.int32).reshape(-1, 2)
         self.num_parts = len(parts)
         self.part_idx = np.concatenate([part.indices for part in parts])
         self.part_row = np.repeat(np.arange(self.num_parts, dtype=np.int32), [len(part) for part in parts])
 
+        self._index()
         self._check_connected()
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edge_src)
-
     def _check_connected(self) -> None:
-        fwd = np.zeros(self.num_nodes, dtype=bool)
-        fwd[self.root] = True
-        for v in range(self.num_nodes):
-            if fwd[v]:
-                fwd[self.edge_dst[self.out_edges[v]]] = True
-        bwd = np.zeros(self.num_nodes, dtype=bool)
-        bwd[self.leaf] = True
-        for v in range(self.num_nodes - 1, -1, -1):
-            if bwd[v]:
-                bwd[self.edge_src[self.in_edges[v]]] = True
-        if not (fwd.all() and bwd.all()):
+        """Level 0 is the root alone and the last level the leaf alone, every
+        edge climbs at least one level, every other node has an in-edge and
+        every node but the leaf an out-edge.  By induction over the levels,
+        every node is then reachable from the root and reaches the leaf."""
+        level = self.node_levels()
+        in_deg = np.diff(self.in_ptr)
+        out_deg = np.diff(self.out_ptr)
+        if not np.all(level[self.edge_src] < level[self.edge_dst]):
+            raise AssertionError("an edge does not climb from a lower level to a higher one")
+        ends_ok = self.level_ptr[1] == 1 and self.level_ptr[-2] == self.leaf
+        if not (ends_ok and in_deg[1:].all() and out_deg[:-1].all()):
             raise AssertionError("lattice has unreachable or dead-end nodes")
 
     def edge_id(self, src: int, dst: int) -> int | None:
         """Id of the edge from ``src`` to ``dst``, or ``None`` if there is none."""
-        eids = self.in_edges[dst]
+        eids = self.in_edge_ids(dst)
         k = int(np.searchsorted(self.edge_src[eids], src))
         if k < len(eids) and self.edge_src[eids[k]] == src:
             return int(eids[k])
@@ -256,6 +333,52 @@ class Lattice:
         return edges
 
 
+class Batch(LevelGraph):
+    """Disjoint union of lattices of one family, so that each dynamic program
+    runs once over all of them.
+
+    Member ``i``'s edges are batch edges ``edge_ptr[i]:edge_ptr[i + 1]`` in
+    the member's own order, and its parts one block of the concatenated part
+    table.  Nodes are renumbered by level, then leaves last (a short member's
+    leaf shares a level with interior nodes of longer members, and a level's
+    out-edge run must not hold an empty segment, which ``reduceat`` cannot
+    take), then by member and member node id, which keeps each member's
+    source order for tie-breaking.  ``local_node`` maps a batch node to its
+    id in its member.
+    """
+
+    def __init__(self, lattices: Sequence[Lattice]) -> None:
+        if not lattices:
+            raise ValueError("a batch needs at least one lattice")
+        if len({lat.model_kind for lat in lattices}) > 1:
+            raise ValueError("a batch holds lattices of one model family")
+        sizes = np.array([lat.num_nodes for lat in lattices])
+        node_off = np.concatenate(([0], np.cumsum(sizes)))
+        self.num_nodes = int(node_off[-1])
+        level = np.concatenate([lat.node_levels() for lat in lattices])
+        is_leaf = np.zeros(self.num_nodes, dtype=np.int64)
+        is_leaf[node_off[1:] - 1] = 1
+        order = np.argsort(2 * level + is_leaf, kind="stable")
+        new_id = np.empty(self.num_nodes, dtype=np.int32)
+        new_id[order] = np.arange(self.num_nodes, dtype=np.int32)
+        self.local_node = (np.arange(self.num_nodes) - np.repeat(node_off[:-1], sizes))[order]
+        self.level_ptr = np.concatenate(([0], np.cumsum(np.bincount(level))))
+        self.leaves = new_id[node_off[1:] - 1]
+
+        self.edge_ptr = np.concatenate(([0], np.cumsum([lat.num_edges for lat in lattices])))
+        self.edge_src = new_id[np.concatenate([lat.edge_src + off for lat, off in zip(lattices, node_off)])]
+        self.edge_dst = new_id[np.concatenate([lat.edge_dst + off for lat, off in zip(lattices, node_off)])]
+        part_off = np.concatenate(([0], np.cumsum([lat.num_parts for lat in lattices])))
+        self.num_parts = int(part_off[-1])
+        self.edge_parts = np.concatenate([lat.edge_parts + off for lat, off in zip(lattices, part_off)])
+        self.part_idx = np.concatenate([lat.part_idx for lat in lattices])
+        self.part_row = np.concatenate([lat.part_row + off for lat, off in zip(lattices, part_off)])
+        self._index()
+
+    def local_ids(self, nodes: list[int]) -> list[int]:
+        return self.local_node[nodes].tolist()
+
+
 class _Builder:
     def __init__(self, model_kind: str, sentence: Sentence, label_set: LabelSet, max_seg_len: int) -> None:
         self.model_kind = model_kind
@@ -264,6 +387,7 @@ class _Builder:
         self.max_seg_len = max_seg_len
         self.nodes: list[Node] = []
         self.node_ids: dict[tuple, int] = {}
+        self.level_ptr: list[int] = []
         self.edge_src: list[int] = []
         self.edge_dst: list[int] = []
         self.edge_parts: list[int] = []
@@ -271,6 +395,10 @@ class _Builder:
         # Keyed by object identity: the memo hands out one vector per
         # distinct part, and ``parts`` keeps each alive while ids are in use.
         self.part_ids: dict[int, int] = {id(EMPTY_FEATURES): 0}
+
+    def new_level(self) -> None:
+        """Start a level: the nodes added next, up to the next call, form it."""
+        self.level_ptr.append(len(self.nodes))
 
     def add_node(self, key: tuple, node: Node) -> int:
         nid = len(self.nodes)
@@ -303,6 +431,7 @@ class _Builder:
             self.max_seg_len,
             self.nodes,
             self.node_ids,
+            self.level_ptr + [len(self.nodes)],
             self.edge_src,
             self.edge_dst,
             self.edge_parts,
@@ -382,12 +511,15 @@ def build_linear(sentence: Sentence, label_set: LabelSet, extractor: FeatureExtr
     b = _Builder("linear", sentence, label_set, 1)
     memo = _FeatureMemo(extractor, sentence)
     tags = label_set.bio_tags
+    b.new_level()
     b.add_node(("root",), Node(NodeKind.ROOT, -1))
     for i in range(n):
+        b.new_level()
         for tag in tags:
             if i == 0 and tag.startswith("I-"):
                 continue  # nothing to continue at the first position
             b.add_node(("tag", i, tag), Node(NodeKind.TAG, i, tag))
+    b.new_level()
     leaf = b.add_node(("leaf",), Node(NodeKind.LEAF, n))
 
     for tag in tags:
@@ -433,10 +565,13 @@ def build_semi(
     b = _Builder("semi", sentence, label_set, max_seg_len)
     memo = _FeatureMemo(extractor, sentence)
     alphabet = label_set.alphabet
+    b.new_level()
     b.add_node(("root",), Node(NodeKind.ROOT, -1))
     for i in range(n):
+        b.new_level()
         for label in alphabet:
             b.add_node(("seg", i, label), Node(NodeKind.SEG, i, label))
+    b.new_level()
     leaf = b.add_node(("leaf",), Node(NodeKind.LEAF, n))
 
     for i in range(n):
@@ -473,12 +608,16 @@ def build_weak(
     b = _Builder("weak", sentence, label_set, max_seg_len)
     memo = _FeatureMemo(extractor, sentence)
     alphabet = label_set.alphabet
+    b.new_level()
     b.add_node(("root",), Node(NodeKind.ROOT, -1))
     for i in range(n):
+        b.new_level()
         for label in alphabet:
             b.add_node(("begin", i, label), Node(NodeKind.BEGIN, i, label))
+        b.new_level()
         for label in alphabet:
             b.add_node(("end", i, label), Node(NodeKind.END, i, label))
+    b.new_level()
     leaf = b.add_node(("leaf",), Node(NodeKind.LEAF, n))
 
     for label in alphabet:

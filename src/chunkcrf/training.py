@@ -6,8 +6,9 @@ The objective over a dataset is
 
 and its gradient is gold-path feature counts minus expected feature counts
 (from edge posteriors) minus ``2 * lam * w``.  Both are returned in
-maximization orientation; the optimizer loop negates them.  Per-instance
-contributions are reduced in dataset order, so results are bit-reproducible.
+maximization orientation; the optimizer loop negates them.  The dataset's
+lattices form one batch, in dataset order, and every reduction over it runs in
+a fixed order, so results are bit-reproducible.
 
 Chunks longer than the segment-length limit cannot be represented in the
 segment lattices; such spans are dropped from the gold structure (their
@@ -40,18 +41,14 @@ from .features import (
     FeatureExtractor,
 )
 from .ingest import AnnotatedText
-from .lattice import MODEL_KINDS, Lattice, LatticeError, build_lattice
-from .inference import edge_scores, marginals_from_scores, viterbi
+from .lattice import MODEL_KINDS, Batch, LatticeError, build_lattice
+from .inference import NumericalError, edge_scores, marginals_from_scores, viterbi
 
 log = logging.getLogger("chunkcrf")
 
 LAMBDA_GRID = (0.125, 0.25, 0.5, 1.0, 2.0)
 
 LBFGS_HISTORY = 10
-
-
-class NumericalError(RuntimeError):
-    """Objective or gradient became non-finite."""
 
 
 class ModelFormatError(ValueError):
@@ -179,11 +176,12 @@ def build_feature_space(
 class ObjectiveEvaluator:
     """Bound objective/gradient over a fixed dataset, dictionary, and config.
 
-    Every lattice is compiled once, here, with its gold edge path; gold
-    feature counts are summed once for the whole dataset.  An evaluation then
-    only scores edges, runs forward-backward and accumulates expected counts.
-    Instances whose gold structure is not representable in their lattice are
-    detected here, logged, and skipped.
+    Every lattice is compiled once, here, with its gold edge path, and the
+    lattices are joined into one :class:`Batch`; gold feature counts are
+    summed once for the whole dataset.  An evaluation is then one scoring
+    pass, one forward-backward over the batch, one gold-score gather and one
+    expected-count ``bincount``.  Instances whose gold structure is not
+    representable in their lattice are detected here, logged, and skipped.
     """
 
     def __init__(
@@ -199,8 +197,9 @@ class ObjectiveEvaluator:
         self.dictionary = dictionary
         self.lam = config.lam
         extractor = FeatureExtractor(config.feature_config, dictionary, brown)
-        # (lattice, gold edge ids) per trainable instance, in dataset order.
-        self.instances: list[tuple[Lattice, np.ndarray]] = []
+        lattices = []
+        gold_edges: list[np.ndarray] = []  # batch edge ids, per instance
+        edge_offset = 0
         self.skipped = 0
         gold_idx: list[np.ndarray] = []
         for item in dataset.items:
@@ -210,15 +209,19 @@ class ObjectiveEvaluator:
                 continue
             lat = build_lattice(config.model_kind, item.sentence, label_set, config.max_seg_len, extractor)
             try:
-                gold_edges = np.asarray(lat.gold_edge_ids(list(item.word_spans)), dtype=np.intp)
+                gold = lat.gold_edge_ids(list(item.word_spans))
             except LatticeError as exc:
                 self.skipped += 1
                 log.warning("skipping unrepresentable instance (%s): %r", exc, item.sentence.raw_text)
                 continue
-            self.instances.append((lat, gold_edges))
-            gold_idx.extend(lat.edge_features(e) for e in gold_edges)
-        if not self.instances:
+            lattices.append(lat)
+            gold_edges.append(np.asarray(gold, dtype=np.intp) + edge_offset)
+            edge_offset += lat.num_edges
+            gold_idx.extend(lat.edge_features(e) for e in gold)
+        if not lattices:
             raise ValueError("no trainable instances")
+        self.batch = Batch(lattices)
+        self.gold_edges = np.concatenate(gold_edges)
         # Indicator counts are small integers, so this sum is exact.
         self.gold_counts = np.bincount(np.concatenate(gold_idx), minlength=len(dictionary)).astype(np.float64)
 
@@ -227,25 +230,16 @@ class ObjectiveEvaluator:
         if len(w) != len(self.dictionary):
             raise ValueError(f"weight vector of length {len(w)} does not match {len(self.dictionary)} features")
 
-        value = 0.0
-        idx_parts: list[np.ndarray] = []
-        val_parts: list[np.ndarray] = []
-        for lat, gold_edges in self.instances:
-            scores = edge_scores(lat, w)
-            marg = marginals_from_scores(lat, scores)
-            value += float(scores[gold_edges].sum()) - marg.log_partition
-            part_post = np.bincount(
-                lat.edge_parts.ravel(), weights=np.repeat(marg.edge_posteriors, 2), minlength=lat.num_parts
-            )
-            idx_parts.append(lat.part_idx)
-            val_parts.append(part_post[lat.part_row])
-
-        expected = np.bincount(
-            np.concatenate(idx_parts), weights=np.concatenate(val_parts), minlength=len(self.dictionary)
+        batch = self.batch
+        scores = edge_scores(batch, w)
+        marg = marginals_from_scores(batch, scores)
+        part_post = np.bincount(
+            batch.edge_parts.ravel(), weights=np.repeat(marg.edge_posteriors, 2), minlength=batch.num_parts
         )
-        grad = self.gold_counts - expected
-        value -= self.lam * float(w @ w)
-        grad -= 2.0 * self.lam * w
+        expected = np.bincount(batch.part_idx, weights=part_post[batch.part_row], minlength=len(self.dictionary))
+        with np.errstate(all="ignore"):
+            value = float(scores[self.gold_edges].sum() - marg.log_partition.sum()) - self.lam * float(w @ w)
+            grad = self.gold_counts - expected - 2.0 * self.lam * w
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise NumericalError("objective or gradient is not finite")
         return value, grad
@@ -465,8 +459,9 @@ def load_model(path: str) -> Model:
     """Read a model written by :func:`save_model`.
 
     Every length field must match the bytes present, nothing may follow the
-    weights, and the header must hold exactly the fields :func:`save_model`
-    writes; any deviation raises :class:`ModelFormatError`.
+    weights, every weight must be finite, and the header must hold exactly
+    the fields :func:`save_model` writes; any deviation raises
+    :class:`ModelFormatError`.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -507,6 +502,8 @@ def load_model(path: str) -> Model:
     dictionary = FeatureDictionary.from_strings(header["features"])
     if len(dictionary) != dim:
         raise ModelFormatError(f"{path}: feature table and weight vector disagree")
+    if not np.all(np.isfinite(weights)):
+        raise ModelFormatError(f"{path}: weight vector holds non-finite values")
     fc = header["feature_config"]
     try:
         model = Model(

@@ -27,7 +27,7 @@ def all_edge_paths(lattice: Lattice) -> list[list[int]]:
         if node == lattice.leaf:
             paths.append(acc)
             continue
-        for eid in lattice.out_edges[node]:
+        for eid in lattice.out_edge_ids(node):
             stack.append((int(lattice.edge_dst[eid]), acc + [int(eid)]))
     return paths
 

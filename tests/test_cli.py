@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from chunkcrf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from chunkcrf.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from chunkcrf.core import CharSpan
 from chunkcrf.ingest import annotate, read_jsonl, write_jsonl
 from chunkcrf.synth import separable_corpus
-from chunkcrf.training import MODEL_MAGIC, MODEL_VERSION
+from chunkcrf.training import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 
 
 @pytest.fixture
@@ -147,6 +147,36 @@ class TestTrainPredictEval:
         assert captured.err.startswith("error: ") and "truncated" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def _model_with_weights(self, corpus_files, tmp_path, value):
+        train, _ = corpus_files
+        path = tmp_path / "m.ckcrf"
+        assert run(["train", "--train", train, "--model", "weak", "--lambda", "0.1",
+                    "--max-iterations", "5", "--out", path]) == EXIT_OK
+        model = load_model(str(path))
+        model.weights[:] = value
+        save_model(model, str(path))
+        return path
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_predict_with_non_finite_weights_is_a_data_error(self, corpus_files, tmp_path, capsys, value):
+        _, dev = corpus_files
+        path = self._model_with_weights(corpus_files, tmp_path, value)
+        capsys.readouterr()
+        assert run(["predict", "--model-file", path, "--input", dev]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "non-finite" in captured.err
+        assert captured.out == ""
+
+    def test_predict_with_overflowing_weights_is_a_numerical_error(self, corpus_files, tmp_path, capsys):
+        # Finite weights whose path scores overflow to infinity.
+        _, dev = corpus_files
+        path = self._model_with_weights(corpus_files, tmp_path, 1e308)
+        capsys.readouterr()
+        assert run(["predict", "--model-file", path, "--input", dev]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: ")
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
 
     def test_lambda_required_without_grid(self, corpus_files, tmp_path):
         train, _ = corpus_files

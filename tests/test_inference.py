@@ -1,6 +1,7 @@
 """Inference against brute-force path enumeration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from chunkcrf.core import LabelSet, WordSpan, tokenize
 from chunkcrf.features import FeatureConfig, FeatureDictionary, FeatureExtractor
 from chunkcrf.inference import (
+    NumericalError,
     complexity_probe,
     edge_marginals,
     edge_scores,
@@ -18,7 +20,7 @@ from chunkcrf.inference import (
     viterbi,
     viterbi_path,
 )
-from chunkcrf.lattice import build_lattice, build_linear, build_semi, synthetic_sentence
+from chunkcrf.lattice import Batch, build_lattice, build_linear, build_semi, synthetic_sentence
 
 from oracles import (
     all_edge_paths,
@@ -97,7 +99,7 @@ class TestMarginals:
         for kind in ("linear", "semi", "weak"):
             lat, w, *_ = random_instance(rng, kind)
             marg = edge_marginals(lat, w)
-            assert marg.edge_posteriors[lat.out_edges[lat.root]].sum() == pytest.approx(1.0, abs=1e-9)
+            assert marg.edge_posteriors[lat.out_edge_ids(lat.root)].sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(marg.edge_posteriors >= -1e-12)
             assert np.all(marg.edge_posteriors <= 1 + 1e-12)
 
@@ -107,8 +109,8 @@ class TestMarginals:
             lat, w, *_ = random_instance(rng, kind)
             marg = edge_marginals(lat, w)
             for v in range(1, lat.num_nodes - 1):
-                inflow = marg.edge_posteriors[lat.in_edges[v]].sum()
-                outflow = marg.edge_posteriors[lat.out_edges[v]].sum()
+                inflow = marg.edge_posteriors[lat.in_edge_ids(v)].sum()
+                outflow = marg.edge_posteriors[lat.out_edge_ids(v)].sum()
                 assert inflow == pytest.approx(outflow, abs=1e-9)
 
     def test_constant_score_shift_leaves_marginals_unchanged(self):
@@ -144,7 +146,7 @@ class TestViterbi:
         rng = np.random.default_rng(19)
         for _ in range(30):
             lat, w, *_ = random_instance(rng, kind)
-            node_path, score = viterbi_path(lat, w)
+            (node_path,), (score,) = viterbi_path(lat, w)
             best_paths, best_score = brute_best_paths(lat, w, tol=1e-9)
             assert score == pytest.approx(best_score, abs=1e-9)
             assert node_path in [path_nodes(lat, p) for p in best_paths]
@@ -153,7 +155,7 @@ class TestViterbi:
         rng = np.random.default_rng(23)
         for kind in ("linear", "semi", "weak"):
             lat, w, *_ = random_instance(rng, kind)
-            _, score = viterbi_path(lat, w)
+            _, (score,) = viterbi_path(lat, w)
             for p in all_edge_paths(lat):
                 assert score >= path_score(lat, p, w) - 1e-9
 
@@ -170,6 +172,60 @@ class TestViterbi:
                         assert s == pytest.approx(log_z, abs=1e-9)
                     else:
                         assert s < log_z
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    @pytest.mark.parametrize("value", [1e308, -1e308, np.nan])
+    def test_non_finite_results_raise_without_warnings(self, kind, value):
+        lat = build_lattice(kind, tokenize("a b c"), NP, 2, make_extractor(2))
+        w = np.full(10_000, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="log partition"):
+                log_partition(lat, w)
+            with pytest.raises(NumericalError, match="log partition"):
+                edge_marginals(Batch([lat, lat]), w)
+            with pytest.raises(NumericalError, match="best path score"):
+                viterbi_path(lat, w)
+
+
+class TestBatch:
+    def test_rejects_an_empty_or_mixed_batch(self):
+        with pytest.raises(ValueError):
+            Batch([])
+        lattices = [build_lattice(kind, tokenize("a b"), NP, 2, None) for kind in ("semi", "weak")]
+        with pytest.raises(ValueError, match="one model family"):
+            Batch(lattices)
+
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    def test_levels_are_contiguous_with_leaves_last(self, kind):
+        lattices = [build_lattice(kind, synthetic_sentence(n), NP, 3, None) for n in (3, 1, 5, 2)]
+        batch = Batch(lattices)
+        level = batch.node_levels()
+        assert np.all(level[batch.edge_src] < level[batch.edge_dst])
+        assert batch.level_ptr[1] == len(lattices)  # the roots
+        has_out = np.diff(batch.out_ptr) > 0
+        for a, b in zip(batch.level_ptr[:-1], batch.level_ptr[1:]):
+            assert np.all(np.diff(has_out[a:b].astype(int)) <= 0)
+        assert not has_out[batch.leaves].any() and has_out.sum() == batch.num_nodes - len(lattices)
+        for i, lat in enumerate(lattices):
+            assert batch.local_node[batch.leaves[i]] == lat.leaf
+
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    def test_zero_weight_ties_go_to_the_lowest_source_in_a_mixed_length_batch(self, kind):
+        lattices = [
+            build_lattice(kind, synthetic_sentence(n), LabelSet(("NP", "VP")), 3, make_extractor(3))
+            for n in (4, 1, 6, 2)
+        ]
+        paths, scores = viterbi_path(Batch(lattices), np.zeros(10_000))
+        for lat, path, score in zip(lattices, paths, scores):
+            expected = [lat.leaf]
+            while expected[-1] != lat.root:
+                expected.append(int(lat.edge_src[lat.in_edge_ids(expected[-1])].min()))
+            assert path == expected[::-1]
+            assert score == 0.0
+            assert lat.path_spans(path) == []
 
 
 class TestComplexityProbe:
@@ -215,6 +271,24 @@ def lattices_with_weights(draw):
     return lat, w
 
 
+@st.composite
+def batches_with_weights(draw):
+    """One to four random lattices of one family, of mixed lengths, sharing a
+    feature space, with random weights.  Smaller than single lattices drawn
+    above, so that the oracles stay quick on four members."""
+    kind = draw(st.sampled_from(["linear", "semi", "weak"]))
+    label_set = LabelSet(tuple(f"L{i}" for i in range(draw(st.integers(1, 2)))))
+    max_seg_len = draw(st.integers(1, 3))
+    d = FeatureDictionary()
+    ext = FeatureExtractor(FeatureConfig(max_seg_len=max_seg_len, use_shape=draw(st.booleans())), d)
+    words = st.lists(st.sampled_from(["a", "b", "C1"]), min_size=1, max_size=4)
+    sentences = draw(st.lists(words, min_size=1, max_size=4))
+    lattices = [build_lattice(kind, tokenize(" ".join(words)), label_set, max_seg_len, ext) for words in sentences]
+    weight = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    w = np.asarray(draw(st.lists(weight, min_size=len(d), max_size=len(d))))
+    return lattices, w
+
+
 class TestProperties:
     @settings(deadline=None)
     @given(lattices_with_weights())
@@ -223,7 +297,7 @@ class TestProperties:
         assert log_partition(lat, w) == pytest.approx(brute_log_partition(lat, w), rel=1e-9, abs=1e-9)
         marg = edge_marginals(lat, w)
         np.testing.assert_allclose(marg.edge_posteriors, brute_edge_marginals(lat, w), atol=1e-9)
-        node_path, score = viterbi_path(lat, w)
+        (node_path,), (score,) = viterbi_path(lat, w)
         best_paths, best_score = brute_best_paths(lat, w, tol=1e-9)
         assert score == pytest.approx(best_score, abs=1e-9)
         assert node_path in [path_nodes(lat, p) for p in best_paths]
@@ -237,3 +311,26 @@ class TestProperties:
             for dst in range(lat.num_nodes):
                 assert lat.edge_id(src, dst) == edges.get((src, dst))
         assert edge_scores(lat, w).tolist() == [edge_score(lat, eid, w) for eid in range(lat.num_edges)]
+
+    @settings(deadline=None)
+    @given(batches_with_weights())
+    def test_batch_members_match_the_lattice_alone_and_the_oracles(self, case):
+        lattices, w = case
+        batch = Batch(lattices)
+        scores = edge_scores(batch, w)
+        marg = marginals_from_scores(batch, scores)
+        paths, best = viterbi_path(batch, w)
+        for i, lat in enumerate(lattices):
+            edges = slice(batch.edge_ptr[i], batch.edge_ptr[i + 1])
+            assert scores[edges].tolist() == edge_scores(lat, w).tolist()
+            alone = edge_marginals(lat, w)
+            assert marg.log_partition[i] == pytest.approx(alone.log_partition[0], rel=1e-12, abs=1e-12)
+            assert marg.log_partition[i] == pytest.approx(brute_log_partition(lat, w), rel=1e-9, abs=1e-9)
+            np.testing.assert_allclose(marg.edge_posteriors[edges], alone.edge_posteriors, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(marg.edge_posteriors[edges], brute_edge_marginals(lat, w), atol=1e-9)
+            (path_alone,), (best_alone,) = viterbi_path(lat, w)
+            assert paths[i] == path_alone
+            assert best[i] == pytest.approx(best_alone, rel=1e-12, abs=1e-12)
+            best_paths, best_score = brute_best_paths(lat, w, tol=1e-9)
+            assert best[i] == pytest.approx(best_score, abs=1e-9)
+            assert paths[i] in [path_nodes(lat, p) for p in best_paths]

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from chunkcrf.core import LabelSet, WordSpan, tokenize
-from chunkcrf.features import FeatureConfig, FeatureDictionary, FeatureExtractor, TRANSITION_PREFIXES
+from chunkcrf.features import EMPTY_FEATURES, FeatureConfig, FeatureDictionary, FeatureExtractor, TRANSITION_PREFIXES
 from chunkcrf.lattice import (
     EdgeClass,
     LatticeError,
+    Node,
+    NodeKind,
+    _Builder,
     build_lattice,
     build_linear,
     build_semi,
@@ -262,3 +265,55 @@ def test_topological_order_is_respected_everywhere():
     for kind in ("linear", "semi", "weak"):
         lat = build_lattice(kind, synthetic_sentence(5), LabelSet(("NP", "VP")), 3, make_extractor(3))
         assert np.all(lat.edge_src < lat.edge_dst)
+
+
+@pytest.mark.parametrize("kind, levels_per_token", [("linear", 1), ("semi", 1), ("weak", 2)])
+def test_levels_group_nodes_by_position_and_every_edge_climbs(kind, levels_per_token):
+    n = 5
+    lat = build_lattice(kind, synthetic_sentence(n), LabelSet(("NP", "VP")), 3, make_extractor(3))
+    assert lat.num_levels == levels_per_token * n + 2
+    assert lat.level_ptr[0] == 0 and lat.level_ptr[1] == 1
+    assert lat.level_ptr[-2] == lat.leaf and lat.level_ptr[-1] == lat.num_nodes
+    level = lat.node_levels()
+    assert np.all(level[lat.edge_src] < level[lat.edge_dst])
+    for a, b in zip(lat.level_ptr[1:-2], lat.level_ptr[2:-1]):
+        assert len({(node.kind, node.position) for node in lat.nodes[a:b]}) == 1
+
+
+def test_csr_adjacency_lists_every_edge_once_by_node():
+    lat = build_lattice("weak", synthetic_sentence(4), LabelSet(("NP", "VP")), 3, make_extractor(3))
+    for v in range(lat.num_nodes):
+        ins = lat.in_edge_ids(v)
+        assert np.all(lat.edge_dst[ins] == v) and np.all(np.diff(lat.edge_src[ins]) > 0)
+        assert np.all(lat.edge_src[lat.out_edge_ids(v)] == v)
+    assert sorted(lat.in_order.tolist()) == sorted(lat.out_order.tolist()) == list(range(lat.num_edges))
+
+
+def _two_node_level_builder():
+    """Root, one level holding two segment nodes, leaf; no edges yet."""
+    b = _Builder("semi", synthetic_sentence(1), NP, 1)
+    b.new_level()
+    b.add_node(("root",), Node(NodeKind.ROOT, -1))
+    b.new_level()
+    x = b.add_node(("seg", 0, "O"), Node(NodeKind.SEG, 0, "O"))
+    y = b.add_node(("seg", 0, "NP"), Node(NodeKind.SEG, 0, "NP"))
+    b.new_level()
+    leaf = b.add_node(("leaf",), Node(NodeKind.LEAF, 1))
+    return b, x, y, leaf
+
+
+def test_edge_within_a_level_is_rejected():
+    b, x, y, leaf = _two_node_level_builder()
+    for src, dst in ((0, x), (x, y), (y, leaf)):
+        b.add_edge(src, dst, EMPTY_FEATURES)
+    with pytest.raises(AssertionError, match="climb"):
+        b.build()
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 3), (2, 3)], [(0, 1), (0, 2), (1, 3)]], ids=["unreachable", "dead-end"])
+def test_unreachable_or_dead_end_node_is_rejected(edges):
+    b, *_ = _two_node_level_builder()
+    for src, dst in edges:
+        b.add_edge(src, dst, EMPTY_FEATURES)
+    with pytest.raises(AssertionError, match="unreachable or dead-end"):
+        b.build()

@@ -3,12 +3,19 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from chunkcrf.core import LabelSet, WordSpan, tokenize
-from chunkcrf.features import SEGMENT_TRANSITION_PREFIX, LINEAR_TRANSITION_PREFIX, FeatureConfig, FeatureDictionary
+from chunkcrf.features import (
+    SEGMENT_TRANSITION_PREFIX,
+    LINEAR_TRANSITION_PREFIX,
+    FeatureConfig,
+    FeatureDictionary,
+    FeatureExtractor,
+)
 from chunkcrf.inference import log_partition, viterbi
 from chunkcrf.lattice import build_lattice
 from chunkcrf.synth import separable_corpus
@@ -21,6 +28,7 @@ from chunkcrf.training import (
     DataItem,
     Model,
     ModelFormatError,
+    NumericalError,
     ObjectiveEvaluator,
     TrainConfig,
     build_feature_space,
@@ -50,6 +58,16 @@ def make_evaluator(dataset, kind, lam=0.1, max_seg_len=3, label_set=None):
 
 
 class TestObjective:
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    @pytest.mark.parametrize("scale", [1e200, 1e308, -1e308])
+    def test_overflow_raises_numerical_error_without_warnings(self, kind, scale):
+        ds = Dataset.from_annotated(separable_corpus(5, seed=1))
+        ev, d = make_evaluator(ds, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                ev.objective_and_gradient(np.full(len(d), scale))
+
     def test_zero_weights_value_is_negative_log_path_count(self):
         ds = toy_dataset([("a b c", [WordSpan(0, 1, "NP")])])
         # n=3 chunkings: 1 empty + 6 one-span + 5 two-span + 1 three-span = 13
@@ -107,7 +125,10 @@ class TestObjective:
         w = np.random.default_rng(17).uniform(-2, 2, len(d))
         _, grad = ev.objective_and_gradient(w)
         expected = -2 * 0.25 * w
-        for item, (lat, _) in zip(ds.items, ev.instances):
+        # The evaluator keeps only its batch, so each lattice is rebuilt here.
+        extractor = FeatureExtractor(ev.config.feature_config, d)
+        for item in ds.items:
+            lat = build_lattice(kind, item.sentence, ev.label_set, ev.config.max_seg_len, extractor)
             for eid in lat.gold_edge_ids(list(item.word_spans)):
                 np.add.at(expected, lat.edge_features(eid), 1.0)
             for eid, post in enumerate(brute_edge_marginals(lat, w)):
@@ -292,6 +313,13 @@ class TestSerialization:
         }[where]
         path.write_bytes(data[:cut])
         with pytest.raises(ModelFormatError, match="truncated"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, tmp_path, bad):
+        path, data = self._tiny_file(tmp_path)
+        path.write_bytes(data[:-8] + struct.pack("<d", bad))
+        with pytest.raises(ModelFormatError, match="non-finite"):
             load_model(str(path))
 
     def test_trailing_bytes_rejected(self, tmp_path):
