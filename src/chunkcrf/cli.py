@@ -4,7 +4,11 @@ Runs are reproducible: every option can live in a flat ``key = value``
 config file, command-line flags override config values one-to-one, and all
 randomness flows from the ``seed`` option.  Inputs are validated before any
 work starts.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical failure.
+3 numerical failure.  A usage error is a command line the parser rejects.
+A required value still missing once flags and the config file are merged
+(``ingest``'s input, ``train``'s ``--train``, ``predict``'s ``--model-file``
+or ``--input``, ``eval``'s ``--gold`` or ``--pred``) is a data error: the
+command line parsed, and a config file could have supplied the value.
 """
 
 from __future__ import annotations
@@ -414,7 +418,8 @@ def main(argv: list[str] | None = None) -> int:
     Bad arguments return ``EXIT_USAGE`` (after the usage and error message go
     to stderr) and ``--help`` returns ``EXIT_OK``; the parser's ``SystemExit``
     does not escape.  Data and numerical failures return ``EXIT_DATA`` and
-    ``EXIT_NUMERIC``.
+    ``EXIT_NUMERIC``; so does a required value that neither the flags nor the
+    config file supply, since a config file could have.
     """
     parser = build_parser()
     try:

@@ -5,8 +5,10 @@ Scoring is exact-match: a predicted span counts only when both boundaries
 and the label equal a gold span.  Character-level evaluation compares
 original character spans; word-level evaluation compares token spans after
 boundary snapping.  The benchmark times complete objective-plus-gradient
-evaluations (lattice construction included) on one execution lane, which is
-the unit an optimizer iteration is built from.
+evaluations over lattices compiled beforehand, as in training (edge
+scoring, forward-backward and gradient accumulation, no lattice
+construction), on one execution lane: the unit an optimizer iteration is
+built from.
 """
 
 from __future__ import annotations

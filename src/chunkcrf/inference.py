@@ -1,9 +1,10 @@
 """Exact log-space dynamic programming over labeling lattices.
 
-Every program runs on a :class:`~chunkcrf.lattice.LevelGraph`: one lattice,
-or a :class:`~chunkcrf.lattice.Batch` holding several lattices of one family
-whose nodes are numbered level by level.  Forward and Viterbi walk the levels
-bottom-up, backward top-down, and each level is a handful of numpy
+Every program runs on a :class:`~chunkcrf.lattice.LevelGraph`: one lattice
+(its shared topology's levels, edges and sweeps with the sentence's part
+table), or a :class:`~chunkcrf.lattice.Batch` holding several lattices of one
+family whose nodes are numbered level by level.  Forward and Viterbi walk the
+levels bottom-up, backward top-down, and each level is a handful of numpy
 reductions (``maximum.reduceat`` and an ``add.reduceat`` log-sum-exp) over
 the contiguous run of that level's edges, so the cost is per level and per
 edge, with no Python work per node.  One call covers every member of a batch,
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabelSet, WordSpan
-from .lattice import Lattice, LevelGraph, Sweep, build_lattice, synthetic_sentence
+from .lattice import Lattice, LevelGraph, Sweep, topology
 
 
 class NumericalError(RuntimeError):
@@ -149,18 +150,16 @@ def viterbi(lattice: Lattice, weights: np.ndarray) -> tuple[list[WordSpan], floa
 
 
 def complexity_probe(model_kind: str, n: int, max_seg_len: int, num_labels: int) -> int:
-    """Exact edge count of a structural lattice over a generic label alphabet.
+    """Exact edge count of an ``n``-token lattice topology over a generic
+    label alphabet.
 
     The probe generalizes past the chunk/outside split: all ``num_labels``
     labels admit segments up to ``max_seg_len`` so the count reflects the
     uniform-alphabet scaling regime (for the linear trellis, the alphabet is
-    expanded to its BIO tag set).  No features are attached.
+    expanded to its BIO tag set).  Edge counts depend on the topology alone,
+    so no sentence or part table is built.
     """
     if num_labels < 2:
         raise ValueError("need at least two labels (one chunk label plus outside)")
     label_set = LabelSet(tuple(f"Y{i}" for i in range(1, num_labels)))
-    sentence = synthetic_sentence(n)
-    lattice = build_lattice(
-        model_kind, sentence, label_set, max_seg_len, extractor=None, outside_max_len=max_seg_len
-    )
-    return lattice.num_edges
+    return topology(model_kind, n, label_set, max_seg_len, max_seg_len).num_edges

@@ -22,15 +22,19 @@ climbs from a lower level to a higher one, and every node is reachable from
 the root and co-reachable from the leaf.  The dynamic programs run level by
 level, over one lattice or over a :class:`Batch` of lattices of one family.
 
-Features are stored once per distinct *part*, not once per edge.  A part is
-one feature vector of a template family at one place: a segment (first, last,
-label), a token context (position, tag) or a label pair.  Every edge names
-two parts (a second, empty part pads an edge that has one), so an edge's
-score is the sum of two part scores, and many edges share each part: in a
-``semi`` lattice all ``|labels|`` edges into one segment share its segment
-part, and all edges between one label pair share its transition part.
-Features are computed once at construction; a built lattice is immutable and
-safe to share read-only, so a training run compiles each sentence once.
+A lattice is a :class:`Topology` plus a part table.  The topology (nodes,
+levels, edges, adjacency and sweeps) depends only on the family, the
+sentence length, the label set and the segment-length limits, so it is built
+once per such shape, cached, and shared by every sentence of that shape.  It
+names each edge's features by two *slots*: template keys such as
+``("segment", first, last, label)`` or ``("transition", prev, label)``, with
+slot 0 the empty part that pads an edge with one.  The sentence's part table
+then holds one feature vector per slot, computed once at construction, so an
+edge's score is the sum of two part scores and many edges share each part:
+in a ``semi`` lattice all ``|labels|`` edges into one segment share its
+segment part, and all edges between one label pair share its transition part.
+A built lattice is immutable and safe to share read-only, so a training run
+compiles each sentence once.
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import OUTSIDE, BioSequence, LabelSet, Sentence, Token, WordSpan, bio_to_word_spans, word_spans_to_bio
+from .core import OUTSIDE, BioSequence, LabelSet, Sentence, WordSpan, bio_to_word_spans, word_spans_to_bio
 from .features import (
     EMPTY_FEATURES,
     START_LABEL,
@@ -52,6 +56,10 @@ from .features import (
 )
 
 MODEL_KINDS = ("linear", "semi", "weak")
+
+# Topologies :func:`topology` keeps: every sentence length of a corpus, per family.
+TOPOLOGY_CACHE_SIZE = 128
+EMPTY_SLOT = ("empty",)  # slot 0 of every topology
 
 
 class LatticeError(ValueError):
@@ -175,47 +183,38 @@ def _sweep(order, ptr, read, write, ranges) -> Sweep:
     return Sweep(order, read[order], write[order], steps)
 
 
-class Lattice(LevelGraph):
-    """Immutable compiled lattice: nodes, levels, edge arrays, adjacency and
-    part table, with one root (node 0) and one leaf (the last node).  Part 0
-    is the empty part."""
+class Topology(LevelGraph):
+    """Structure shared by every lattice of one shape: nodes, levels, edge
+    arrays, adjacency and sweeps, with one root (node 0) and one leaf (the
+    last node), compiled from a :class:`_Builder`.
 
-    def __init__(
-        self,
-        model_kind: str,
-        sentence: Sentence,
-        label_set: LabelSet,
-        max_seg_len: int,
-        nodes: list[Node],
-        node_ids: dict[tuple, int],
-        level_ptr: list[int],
-        edge_src: list[int],
-        edge_dst: list[int],
-        edge_parts: list[int],
-        parts: list[FeatureVector],
-    ) -> None:
-        self.model_kind = model_kind
-        self.sentence = sentence
-        self.label_set = label_set
-        self.max_seg_len = max_seg_len
-        self.nodes = nodes
-        self._node_ids = node_ids
-        self.num_nodes = len(nodes)
+    ``edge_parts[e]`` holds the slots of edge ``e``'s two parts, numbered in
+    first-use order; ``slots[s]`` is slot ``s``'s template key, and slot 0 is
+    the empty part.  :func:`topology` caches topologies, so their arrays are
+    read-only.
+    """
+
+    def __init__(self, b: _Builder) -> None:
+        self.model_kind = b.model_kind
+        self.nodes = b.nodes
+        self._node_ids = b.node_ids
+        self.num_nodes = len(b.nodes)
         self.root = 0
-        self.leaf = len(nodes) - 1
+        self.leaf = self.num_nodes - 1
         self.leaves = np.array([self.leaf])
-        self.level_ptr = np.asarray(level_ptr, dtype=np.int64)
+        self.level_ptr = np.asarray(b.level_ptr + [self.num_nodes], dtype=np.int64)
 
-        self.edge_src = np.asarray(edge_src, dtype=np.int32)
-        self.edge_dst = np.asarray(edge_dst, dtype=np.int32)
-        self.edge_ptr = np.array([0, len(edge_src)])
-        self.edge_parts = np.asarray(edge_parts, dtype=np.int32).reshape(-1, 2)
-        self.num_parts = len(parts)
-        self.part_idx = np.concatenate([part.indices for part in parts])
-        self.part_row = np.repeat(np.arange(self.num_parts, dtype=np.int32), [len(part) for part in parts])
+        self.edge_src = np.asarray(b.edge_src, dtype=np.int32)
+        self.edge_dst = np.asarray(b.edge_dst, dtype=np.int32)
+        self.edge_ptr = np.array([0, len(b.edge_src)])
+        self.edge_parts = np.asarray(b.edge_parts, dtype=np.int32).reshape(-1, 2)
+        self.slots = b.slots
 
         self._index()
         self._check_connected()
+        for array in (self.leaves, self.level_ptr, self.edge_src, self.edge_dst, self.edge_ptr, self.edge_parts,
+                      self.in_order, self.in_ptr, self.out_order, self.out_ptr):
+            array.flags.writeable = False
 
     def _check_connected(self) -> None:
         """Level 0 is the root alone and the last level the leaf alone, every
@@ -239,11 +238,6 @@ class Lattice(LevelGraph):
             return int(eids[k])
         return None
 
-    def edge_features(self, eid: int) -> np.ndarray:
-        """Feature ids of edge ``eid``: its first part's, then its second's."""
-        bounds = np.searchsorted(self.part_row, [self.edge_parts[eid], self.edge_parts[eid] + 1])
-        return np.concatenate([self.part_idx[lo:hi] for lo, hi in bounds.T])
-
     def edge_class(self, eid: int) -> EdgeClass:
         """Segment edges are exactly those that end on a segment node."""
         if self.nodes[self.edge_dst[eid]].kind in (NodeKind.SEG, NodeKind.END):
@@ -257,10 +251,6 @@ class Lattice(LevelGraph):
             for eid, (src, dst) in enumerate(zip(self.edge_src, self.edge_dst))
         ]
         return "\n".join(lines) + "\n"
-
-    # ------------------------------------------------------------------
-    # Mapping between node paths and chunk structure.
-    # ------------------------------------------------------------------
 
     def path_spans(self, node_path: list[int]) -> list[WordSpan]:
         """Chunk spans encoded by a full root-to-leaf node path."""
@@ -280,6 +270,32 @@ class Lattice(LevelGraph):
             if begin.label != OUTSIDE:
                 spans.append(WordSpan(begin.position, end.position, begin.label))
         return spans
+
+
+class Lattice:
+    """Immutable compiled lattice of one sentence: its shape's shared
+    :class:`Topology` plus the sentence's part table, whose part ``s`` holds
+    the features of slot ``s``.
+
+    Every other attribute (nodes, levels, edge arrays, ``edge_parts``,
+    adjacency, sweeps and the path mapping) is the topology's, so a lattice
+    runs wherever a :class:`LevelGraph` does.
+    """
+
+    def __init__(self, topology: Topology, sentence: Sentence, parts: list[FeatureVector]) -> None:
+        self.topology = topology
+        self.sentence = sentence
+        self.num_parts = len(parts)
+        self.part_idx = np.concatenate([part.indices for part in parts])
+        self.part_row = np.repeat(np.arange(self.num_parts, dtype=np.int32), [len(part) for part in parts])
+
+    def __getattr__(self, name: str):
+        return getattr(self.topology, name)
+
+    def edge_features(self, eid: int) -> np.ndarray:
+        """Feature ids of edge ``eid``: its first part's, then its second's."""
+        bounds = np.searchsorted(self.part_row, [self.edge_parts[eid], self.edge_parts[eid] + 1])
+        return np.concatenate([self.part_idx[lo:hi] for lo, hi in bounds.T])
 
     def _segments(self, spans: list[WordSpan]) -> list[tuple[int, int, str]]:
         ordered = sorted(spans, key=lambda s: s.first_token)
@@ -380,21 +396,19 @@ class Batch(LevelGraph):
 
 
 class _Builder:
-    def __init__(self, model_kind: str, sentence: Sentence, label_set: LabelSet, max_seg_len: int) -> None:
+    """Collects one topology: levels of nodes, then edges whose two parts
+    are named by slot key."""
+
+    def __init__(self, model_kind: str) -> None:
         self.model_kind = model_kind
-        self.sentence = sentence
-        self.label_set = label_set
-        self.max_seg_len = max_seg_len
         self.nodes: list[Node] = []
         self.node_ids: dict[tuple, int] = {}
         self.level_ptr: list[int] = []
         self.edge_src: list[int] = []
         self.edge_dst: list[int] = []
         self.edge_parts: list[int] = []
-        self.parts: list[FeatureVector] = [EMPTY_FEATURES]
-        # Keyed by object identity: the memo hands out one vector per
-        # distinct part, and ``parts`` keeps each alive while ids are in use.
-        self.part_ids: dict[int, int] = {id(EMPTY_FEATURES): 0}
+        self.slots: list[tuple] = [EMPTY_SLOT]
+        self.slot_ids: dict[tuple, int] = {EMPTY_SLOT: 0}
 
     def new_level(self) -> None:
         """Start a level: the nodes added next, up to the next call, form it."""
@@ -406,95 +420,55 @@ class _Builder:
         self.node_ids[key] = nid
         return nid
 
-    def _part_id(self, part: FeatureVector) -> int:
-        pid = self.part_ids.get(id(part))
-        if pid is None:
-            pid = self.part_ids[id(part)] = len(self.parts)
-            self.parts.append(part)
-        return pid
+    def _slot_id(self, slot: tuple) -> int:
+        sid = self.slot_ids.get(slot)
+        if sid is None:
+            sid = self.slot_ids[slot] = len(self.slots)
+            self.slots.append(slot)
+        return sid
 
-    def add_edge(self, src: int, dst: int, first: FeatureVector, second: FeatureVector = EMPTY_FEATURES) -> None:
-        """Append an edge whose features are the memo vectors ``first`` then
-        ``second``; each distinct vector becomes one part of the lattice."""
+    def add_edge(self, src: int, dst: int, first: tuple, second: tuple = EMPTY_SLOT) -> None:
+        """Append an edge whose features are those of slots ``first`` then
+        ``second``."""
         if not src < dst:
             raise AssertionError("edges must go forward in topological order")
         self.edge_src.append(src)
         self.edge_dst.append(dst)
-        self.edge_parts.append(self._part_id(first))
-        self.edge_parts.append(self._part_id(second))
-
-    def build(self) -> Lattice:
-        return Lattice(
-            self.model_kind,
-            self.sentence,
-            self.label_set,
-            self.max_seg_len,
-            self.nodes,
-            self.node_ids,
-            self.level_ptr + [len(self.nodes)],
-            self.edge_src,
-            self.edge_dst,
-            self.edge_parts,
-            self.parts,
-        )
+        self.edge_parts.append(self._slot_id(first))
+        self.edge_parts.append(self._slot_id(second))
 
 
 class _FeatureMemo:
-    """Per-build cache so identical templates are expanded once.
+    """The one place a lattice asks for features: one method per template
+    family, called once per slot of the sentence's topology.
 
-    Segment templates depend only on (first, last, label); the transition
-    template only on the label pair.  Edges that share them share the cached
-    vector, so string expansion runs once per distinct part, not per edge,
-    and the lattice stores that vector once, as one part.
+    A slot key is a method name and its arguments, so each distinct part's
+    templates are expanded once per sentence, however many edges share it.
+    Without an extractor every part is empty.  The benchmark's tracer wraps
+    the four methods by name (``perfbench/tracing.py``).
     """
 
     def __init__(self, extractor: FeatureExtractor | None, sentence: Sentence) -> None:
         self.extractor = extractor
         self.sentence = sentence
-        self._segments: dict[tuple[int, int, str], FeatureVector] = {}
-        self._transitions: dict[tuple[str, str], FeatureVector] = {}
-        self._token_ctx: dict[tuple[int, str], FeatureVector] = {}
-        self._token_tr: dict[tuple[str, str], FeatureVector] = {}
+
+    def part(self, slot: tuple) -> FeatureVector:
+        if self.extractor is None or slot == EMPTY_SLOT:
+            return EMPTY_FEATURES
+        method, *args = slot
+        return getattr(self, method)(*args)
 
     def segment(self, first: int, last: int, label: str) -> FeatureVector:
-        if self.extractor is None:
-            return EMPTY_FEATURES
-        key = (first, last, label)
-        fv = self._segments.get(key)
-        if fv is None:
-            fv = self.extractor.segment_features(self.sentence, first, last, label)
-            self._segments[key] = fv
-        return fv
+        return self.extractor.segment_features(self.sentence, first, last, label)
 
     def transition(self, prev_label: str, label: str) -> FeatureVector:
-        if self.extractor is None:
-            return EMPTY_FEATURES
-        key = (prev_label, label)
-        fv = self._transitions.get(key)
-        if fv is None:
-            fv = self.extractor.transition_features(prev_label, label)
-            self._transitions[key] = fv
-        return fv
+        return self.extractor.transition_features(prev_label, label)
 
     def token_context(self, position: int, cur_tag: str) -> FeatureVector:
-        if self.extractor is None:
-            return EMPTY_FEATURES
-        key = (position, cur_tag)
-        fv = self._token_ctx.get(key)
-        if fv is None:
-            fv = self.extractor.token_context_features(self.sentence, position, cur_tag)
-            self._token_ctx[key] = fv
-        return fv
+        return self.extractor.token_context_features(self.sentence, position, cur_tag)
 
     def token_transition(self, prev_tag: str, cur_tag: str) -> FeatureVector:
-        if self.extractor is None:
-            return EMPTY_FEATURES
-        key = (prev_tag, cur_tag)
-        fv = self._token_tr.get(key)
-        if fv is None:
-            fv = self.extractor.token_transition_features(prev_tag, cur_tag)
-            self._token_tr[key] = fv
-        return fv
+        return self.extractor.token_transition_features(prev_tag, cur_tag)
 
 
 def _bio_ok(prev_tag: str, cur_tag: str) -> bool:
@@ -503,13 +477,9 @@ def _bio_ok(prev_tag: str, cur_tag: str) -> bool:
     return True
 
 
-def build_linear(sentence: Sentence, label_set: LabelSet, extractor: FeatureExtractor | None) -> Lattice:
+def _linear_topology(n: int, label_set: LabelSet) -> Topology:
     """Token-level trellis over BIO tags with validity-pruned edges."""
-    n = len(sentence)
-    if n == 0:
-        raise ValueError("cannot build a lattice for an empty sentence")
-    b = _Builder("linear", sentence, label_set, 1)
-    memo = _FeatureMemo(extractor, sentence)
+    b = _Builder("linear")
     tags = label_set.bio_tags
     b.new_level()
     b.add_node(("root",), Node(NodeKind.ROOT, -1))
@@ -525,45 +495,33 @@ def build_linear(sentence: Sentence, label_set: LabelSet, extractor: FeatureExtr
     for tag in tags:
         if tag.startswith("I-"):
             continue
-        b.add_edge(0, b.node_ids[("tag", 0, tag)], memo.token_context(0, tag), memo.token_transition(START_LABEL, tag))
+        b.add_edge(0, b.node_ids[("tag", 0, tag)], ("token_context", 0, tag), ("token_transition", START_LABEL, tag))
     for i in range(1, n):
         for cur in tags:
             dst = b.node_ids[("tag", i, cur)]
-            ctx = memo.token_context(i, cur)
+            ctx = ("token_context", i, cur)
             for prev in tags:
                 if i == 1 and prev.startswith("I-"):
                     continue
                 if not _bio_ok(prev, cur):
                     continue
-                b.add_edge(b.node_ids[("tag", i - 1, prev)], dst, ctx, memo.token_transition(prev, cur))
+                b.add_edge(b.node_ids[("tag", i - 1, prev)], dst, ctx, ("token_transition", prev, cur))
     for tag in tags:
         if n == 1 and tag.startswith("I-"):
             continue
-        ctx = memo.token_context(n, STOP_LABEL)
-        b.add_edge(b.node_ids[("tag", n - 1, tag)], leaf, ctx, memo.token_transition(tag, STOP_LABEL))
-    return b.build()
+        ctx = ("token_context", n, STOP_LABEL)
+        b.add_edge(b.node_ids[("tag", n - 1, tag)], leaf, ctx, ("token_transition", tag, STOP_LABEL))
+    return Topology(b)
 
 
 def _segment_length_limit(label: str, max_seg_len: int, outside_max_len: int) -> int:
     return outside_max_len if label == OUTSIDE else max_seg_len
 
 
-def build_semi(
-    sentence: Sentence,
-    label_set: LabelSet,
-    max_seg_len: int,
-    extractor: FeatureExtractor | None,
-    outside_max_len: int = 1,
-) -> Lattice:
+def _semi_topology(n: int, label_set: LabelSet, max_seg_len: int, outside_max_len: int) -> Topology:
     """Segment lattice: an edge covers a whole segment and carries both the
     segment templates and the transition template."""
-    n = len(sentence)
-    if n == 0:
-        raise ValueError("cannot build a lattice for an empty sentence")
-    if max_seg_len < 1:
-        raise ValueError("max_seg_len must be >= 1")
-    b = _Builder("semi", sentence, label_set, max_seg_len)
-    memo = _FeatureMemo(extractor, sentence)
+    b = _Builder("semi")
     alphabet = label_set.alphabet
     b.new_level()
     b.add_node(("root",), Node(NodeKind.ROOT, -1))
@@ -580,33 +538,21 @@ def build_semi(
             limit = _segment_length_limit(label, max_seg_len, outside_max_len)
             for k in range(1, min(limit, i + 1) + 1):
                 j = i - k
-                seg_fv = memo.segment(j + 1, i, label)
+                seg = ("segment", j + 1, i, label)
                 if j < 0:
-                    b.add_edge(0, dst, seg_fv, memo.transition(START_LABEL, label))
+                    b.add_edge(0, dst, seg, ("transition", START_LABEL, label))
                 else:
                     for prev in alphabet:
-                        b.add_edge(b.node_ids[("seg", j, prev)], dst, seg_fv, memo.transition(prev, label))
+                        b.add_edge(b.node_ids[("seg", j, prev)], dst, seg, ("transition", prev, label))
     for label in alphabet:
-        b.add_edge(b.node_ids[("seg", n - 1, label)], leaf, memo.transition(label, STOP_LABEL))
-    return b.build()
+        b.add_edge(b.node_ids[("seg", n - 1, label)], leaf, ("transition", label, STOP_LABEL))
+    return Topology(b)
 
 
-def build_weak(
-    sentence: Sentence,
-    label_set: LabelSet,
-    max_seg_len: int,
-    extractor: FeatureExtractor | None,
-    outside_max_len: int = 1,
-) -> Lattice:
+def _weak_topology(n: int, label_set: LabelSet, max_seg_len: int, outside_max_len: int) -> Topology:
     """Split-node segment lattice: segment-length and label-transition
     decisions live on separate edges."""
-    n = len(sentence)
-    if n == 0:
-        raise ValueError("cannot build a lattice for an empty sentence")
-    if max_seg_len < 1:
-        raise ValueError("max_seg_len must be >= 1")
-    b = _Builder("weak", sentence, label_set, max_seg_len)
-    memo = _FeatureMemo(extractor, sentence)
+    b = _Builder("weak")
     alphabet = label_set.alphabet
     b.new_level()
     b.add_node(("root",), Node(NodeKind.ROOT, -1))
@@ -621,21 +567,38 @@ def build_weak(
     leaf = b.add_node(("leaf",), Node(NodeKind.LEAF, n))
 
     for label in alphabet:
-        b.add_edge(0, b.node_ids[("begin", 0, label)], memo.transition(START_LABEL, label))
+        b.add_edge(0, b.node_ids[("begin", 0, label)], ("transition", START_LABEL, label))
     for j in range(n):
         for label in alphabet:
             src = b.node_ids[("begin", j, label)]
             limit = _segment_length_limit(label, max_seg_len, outside_max_len)
             for i in range(j, min(j + limit, n)):
-                b.add_edge(src, b.node_ids[("end", i, label)], memo.segment(j, i, label))
+                b.add_edge(src, b.node_ids[("end", i, label)], ("segment", j, i, label))
     for i in range(n - 1):
         for prev in alphabet:
             src = b.node_ids[("end", i, prev)]
             for label in alphabet:
-                b.add_edge(src, b.node_ids[("begin", i + 1, label)], memo.transition(prev, label))
+                b.add_edge(src, b.node_ids[("begin", i + 1, label)], ("transition", prev, label))
     for label in alphabet:
-        b.add_edge(b.node_ids[("end", n - 1, label)], leaf, memo.transition(label, STOP_LABEL))
-    return b.build()
+        b.add_edge(b.node_ids[("end", n - 1, label)], leaf, ("transition", label, STOP_LABEL))
+    return Topology(b)
+
+
+@lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
+def topology(model_kind: str, n: int, label_set: LabelSet, max_seg_len: int, outside_max_len: int = 1) -> Topology:
+    """The shared topology of every ``n``-token lattice of one family, label
+    set and segment-length limit (``linear`` ignores the limits)."""
+    if n == 0:
+        raise ValueError("cannot build a lattice for an empty sentence")
+    if model_kind == "linear":
+        return _linear_topology(n, label_set)
+    if model_kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {model_kind!r} (expected one of {MODEL_KINDS})")
+    if max_seg_len < 1:
+        raise ValueError("max_seg_len must be >= 1")
+    if model_kind == "semi":
+        return _semi_topology(n, label_set, max_seg_len, outside_max_len)
+    return _weak_topology(n, label_set, max_seg_len, outside_max_len)
 
 
 def build_lattice(
@@ -646,22 +609,22 @@ def build_lattice(
     extractor: FeatureExtractor | None,
     outside_max_len: int = 1,
 ) -> Lattice:
-    if model_kind == "linear":
-        return build_linear(sentence, label_set, extractor)
-    if model_kind == "semi":
-        return build_semi(sentence, label_set, max_seg_len, extractor, outside_max_len)
-    if model_kind == "weak":
-        return build_weak(sentence, label_set, max_seg_len, extractor, outside_max_len)
-    raise ValueError(f"unknown model kind {model_kind!r} (expected one of {MODEL_KINDS})")
+    """Compile ``sentence``'s lattice: the cached topology of its shape plus
+    one feature vector per slot."""
+    shape = topology(model_kind, len(sentence), label_set, max_seg_len, outside_max_len)
+    memo = _FeatureMemo(extractor, sentence)
+    return Lattice(shape, sentence, [memo.part(slot) for slot in shape.slots])
 
 
-def synthetic_sentence(n: int) -> Sentence:
-    """An n-token placeholder sentence for structural experiments."""
-    tokens = []
-    offset = 0
-    for i in range(n):
-        word = f"w{i}"
-        tokens.append(Token(word, offset, offset + len(word)))
-        offset += len(word) + 1
-    text = " ".join(tok.surface for tok in tokens)
-    return Sentence(text, tuple(tokens))
+def build_linear(sentence: Sentence, label_set: LabelSet, extractor: FeatureExtractor | None) -> Lattice:
+    return build_lattice("linear", sentence, label_set, 1, extractor)
+
+
+def build_semi(sentence: Sentence, label_set: LabelSet, max_seg_len: int, extractor: FeatureExtractor | None,
+               outside_max_len: int = 1) -> Lattice:
+    return build_lattice("semi", sentence, label_set, max_seg_len, extractor, outside_max_len)
+
+
+def build_weak(sentence: Sentence, label_set: LabelSet, max_seg_len: int, extractor: FeatureExtractor | None,
+               outside_max_len: int = 1) -> Lattice:
+    return build_lattice("weak", sentence, label_set, max_seg_len, extractor, outside_max_len)

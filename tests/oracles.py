@@ -12,14 +12,21 @@ import math
 
 import numpy as np
 
-from chunkcrf.core import OUTSIDE, LabelSet, Sentence, WordSpan
+from chunkcrf.core import OUTSIDE, LabelSet, Sentence, WordSpan, tokenize
 from chunkcrf.features import FeatureDictionary, FeatureExtractor
 from chunkcrf.lattice import Lattice, build_lattice
 from chunkcrf.training import TrainConfig
 
 
+def synthetic_sentence(n: int) -> Sentence:
+    """An n-token placeholder sentence ``w0 w1 ...`` for structural tests."""
+    return tokenize(" ".join(f"w{i}" for i in range(n)))
+
+
 def all_edge_paths(lattice: Lattice) -> list[list[int]]:
     """Every root-to-leaf path as a list of edge ids (DFS, no DP)."""
+    out_edges = [lattice.out_edge_ids(v).tolist() for v in range(lattice.num_nodes)]
+    edge_dst = lattice.edge_dst.tolist()
     paths: list[list[int]] = []
     stack: list[tuple[int, list[int]]] = [(lattice.root, [])]
     while stack:
@@ -27,8 +34,8 @@ def all_edge_paths(lattice: Lattice) -> list[list[int]]:
         if node == lattice.leaf:
             paths.append(acc)
             continue
-        for eid in lattice.out_edge_ids(node):
-            stack.append((int(lattice.edge_dst[eid]), acc + [int(eid)]))
+        for eid in out_edges[node]:
+            stack.append((edge_dst[eid], acc + [eid]))
     return paths
 
 
@@ -48,27 +55,36 @@ def path_score(lattice: Lattice, edge_path: list[int], weights: np.ndarray) -> f
     return sum(edge_score(lattice, eid, weights) for eid in edge_path)
 
 
-def brute_log_partition(lattice: Lattice, weights: np.ndarray) -> float:
-    scores = [path_score(lattice, p, weights) for p in all_edge_paths(lattice)]
+def scored_paths(lattice: Lattice, weights: np.ndarray) -> list[tuple[float, list[int]]]:
+    """Every root-to-leaf path with its score: each edge's :func:`edge_score`
+    is computed once and summed along the path as :func:`path_score` does."""
+    table = [edge_score(lattice, eid, weights) for eid in range(lattice.num_edges)]
+    return [(sum(table[eid] for eid in p), p) for p in all_edge_paths(lattice)]
+
+
+def _log_sum_exp(scores: list[float]) -> float:
     m = max(scores)
     return m + math.log(sum(math.exp(s - m) for s in scores))
 
 
+def brute_log_partition(lattice: Lattice, weights: np.ndarray) -> float:
+    return _log_sum_exp([s for s, _ in scored_paths(lattice, weights)])
+
+
 def brute_best_paths(lattice: Lattice, weights: np.ndarray, tol: float = 1e-9):
     """All argmax paths within ``tol`` of the best score, plus that score."""
-    paths = all_edge_paths(lattice)
-    scored = [(path_score(lattice, p, weights), p) for p in paths]
+    scored = scored_paths(lattice, weights)
     best = max(s for s, _ in scored)
     return [p for s, p in scored if s >= best - tol], best
 
 
 def brute_edge_marginals(lattice: Lattice, weights: np.ndarray) -> np.ndarray:
-    paths = all_edge_paths(lattice)
-    scores = np.array([path_score(lattice, p, weights) for p in paths])
-    log_z = brute_log_partition(lattice, weights)
+    scored = scored_paths(lattice, weights)
+    scores = np.array([s for s, _ in scored])
+    log_z = _log_sum_exp(scores.tolist())
     probs = np.exp(scores - log_z)
     marg = np.zeros(lattice.num_edges)
-    for prob, path in zip(probs, paths):
+    for prob, (_, path) in zip(probs, scored):
         for eid in path:
             marg[eid] += prob
     return marg
@@ -132,8 +148,6 @@ def random_instance(rng: np.random.Generator, model_kind: str, max_n: int = 5, m
     num_chunk = int(rng.integers(1, max_labels))  # alphabet size = num_chunk + 1
     max_seg_len = int(rng.integers(1, max_l + 1))
     words = [f"t{rng.integers(0, 6)}" for _ in range(n)]
-    from chunkcrf.core import tokenize
-
     sentence = tokenize(" ".join(words))
     label_set = LabelSet(tuple(f"L{i}" for i in range(num_chunk)))
     dictionary = FeatureDictionary()

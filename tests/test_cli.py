@@ -192,6 +192,26 @@ class TestTrainPredictEval:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "--format", "jsonl", "--out", "OUT"],
+            ["train", "--lambda", "0.1", "--out", "OUT"],
+            ["predict", "--input", "DEV", "--out", "OUT"],
+            ["eval", "--pred", "DEV", "--json-out", "OUT"],
+        ],
+        ids=["ingest-input", "train-train", "predict-model-file", "eval-gold"],
+    )
+    def test_missing_required_value_is_a_data_error(self, corpus_files, tmp_path, capsys, argv):
+        # a config file could supply the value, so the command line itself is valid
+        _, dev = corpus_files
+        argv = [{"DEV": dev, "OUT": tmp_path / "out"}.get(arg, arg) for arg in argv]
+        assert run(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_exit_code(self, capsys):
         assert run(["train", "--model", "bogus"]) == EXIT_USAGE
         err = capsys.readouterr().err

@@ -20,7 +20,7 @@ from chunkcrf.inference import (
     viterbi,
     viterbi_path,
 )
-from chunkcrf.lattice import Batch, build_lattice, build_linear, build_semi, synthetic_sentence
+from chunkcrf.lattice import Batch, build_lattice, build_linear, build_semi
 
 from oracles import (
     all_edge_paths,
@@ -31,6 +31,7 @@ from oracles import (
     path_nodes,
     path_score,
     random_instance,
+    synthetic_sentence,
 )
 
 NP = LabelSet(("NP",))

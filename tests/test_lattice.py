@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from chunkcrf.core import LabelSet, WordSpan, tokenize
-from chunkcrf.features import EMPTY_FEATURES, FeatureConfig, FeatureDictionary, FeatureExtractor, TRANSITION_PREFIXES
+from chunkcrf.features import FeatureConfig, FeatureDictionary, FeatureExtractor, TRANSITION_PREFIXES
+from chunkcrf.inference import edge_scores
 from chunkcrf.lattice import (
+    EMPTY_SLOT,
     EdgeClass,
     LatticeError,
     Node,
     NodeKind,
+    Topology,
     _Builder,
     build_lattice,
     build_linear,
     build_semi,
     build_weak,
-    synthetic_sentence,
 )
 
 from oracles import (
@@ -24,6 +26,7 @@ from oracles import (
     enumerate_segmentations,
     path_nodes,
     segmentation_spanset,
+    synthetic_sentence,
 )
 
 NP = LabelSet(("NP",))
@@ -289,9 +292,21 @@ def test_csr_adjacency_lists_every_edge_once_by_node():
     assert sorted(lat.in_order.tolist()) == sorted(lat.out_order.tolist()) == list(range(lat.num_edges))
 
 
+def test_sentences_of_one_shape_share_a_topology_but_not_their_parts():
+    ext = make_extractor(3)
+    first = build_semi(tokenize("a b c"), NP, 3, ext)
+    second = build_semi(tokenize("x y z"), NP, 3, ext)
+    assert first.topology is second.topology
+    assert first.part_idx.tolist() != second.part_idx.tolist()
+    w = np.arange(1.0, len(ext.dictionary) + 1.0)
+    assert edge_scores(first, w).tolist() != edge_scores(second, w).tolist()
+    with pytest.raises(ValueError):
+        first.edge_src[0] = 1  # the shared structure is read-only
+
+
 def _two_node_level_builder():
     """Root, one level holding two segment nodes, leaf; no edges yet."""
-    b = _Builder("semi", synthetic_sentence(1), NP, 1)
+    b = _Builder("semi")
     b.new_level()
     b.add_node(("root",), Node(NodeKind.ROOT, -1))
     b.new_level()
@@ -305,15 +320,15 @@ def _two_node_level_builder():
 def test_edge_within_a_level_is_rejected():
     b, x, y, leaf = _two_node_level_builder()
     for src, dst in ((0, x), (x, y), (y, leaf)):
-        b.add_edge(src, dst, EMPTY_FEATURES)
+        b.add_edge(src, dst, EMPTY_SLOT)
     with pytest.raises(AssertionError, match="climb"):
-        b.build()
+        Topology(b)
 
 
 @pytest.mark.parametrize("edges", [[(0, 1), (1, 3), (2, 3)], [(0, 1), (0, 2), (1, 3)]], ids=["unreachable", "dead-end"])
 def test_unreachable_or_dead_end_node_is_rejected(edges):
     b, *_ = _two_node_level_builder()
     for src, dst in edges:
-        b.add_edge(src, dst, EMPTY_FEATURES)
+        b.add_edge(src, dst, EMPTY_SLOT)
     with pytest.raises(AssertionError, match="unreachable or dead-end"):
-        b.build()
+        Topology(b)
