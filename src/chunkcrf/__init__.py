@@ -21,7 +21,6 @@ from .features import (
     FeatureConfig,
     FeatureDictionary,
     FeatureExtractor,
-    FeatureVector,
     load_brown_clusters,
     word_shape,
 )

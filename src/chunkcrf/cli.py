@@ -224,14 +224,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     log_path = run.out + ".log"
 
     if run.lambda_grid:
-        best_lam, reports = tune_lambda(train_set, dev_set, run.train_config(lam=1.0), LAMBDA_GRID, brown)
+        best_lam, reports, model = tune_lambda(train_set, dev_set, run.train_config(lam=1.0), LAMBDA_GRID, brown)
         with open(log_path, "w", encoding="utf-8") as fh:
             for lam, report in sorted(reports.items()):
                 line = f"lambda={lam}: dev char F1 {100 * report.f1:.2f} (P {100 * report.precision:.2f} R {100 * report.recall:.2f})"
                 print(line)
                 fh.write(line + "\n")
         print(f"selected lambda={best_lam}")
-        model = train(train_set, run.train_config(best_lam), brown)
     else:
         model = train(train_set, run.train_config(run.lam), brown, log_path=log_path)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import CharSpan, WordSpan
 from .ingest import AnnotatedText
-from .training import Dataset, ObjectiveEvaluator, TrainConfig, build_feature_space, derive_label_set
+from .training import Dataset, TrainConfig, compile_split, derive_label_set
 
 Span = CharSpan | WordSpan
 
@@ -219,10 +219,8 @@ def benchmark_training(
     for kind, config in configs.items():
         if config.model_kind != kind:
             raise ValueError(f"config under key {kind!r} is for model {config.model_kind!r}")
-        clipped, _ = dataset.clip_spans(config.max_seg_len)
-        dictionary, edges = build_feature_space(clipped, label_set, config)
-        evaluator = ObjectiveEvaluator(clipped, label_set, config, dictionary)
-        w = np.zeros(len(dictionary))
+        evaluator, _ = compile_split(dataset, config, None, label_set)
+        w = np.zeros(len(evaluator.dictionary))
         for _ in range(warmup):
             evaluator.objective_and_gradient(w)
         seconds = []
@@ -230,7 +228,7 @@ def benchmark_training(
             t0 = time.perf_counter()
             evaluator.objective_and_gradient(w)
             seconds.append(time.perf_counter() - t0)
-        timings[kind] = ModelTiming(kind, tuple(seconds), edges)
+        timings[kind] = ModelTiming(kind, tuple(seconds), evaluator.batch.num_edges)
     return BenchReport(timings)
 
 

@@ -14,7 +14,8 @@ tag/label after a ``|`` separator):
 
 Four template families (token context, tag transition, segment, label
 transition) each have one :class:`FeatureExtractor` method returning their
-vector; a lattice edge carries the vectors of the families on it.
+feature ids as an ``int32`` array; a lattice edge carries the ids of the
+families on it.
 
 Sentinel words ``<BOS>``/``<EOS>`` stand in at sentence boundaries and pass
 through the shape mapping unchanged; affix and cluster templates skip them.
@@ -40,24 +41,6 @@ UNKNOWN_CLUSTER = "<UNK>"
 LINEAR_TRANSITION_PREFIX = "T="
 SEGMENT_TRANSITION_PREFIX = "TR="
 TRANSITION_PREFIXES = (LINEAR_TRANSITION_PREFIX, SEGMENT_TRANSITION_PREFIX)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse indicator features: the ids of the features that fire (each
-    with value 1)."""
-
-    indices: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    @staticmethod
-    def from_indices(indices: list[int]) -> "FeatureVector":
-        return FeatureVector(np.asarray(indices, dtype=np.int32))
-
-
-EMPTY_FEATURES = FeatureVector.from_indices([])
 
 
 class FeatureDictionary:
@@ -233,16 +216,15 @@ class FeatureExtractor:
             feats.append(f"SUF{k}{slot}={word[-k:]}|{tag}")
         return feats
 
-    def _to_vector(self, feats: list[str]) -> FeatureVector:
-        seen: dict[str, None] = dict.fromkeys(feats)
-        indices = []
-        for f in seen:
+    def _to_ids(self, feats: list[str]) -> np.ndarray:
+        ids = []
+        for f in dict.fromkeys(feats):
             idx = self.dictionary.index(f)
             if idx is not None:
-                indices.append(idx)
-        return FeatureVector.from_indices(indices)
+                ids.append(idx)
+        return np.asarray(ids, dtype=np.int32)
 
-    def token_context_features(self, sentence: Sentence, position: int, cur_tag: str) -> FeatureVector:
+    def token_context_features(self, sentence: Sentence, position: int, cur_tag: str) -> np.ndarray:
         """Token-mode word templates at ``position`` (``position ==
         len(sentence)`` is the terminal step; sentinels fill the boundary
         words)."""
@@ -258,13 +240,13 @@ class FeatureExtractor:
         if self.config.use_shape:
             feats.append(f"S[-1]={_shape_of(w_prev)}|{cur_tag}")
             feats.append(f"S[0]={_shape_of(w_cur)}|{cur_tag}")
-        return self._to_vector(feats)
+        return self._to_ids(feats)
 
-    def token_transition_features(self, prev_tag: str, cur_tag: str) -> FeatureVector:
+    def token_transition_features(self, prev_tag: str, cur_tag: str) -> np.ndarray:
         """The token-mode tag transition template."""
-        return self._to_vector([f"{LINEAR_TRANSITION_PREFIX}{prev_tag}|{cur_tag}"])
+        return self._to_ids([f"{LINEAR_TRANSITION_PREFIX}{prev_tag}|{cur_tag}"])
 
-    def segment_features(self, sentence: Sentence, first_token: int, last_token: int, label: str) -> FeatureVector:
+    def segment_features(self, sentence: Sentence, first_token: int, last_token: int, label: str) -> np.ndarray:
         """Segment-mode word templates for tokens ``first_token..last_token``."""
         length = last_token - first_token + 1
         if not 0 <= first_token <= last_token < len(sentence):
@@ -299,8 +281,8 @@ class FeatureExtractor:
                 feats.append(f"SE[{j}]={word_shape(w)}|{label}")
             feats.append(f"S[before]={_shape_of(before)}|{label}")
             feats.append(f"S[after]={_shape_of(after)}|{label}")
-        return self._to_vector(feats)
+        return self._to_ids(feats)
 
-    def transition_features(self, prev_label: str, label: str) -> FeatureVector:
+    def transition_features(self, prev_label: str, label: str) -> np.ndarray:
         """The segment-mode label transition template."""
-        return self._to_vector([f"{SEGMENT_TRANSITION_PREFIX}{prev_label}|{label}"])
+        return self._to_ids([f"{SEGMENT_TRANSITION_PREFIX}{prev_label}|{label}"])

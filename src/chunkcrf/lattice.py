@@ -29,12 +29,13 @@ once per such shape, cached, and shared by every sentence of that shape.  It
 names each edge's features by two *slots*: template keys such as
 ``("segment", first, last, label)`` or ``("transition", prev, label)``, with
 slot 0 the empty part that pads an edge with one.  The sentence's part table
-then holds one feature vector per slot, computed once at construction, so an
+then holds the feature ids of each slot, computed once at construction, so an
 edge's score is the sum of two part scores and many edges share each part:
 in a ``semi`` lattice all ``|labels|`` edges into one segment share its
 segment part, and all edges between one label pair share its transition part.
-A built lattice is immutable and safe to share read-only, so a training run
-compiles each sentence once.
+A built lattice is immutable and safe to share read-only.  Training compiles
+each sentence of its split once, while the objective evaluator is built, and
+every evaluation reuses those lattices.
 """
 
 from __future__ import annotations
@@ -47,19 +48,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import OUTSIDE, BioSequence, LabelSet, Sentence, WordSpan, bio_to_word_spans, word_spans_to_bio
-from .features import (
-    EMPTY_FEATURES,
-    START_LABEL,
-    STOP_LABEL,
-    FeatureExtractor,
-    FeatureVector,
-)
+from .features import START_LABEL, STOP_LABEL, FeatureExtractor
 
 MODEL_KINDS = ("linear", "semi", "weak")
 
 # Topologies :func:`topology` keeps: every sentence length of a corpus, per family.
 TOPOLOGY_CACHE_SIZE = 128
 EMPTY_SLOT = ("empty",)  # slot 0 of every topology
+EMPTY_PART = np.zeros(0, dtype=np.int32)  # its feature ids
+EMPTY_PART.flags.writeable = False
 
 
 class LatticeError(ValueError):
@@ -282,11 +279,11 @@ class Lattice:
     runs wherever a :class:`LevelGraph` does.
     """
 
-    def __init__(self, topology: Topology, sentence: Sentence, parts: list[FeatureVector]) -> None:
+    def __init__(self, topology: Topology, sentence: Sentence, parts: list[np.ndarray]) -> None:
         self.topology = topology
         self.sentence = sentence
         self.num_parts = len(parts)
-        self.part_idx = np.concatenate([part.indices for part in parts])
+        self.part_idx = np.concatenate(parts)
         self.part_row = np.repeat(np.arange(self.num_parts, dtype=np.int32), [len(part) for part in parts])
 
     def __getattr__(self, name: str):
@@ -452,22 +449,22 @@ class _FeatureMemo:
         self.extractor = extractor
         self.sentence = sentence
 
-    def part(self, slot: tuple) -> FeatureVector:
+    def part(self, slot: tuple) -> np.ndarray:
         if self.extractor is None or slot == EMPTY_SLOT:
-            return EMPTY_FEATURES
+            return EMPTY_PART
         method, *args = slot
         return getattr(self, method)(*args)
 
-    def segment(self, first: int, last: int, label: str) -> FeatureVector:
+    def segment(self, first: int, last: int, label: str) -> np.ndarray:
         return self.extractor.segment_features(self.sentence, first, last, label)
 
-    def transition(self, prev_label: str, label: str) -> FeatureVector:
+    def transition(self, prev_label: str, label: str) -> np.ndarray:
         return self.extractor.transition_features(prev_label, label)
 
-    def token_context(self, position: int, cur_tag: str) -> FeatureVector:
+    def token_context(self, position: int, cur_tag: str) -> np.ndarray:
         return self.extractor.token_context_features(self.sentence, position, cur_tag)
 
-    def token_transition(self, prev_tag: str, cur_tag: str) -> FeatureVector:
+    def token_transition(self, prev_tag: str, cur_tag: str) -> np.ndarray:
         return self.extractor.token_transition_features(prev_tag, cur_tag)
 
 
@@ -610,7 +607,7 @@ def build_lattice(
     outside_max_len: int = 1,
 ) -> Lattice:
     """Compile ``sentence``'s lattice: the cached topology of its shape plus
-    one feature vector per slot."""
+    the feature ids of each slot."""
     shape = topology(model_kind, len(sentence), label_set, max_seg_len, outside_max_len)
     memo = _FeatureMemo(extractor, sentence)
     return Lattice(shape, sentence, [memo.part(slot) for slot in shape.slots])

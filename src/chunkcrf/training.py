@@ -21,7 +21,7 @@ import json
 import logging
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -157,7 +157,8 @@ def build_feature_space(
     config: TrainConfig,
     brown: BrownClusterMap | None = None,
 ) -> tuple[FeatureDictionary, int]:
-    """One pass over the data registering every lattice feature, then freeze.
+    """A dictionary-only pass, kept for callers without an evaluator:
+    register every lattice feature, then freeze.
 
     Returns the frozen dictionary and the total lattice edge count.
     """
@@ -182,6 +183,8 @@ class ObjectiveEvaluator:
     pass, one forward-backward over the batch, one gold-score gather and one
     expected-count ``bincount``.  Instances whose gold structure is not
     representable in their lattice are detected here, logged, and skipped.
+    An unfrozen ``dictionary`` grows as the lattices compile (freeze it
+    afterwards); ``lam`` may be rebound between evaluations.
     """
 
     def __init__(
@@ -201,7 +204,6 @@ class ObjectiveEvaluator:
         gold_edges: list[np.ndarray] = []  # batch edge ids, per instance
         edge_offset = 0
         self.skipped = 0
-        gold_idx: list[np.ndarray] = []
         for item in dataset.items:
             if len(item.sentence) == 0:
                 self.skipped += 1
@@ -217,13 +219,13 @@ class ObjectiveEvaluator:
             lattices.append(lat)
             gold_edges.append(np.asarray(gold, dtype=np.intp) + edge_offset)
             edge_offset += lat.num_edges
-            gold_idx.extend(lat.edge_features(e) for e in gold)
         if not lattices:
             raise ValueError("no trainable instances")
-        self.batch = Batch(lattices)
+        self.batch = batch = Batch(lattices)
         self.gold_edges = np.concatenate(gold_edges)
-        # Indicator counts are small integers, so this sum is exact.
-        self.gold_counts = np.bincount(np.concatenate(gold_idx), minlength=len(dictionary)).astype(np.float64)
+        # Indicator counts are small integers, so these sums are exact.
+        gold_parts = np.bincount(batch.edge_parts[self.gold_edges].ravel(), minlength=batch.num_parts)
+        self.gold_counts = np.bincount(batch.part_idx, weights=gold_parts[batch.part_row], minlength=len(dictionary))
 
     def objective_and_gradient(self, weights: np.ndarray) -> tuple[float, np.ndarray]:
         w = np.asarray(weights, dtype=np.float64)
@@ -287,26 +289,27 @@ class Model:
         return word_spans_to_char_spans(sentence, self.predict(sentence))
 
 
-def train(
-    dataset: Dataset,
-    config: TrainConfig,
-    brown: BrownClusterMap | None = None,
-    label_set: LabelSet | None = None,
-    log_path: str | None = None,
-) -> Model:
-    """Fit weights from zero with L-BFGS (history 10) until the relative
-    objective change drops below the tolerance or the iteration cap."""
+def compile_split(dataset: Dataset, config: TrainConfig, brown: BrownClusterMap | None,
+                  label_set: LabelSet | None) -> tuple[ObjectiveEvaluator, int]:
+    """Compile a split once: drop gold spans over the length limit, then
+    build the evaluator over a fresh dictionary, frozen afterwards.  Returns
+    the evaluator and the dropped-span count."""
     if len(dataset) == 0:
         raise ValueError("training split is empty")
     label_set = derive_label_set(dataset, label_set)
     clipped, dropped = dataset.clip_spans(config.max_seg_len)
     if dropped:
         log.info("dropped %d gold spans longer than %d tokens", dropped, config.max_seg_len)
-    dictionary, _ = build_feature_space(clipped, label_set, config, brown)
-    if len(dictionary) == 0:
-        raise ValueError("no features extracted from the training split")
+    dictionary = FeatureDictionary()
     evaluator = ObjectiveEvaluator(clipped, label_set, config, dictionary, brown)
+    dictionary.freeze()
+    return evaluator, dropped
 
+
+def _fit(evaluator: ObjectiveEvaluator, brown: BrownClusterMap | None, dropped: int,
+         log_path: str | None = None) -> Model:
+    """The fitting half of :func:`train`, at ``evaluator.lam``."""
+    config = evaluator.config
     last_eval = {"value": np.nan, "grad_norm": np.nan}
 
     def fun(w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -325,7 +328,7 @@ def train(
         clock["t"] = now
         trace.append((len(iteration_seconds), last_eval["value"], last_eval["grad_norm"], iteration_seconds[-1]))
 
-    w0 = np.zeros(len(dictionary))
+    w0 = np.zeros(len(evaluator.dictionary))
     result = minimize(
         fun,
         w0,
@@ -356,13 +359,27 @@ def train(
     }
     return Model(
         config.model_kind,
-        label_set,
+        evaluator.label_set,
         config.feature_config,
-        dictionary,
+        evaluator.dictionary,
         np.asarray(result.x, dtype=np.float64).copy(),
         brown,
         metadata,
     )
+
+
+def train(
+    dataset: Dataset,
+    config: TrainConfig,
+    brown: BrownClusterMap | None = None,
+    label_set: LabelSet | None = None,
+    log_path: str | None = None,
+) -> Model:
+    """Compile the split once, then fit weights from zero with L-BFGS
+    (history 10) until the relative objective change drops below the
+    tolerance or the iteration cap."""
+    evaluator, dropped = compile_split(dataset, config, brown, label_set)
+    return _fit(evaluator, brown, dropped, log_path)
 
 
 def tune_lambda(
@@ -372,35 +389,31 @@ def tune_lambda(
     grid: tuple[float, ...] = LAMBDA_GRID,
     brown: BrownClusterMap | None = None,
     label_set: LabelSet | None = None,
-):
-    """Train once per grid point and pick the best character-level dev F1.
+) -> tuple[float, dict, Model]:
+    """Compile train once, fit once per grid point and pick the best
+    character-level dev F1.
 
-    Ties go to the larger regularization strength.  Returns the chosen value
-    and a per-grid-point report dict.
+    Ties go to the larger regularization strength.  Returns the chosen value,
+    a per-grid-point report dict and the model :func:`train` gives there.
     """
     from .evaluate import score_corpus  # local import to avoid a cycle
 
     if len(train_split) == 0 or len(dev_split) == 0:
         raise ValueError("tuning needs non-empty train and dev splits")
-    label_set = derive_label_set(train_split, label_set)
-    reports = {}
-    best_lam = None
-    best_f1 = -1.0
+    evaluator, dropped = compile_split(train_split, config, brown, label_set)
+    gold = [
+        list(item.char_spans) if item.char_spans is not None
+        else word_spans_to_char_spans(item.sentence, list(item.word_spans))
+        for item in dev_split.items
+    ]
+    reports, models = {}, {}
     for lam in sorted(grid):
-        model = train(train_split, replace(config, lam=lam), brown, label_set)
-        gold, predicted = [], []
-        for item in dev_split.items:
-            if item.char_spans is not None:
-                gold.append(list(item.char_spans))
-            else:
-                gold.append(word_spans_to_char_spans(item.sentence, list(item.word_spans)))
-            predicted.append(model.predict_char_spans(item.sentence))
-        report = score_corpus(gold, predicted, level="char")
-        reports[lam] = report
-        if report.f1 >= best_f1:
-            best_f1 = report.f1
-            best_lam = lam
-    return best_lam, reports
+        evaluator.lam = lam
+        models[lam] = _fit(evaluator, brown, dropped)
+        predicted = [models[lam].predict_char_spans(item.sentence) for item in dev_split.items]
+        reports[lam] = score_corpus(gold, predicted, level="char")
+    best_lam = max(reports, key=lambda lam: (reports[lam].f1, lam))
+    return best_lam, reports, models[best_lam]
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from chunkcrf.features import (
 
 
 def strings_of(extractor, fv):
-    return {extractor.dictionary.string(i) for i in fv.indices}
+    return {extractor.dictionary.string(i) for i in fv}
 
 
 def linear_strings(extractor, sentence, position, prev_tag, cur_tag):
@@ -174,7 +174,7 @@ class TestSegmentTemplates:
             d = FeatureDictionary()
             ext = FeatureExtractor(FeatureConfig(use_affix=True, use_shape=True), d)
             fv = ext.segment_features(s, 1, 2, "NP")
-            results.append((tuple(fv.indices.tolist()), d.strings))
+            results.append((tuple(fv.tolist()), d.strings))
         assert results[0] == results[1]
 
 

@@ -170,8 +170,8 @@ class TestEdgeFeatures:
         assert lat.edge_id(lat._node_ids[("seg", 1, "NP")], dst) is None
         eid = lat.edge_id(lat._node_ids[("seg", 2, "NP")], dst)
         direct = (
-            ext.segment_features(s, 3, 3, "O").indices.tolist()
-            + ext.transition_features("NP", "O").indices.tolist()
+            ext.segment_features(s, 3, 3, "O").tolist()
+            + ext.transition_features("NP", "O").tolist()
         )
         assert edge_feature_ids(lat, eid) == direct
 
@@ -184,8 +184,8 @@ class TestEdgeFeatures:
         dst = lat._node_ids[("tag", 1, "I-NP")]
         eid = lat.edge_id(src, dst)
         direct = (
-            ext.token_context_features(s, 1, "I-NP").indices.tolist()
-            + ext.token_transition_features("B-NP", "I-NP").indices.tolist()
+            ext.token_context_features(s, 1, "I-NP").tolist()
+            + ext.token_transition_features("B-NP", "I-NP").tolist()
         )
         assert edge_feature_ids(lat, eid) == direct
 

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,19 @@ def make_evaluator(dataset, kind, lam=0.1, max_seg_len=3, label_set=None):
     label_set = derive_label_set(dataset, label_set)
     dictionary, _ = build_feature_space(dataset, label_set, cfg)
     return ObjectiveEvaluator(dataset, label_set, cfg, dictionary), dictionary
+
+
+def count_builds(monkeypatch):
+    """Record the sentence of every ``training.build_lattice`` call."""
+    builds = []
+    original = chunkcrf.training.build_lattice
+
+    def counting_build(*args, **kwargs):
+        builds.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(chunkcrf.training, "build_lattice", counting_build)
+    return builds
 
 
 class TestObjective:
@@ -176,6 +190,31 @@ class TestObjective:
         assert np.isfinite(value)
 
 
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    def test_unfrozen_dictionary_evaluator_equals_feature_space_pass(self, kind):
+        ds = Dataset.from_annotated(separable_corpus(12, seed=21, num_chunk_labels=2))
+        labels = derive_label_set(ds)
+        ds.items.append(DataItem(tokenize("a b c"), (WordSpan(1, 1, "UNKNOWN"),)))  # unrepresentable
+        ds.items.append(DataItem(tokenize(""), ()))
+        cfg = TrainConfig(model_kind=kind, lam=0.1, max_seg_len=3, use_affix=True, use_shape=True)
+        frozen, _ = build_feature_space(ds, labels, cfg)
+        reference = ObjectiveEvaluator(ds, labels, cfg, frozen)
+        grown = FeatureDictionary()
+        ev = ObjectiveEvaluator(ds, labels, cfg, grown)
+        grown.freeze()
+        assert ev.skipped == reference.skipped == 2
+        assert grown.strings == frozen.strings
+        for name in ("edge_src", "edge_dst", "edge_parts", "part_idx", "part_row", "level_ptr"):
+            mine, theirs = getattr(ev.batch, name), getattr(reference.batch, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+        assert ev.gold_edges.tobytes() == reference.gold_edges.tobytes()
+        assert ev.gold_counts.tobytes() == reference.gold_counts.tobytes()
+        w = np.random.default_rng(5).normal(scale=0.3, size=len(frozen))
+        value, grad = ev.objective_and_gradient(w)
+        ref_value, ref_grad = reference.objective_and_gradient(w)
+        assert value == ref_value and grad.tobytes() == ref_grad.tobytes()
+
+
 class TestTrain:
     def test_separable_corpus_reaches_perfect_training_f1(self):
         ds = Dataset.from_annotated(separable_corpus(60, seed=5))
@@ -204,20 +243,16 @@ class TestTrain:
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
     def test_each_lattice_is_built_once_per_pass(self, monkeypatch):
-        # one pass registers features, one compiles the evaluator's
-        # lattices; the optimizer's evaluations build none
-        builds = []
-        original = chunkcrf.training.build_lattice
-
-        def counting_build(*args, **kwargs):
-            builds.append(args[1])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(chunkcrf.training, "build_lattice", counting_build)
+        # the evaluator's compile pass also builds the feature space, so
+        # each non-empty sentence is compiled once; the optimizer's
+        # evaluations build nothing
+        builds = count_builds(monkeypatch)
         ds = Dataset.from_annotated(separable_corpus(30, seed=8))
+        ds.items.append(DataItem(tokenize(""), ()))
         model = train(ds, TrainConfig(model_kind="weak", lam=0.1, max_iterations=10))
         assert model.metadata["iterations"] > 1
-        assert len(builds) == 2 * 30
+        assert model.metadata["skipped_instances"] == 1
+        assert builds == [item.sentence for item in ds.items[:30]]
 
     @pytest.mark.parametrize(
         "field, value", [("tolerance", -1.0), ("tolerance", math.nan), ("max_iterations", 0), ("max_iterations", -2)]
@@ -246,7 +281,7 @@ class TestTuneLambda:
         train_ds = Dataset.from_annotated(separable_corpus(30, seed=8))
         dev_ds = Dataset.from_annotated(separable_corpus(10, seed=9))
         cfg = TrainConfig(model_kind="weak", lam=1.0, max_iterations=30)
-        best, reports = tune_lambda(train_ds, dev_ds, cfg, grid=(0.5,))
+        best, reports, _ = tune_lambda(train_ds, dev_ds, cfg, grid=(0.5,))
         assert best == 0.5
         assert set(reports) == {0.5}
 
@@ -254,10 +289,35 @@ class TestTuneLambda:
         train_ds = Dataset.from_annotated(separable_corpus(40, seed=10))
         dev_ds = Dataset.from_annotated(separable_corpus(15, seed=11))
         cfg = TrainConfig(model_kind="weak", lam=1.0, max_iterations=60)
-        best, reports = tune_lambda(train_ds, dev_ds, cfg, grid=LAMBDA_GRID)
+        best, reports, _ = tune_lambda(train_ds, dev_ds, cfg, grid=LAMBDA_GRID)
         top = max(r.f1 for r in reports.values())
         tied = [lam for lam, r in reports.items() if r.f1 == top]
         assert best == max(tied)
+
+    def test_compiles_train_once_and_matches_training_per_point(self, monkeypatch, tmp_path):
+        from chunkcrf.evaluate import score_corpus
+
+        train_ds = Dataset.from_annotated(separable_corpus(30, seed=8))
+        dev_ds = Dataset.from_annotated(separable_corpus(10, seed=9))
+        cfg = TrainConfig(model_kind="semi", lam=1.0, max_iterations=30)
+        grid = (0.125, 0.5, 1000.0)  # the largest strength underfits, so the winner is not the last fit
+        builds = count_builds(monkeypatch)
+        best, reports, model = tune_lambda(train_ds, dev_ds, cfg, grid=grid)
+        # the train split once, then dev once per grid point to decode it
+        assert len(builds) == len(train_ds) + len(grid) * len(dev_ds)
+        assert builds[: len(train_ds)] == [item.sentence for item in train_ds.items]
+
+        retrained = {}
+        for lam in grid:
+            retrained[lam] = train(train_ds, replace(cfg, lam=lam))
+            gold = [list(item.char_spans) for item in dev_ds.items]
+            predicted = [retrained[lam].predict_char_spans(item.sentence) for item in dev_ds.items]
+            assert reports[lam] == score_corpus(gold, predicted, level="char")
+        top = max(r.f1 for r in reports.values())
+        assert best == max(lam for lam, r in reports.items() if r.f1 == top) < max(grid)
+        save_model(model, str(tmp_path / "tuned.ckcrf"))
+        save_model(retrained[best], str(tmp_path / "trained.ckcrf"))
+        assert (tmp_path / "tuned.ckcrf").read_bytes() == (tmp_path / "trained.ckcrf").read_bytes()
 
     def test_default_grid_is_pinned(self):
         assert LAMBDA_GRID == (0.125, 0.25, 0.5, 1.0, 2.0)
