@@ -34,9 +34,6 @@ from .lattice import (
     Node,
     NodeKind,
     build_lattice,
-    build_linear,
-    build_semi,
-    build_weak,
 )
 from .inference import (
     Marginals,
@@ -58,7 +55,6 @@ from .training import (
     TrainConfig,
     export_model_json,
     load_model,
-    objective_and_gradient,
     save_model,
     train,
     tune_lambda,

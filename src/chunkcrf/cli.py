@@ -1,7 +1,10 @@
 """Command-line front end: ingest, train, predict, eval, bench.
 
-Runs are reproducible: every option can live in a flat ``key = value``
-config file, command-line flags override config values one-to-one, and all
+Every option is declared once, in :func:`build_parser`: its flags, type and
+built-in default.  Runs are reproducible: every option can also live in a
+flat ``key = value`` config file, whose keys are the options' destinations
+or flag names (``-`` and ``_`` alike).  Command-line flags override config
+values one-to-one, config values override the built-in defaults, and all
 randomness flows from the ``seed`` option.  Inputs are validated before any
 work starts.  Exit codes: 0 success, 1 usage error, 2 data error,
 3 numerical failure.  A usage error is a command line the parser rejects.
@@ -16,10 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .core import SpanError, char_spans_to_word_spans, word_spans_to_char_spans
+from .core import SpanError, char_spans_to_word_spans
 from .evaluate import (
     benchmark_label_sweep,
     format_eval_table,
@@ -50,6 +52,8 @@ DEFAULT_SEED = 13
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # set on the top-level parser only
+
     def error(self, message: str):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -64,36 +68,21 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> parser for values coming from a config file
-_CONFIG_TYPES = {
-    "train": str,
-    "dev": str,
-    "input": str,
-    "format": str,
-    "model": str,
-    "model_file": str,
-    "gold": str,
-    "pred": str,
-    "level": str,
-    "features": str,
-    "lam": float,
-    "lambda_grid": _parse_bool,
-    "max_seg_len": int,
-    "brown": str,
-    "seed": int,
-    "out": str,
-    "max_iterations": int,
-    "tolerance": float,
-    "sentences": int,
-    "length": int,
-    "labels": str,
-    "iterations": int,
-    "warmup": int,
-    "json_out": str,
-}
+def load_config_file(path: str, parser: _Parser, command: str) -> dict:
+    """Read a flat ``key = value`` file into ``command``'s option defaults.
 
-
-def load_config_file(path: str) -> dict:
+    A key is an option's destination or one of its flag names, with ``-``
+    turned into ``_``, and its value is parsed as the option parses a flag
+    value (``yes``/``no`` for a switch).  Keys of the other commands are
+    checked and parsed too, then dropped, so one file can serve several
+    commands.
+    """
+    keys = {}
+    for sub_parser in parser.commands.values():
+        for action in sub_parser._actions:
+            if action.dest not in ("help", "config"):
+                for name in (action.dest, *action.option_strings):
+                    keys[name.lstrip("-").replace("-", "_")] = action
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -104,127 +93,72 @@ def load_config_file(path: str) -> dict:
                 raise DataFormatError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, raw = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key == "lambda":
-                key = "lam"
-            if key not in _CONFIG_TYPES:
+            if key not in keys:
                 raise DataFormatError(f"{path}:{lineno}: unknown key {key!r}")
+            action = keys[key]
+            parse = _parse_bool if action.nargs == 0 else action.type or str
             try:
-                values[key] = _CONFIG_TYPES[key](raw.strip())
+                values[action.dest] = parse(raw.strip())
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return values
+    own = {action.dest for action in parser.commands[command]._actions}
+    return {dest: value for dest, value in values.items() if dest in own}
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """CLI flag > config-file value > built-in default.
-
-    Only the command's own keys are taken, so one config file can serve
-    several commands.
-    """
-    config = load_config_file(args.config) if getattr(args, "config", None) else {}
-    merged = dict(defaults)
-    merged.update((key, value) for key, value in config.items() if key in defaults)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated options for a training run."""
-
-    train: str
-    dev: str | None
-    model: str
-    features: str
-    lam: float | None
-    lambda_grid: bool
-    max_seg_len: int
-    brown: str | None
-    seed: int
-    out: str
-    max_iterations: int
-    tolerance: float
-
-    def __post_init__(self) -> None:
-        if self.model not in MODEL_KINDS:
-            raise ValueError(f"unknown model {self.model!r}")
-        flags = self.feature_flags
-        unknown = flags - {"a", "b", "s"}
-        if unknown:
-            raise ValueError(f"unknown feature flags {sorted(unknown)} (expected subset of a,b,s)")
-        if self.lam is None and not self.lambda_grid:
-            raise ValueError("need either a fixed lambda or --lambda-grid")
-        if not Path(self.train).exists():
-            raise FileNotFoundError(f"training data not found: {self.train}")
-        if self.lambda_grid and (self.dev is None or not Path(self.dev).exists()):
-            raise FileNotFoundError("lambda tuning needs an existing dev split")
-        if self.dev is not None and not Path(self.dev).exists():
-            raise FileNotFoundError(f"dev data not found: {self.dev}")
-        if "b" in flags and (self.brown is None or not Path(self.brown).exists()):
-            raise FileNotFoundError("cluster features enabled but no readable cluster file given")
-
-    @property
-    def feature_flags(self) -> set[str]:
-        return {f.strip() for f in self.features.split(",") if f.strip()}
-
-    def train_config(self, lam: float) -> TrainConfig:
-        flags = self.feature_flags
-        return TrainConfig(
-            model_kind=self.model,
-            lam=lam,
-            max_seg_len=self.max_seg_len,
-            use_affix="a" in flags,
-            use_brown="b" in flags,
-            use_shape="s" in flags,
-            max_iterations=self.max_iterations,
-            tolerance=self.tolerance,
-        )
+def _train_config(args: argparse.Namespace) -> TrainConfig:
+    """Check a training run's options before any data is read and return
+    its configuration; ``tune_lambda`` sets lambda per grid point."""
+    if args.model not in MODEL_KINDS:
+        raise ValueError(f"unknown model {args.model!r}")
+    flags = {f.strip() for f in args.features.split(",") if f.strip()}
+    unknown = flags - {"a", "b", "s"}
+    if unknown:
+        raise ValueError(f"unknown feature flags {sorted(unknown)} (expected subset of a,b,s)")
+    if args.lam is None and not args.lambda_grid:
+        raise ValueError("need either a fixed lambda or --lambda-grid")
+    if not Path(args.train).exists():
+        raise FileNotFoundError(f"training data not found: {args.train}")
+    if args.lambda_grid and (args.dev is None or not Path(args.dev).exists()):
+        raise FileNotFoundError("lambda tuning needs an existing dev split")
+    if args.dev is not None and not Path(args.dev).exists():
+        raise FileNotFoundError(f"dev data not found: {args.dev}")
+    if "b" in flags and (args.brown is None or not Path(args.brown).exists()):
+        raise FileNotFoundError("cluster features enabled but no readable cluster file given")
+    return TrainConfig(
+        model_kind=args.model,
+        lam=1.0 if args.lambda_grid else args.lam,
+        max_seg_len=args.max_seg_len,
+        use_affix="a" in flags,
+        use_brown="b" in flags,
+        use_shape="s" in flags,
+        max_iterations=args.max_iterations,
+        tolerance=args.tolerance,
+    )
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    merged = _merged(args, {"input": None, "format": "jsonl", "out": None})
-    if not merged["input"]:
+    if not args.input:
         raise ValueError("ingest needs an input path")
-    items = read_corpus(merged["input"], merged["format"])
-    if merged["out"]:
-        write_jsonl(merged["out"], items)
+    items = read_corpus(args.input, args.format)
+    if args.out:
+        write_jsonl(args.out, items)
     for line in corpus_stats(items).lines():
         print(line)
     return EXIT_OK
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    merged = _merged(
-        args,
-        {
-            "train": None,
-            "dev": None,
-            "model": "weak",
-            "features": "",
-            "lam": None,
-            "lambda_grid": False,
-            "max_seg_len": 6,
-            "brown": None,
-            "seed": DEFAULT_SEED,
-            "out": "model.ckcrf",
-            "max_iterations": 500,
-            "tolerance": 1e-6,
-        },
-    )
-    if not merged["train"]:
+    if not args.train:
         raise ValueError("train needs a training split")
-    run = RunConfig(**merged)
+    config = _train_config(args)
 
-    train_set = Dataset.from_annotated(read_jsonl(run.train), split="train")
-    dev_set = Dataset.from_annotated(read_jsonl(run.dev), split="dev") if run.dev else None
-    brown = load_brown_clusters(run.brown) if "b" in run.feature_flags else None
-    log_path = run.out + ".log"
+    train_set = Dataset.from_annotated(read_jsonl(args.train))
+    dev_set = Dataset.from_annotated(read_jsonl(args.dev)) if args.dev else None
+    brown = load_brown_clusters(args.brown) if config.use_brown else None
+    log_path = args.out + ".log"
 
-    if run.lambda_grid:
-        best_lam, reports, model = tune_lambda(train_set, dev_set, run.train_config(lam=1.0), LAMBDA_GRID, brown)
+    if args.lambda_grid:
+        best_lam, reports, model = tune_lambda(train_set, dev_set, config, LAMBDA_GRID, brown)
         with open(log_path, "w", encoding="utf-8") as fh:
             for lam, report in sorted(reports.items()):
                 line = f"lambda={lam}: dev char F1 {100 * report.f1:.2f} (P {100 * report.precision:.2f} R {100 * report.recall:.2f})"
@@ -232,25 +166,24 @@ def cmd_train(args: argparse.Namespace) -> int:
                 fh.write(line + "\n")
         print(f"selected lambda={best_lam}")
     else:
-        model = train(train_set, run.train_config(run.lam), brown, log_path=log_path)
+        model = train(train_set, config, brown, log_path=log_path)
 
-    save_model(model, run.out)
+    save_model(model, args.out)
     meta = model.metadata
     print(
-        f"trained {run.model} model: {len(model.weights)} features, "
+        f"trained {args.model} model: {len(model.weights)} features, "
         f"{meta['iterations']} iterations, objective {meta['final_objective']:.4f}"
     )
-    print(f"model written to {run.out}")
+    print(f"model written to {args.out}")
     return EXIT_OK
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    merged = _merged(args, {"model_file": None, "input": None, "out": None})
-    if not merged["model_file"] or not merged["input"]:
+    if not args.model_file or not args.input:
         raise ValueError("predict needs a model file and an input file")
-    model = load_model(merged["model_file"])
-    items = read_jsonl(merged["input"])
-    out_fh = open(merged["out"], "w", encoding="utf-8") if merged["out"] else sys.stdout
+    model = load_model(args.model_file)
+    items = read_jsonl(args.input)
+    out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for item in items:
             spans = model.predict_char_spans(item.sentence)
@@ -260,17 +193,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
             }
             out_fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
     finally:
-        if merged["out"]:
+        if args.out:
             out_fh.close()
     return EXIT_OK
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    merged = _merged(args, {"gold": None, "pred": None, "level": "both", "json_out": None})
-    if not merged["gold"] or not merged["pred"]:
+    if not args.gold or not args.pred:
         raise ValueError("eval needs gold and predicted files")
-    gold_items = read_jsonl(merged["gold"])
-    pred_items = read_jsonl(merged["pred"])
+    gold_items = read_jsonl(args.gold)
+    pred_items = read_jsonl(args.pred)
     if len(gold_items) != len(pred_items):
         raise DataFormatError(
             f"gold has {len(gold_items)} messages but predictions have {len(pred_items)}"
@@ -284,19 +216,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ]
 
     reports = {}
-    if merged["level"] in ("char", "both"):
+    if args.level in ("char", "both"):
         reports["char"] = score_corpus(char_gold, char_pred, level="char")
-    if merged["level"] in ("word", "both"):
+    if args.level in ("word", "both"):
         reports["word"] = score_corpus(word_gold, word_pred, level="word")
     if not reports:
-        raise ValueError(f"unknown eval level {merged['level']!r}")
+        raise ValueError(f"unknown eval level {args.level!r}")
 
     if "char" in reports and "word" in reports:
         print(format_eval_table({"system": (reports["char"], reports["word"])}))
     else:
         for level, report in reports.items():
             print(f"{level}-level: Prec Rec F = {report.row()}")
-    if merged["json_out"]:
+    if args.json_out:
         payload = {
             level: {
                 "precision": r.precision,
@@ -308,38 +240,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
             }
             for level, r in reports.items()
         }
-        Path(merged["json_out"]).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        Path(args.json_out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    merged = _merged(
-        args,
-        {
-            "sentences": 2000,
-            "length": 10,
-            "labels": "2,4,8,16",
-            "max_seg_len": 6,
-            "iterations": 3,
-            "warmup": 1,
-            "seed": DEFAULT_SEED,
-            "out": None,
-        },
-    )
-    label_values = tuple(int(x) for x in merged["labels"].split(",") if x.strip())
+    label_values = tuple(int(x) for x in args.labels.split(",") if x.strip())
     rows = benchmark_label_sweep(
         num_label_values=label_values,
-        sentences=merged["sentences"],
-        sentence_len=merged["length"],
-        max_seg_len=merged["max_seg_len"],
-        iterations=merged["iterations"],
-        warmup=merged["warmup"],
-        seed=merged["seed"],
+        sentences=args.sentences,
+        sentence_len=args.length,
+        max_seg_len=args.max_seg_len,
+        iterations=args.iterations,
+        warmup=args.warmup,
+        seed=args.seed,
     )
     csv_text = sweep_rows_to_csv(rows)
-    if merged["out"]:
-        Path(merged["out"]).write_text(csv_text, encoding="utf-8")
-        print(f"benchmark CSV written to {merged['out']}")
+    if args.out:
+        Path(args.out).write_text(csv_text, encoding="utf-8")
+        print(f"benchmark CSV written to {args.out}")
     print(csv_text, end="")
     for num_labels in label_values:
         semi = next(r for r in rows if r.model == "semi" and r.num_labels == num_labels)
@@ -349,15 +268,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> _Parser:
+    """The one declaration of every option: its flags, type and built-in
+    default.  ``parser.commands`` maps each subcommand to its parser."""
     parser = _Parser(prog="chunkcrf", description="CRF span chunking toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add_common(p: _Parser) -> None:
         p.add_argument("--config", help="flat key = value config file; flags override it")
 
     p_ingest = sub.add_parser("ingest", help="convert a corpus to canonical JSON-lines and print stats")
     p_ingest.add_argument("input", nargs="?", help="input path (file for jsonl, directory for brat)")
-    p_ingest.add_argument("--format", choices=["brat", "jsonl"])
+    p_ingest.add_argument("--format", choices=["brat", "jsonl"], default="jsonl")
     p_ingest.add_argument("--out", help="canonical JSON-lines output path")
     add_common(p_ingest)
     p_ingest.set_defaults(func=cmd_ingest)
@@ -365,19 +287,19 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="train a chunking model")
     p_train.add_argument("--train", help="training split (canonical JSON-lines)")
     p_train.add_argument("--dev", help="development split (needed for --lambda-grid)")
-    p_train.add_argument("--model", choices=list(MODEL_KINDS))
-    p_train.add_argument("--features", help="comma list from {a,b,s}: affixes, clusters, shapes")
+    p_train.add_argument("--model", choices=list(MODEL_KINDS), default="weak")
+    p_train.add_argument("--features", default="", help="comma list from {a,b,s}: affixes, clusters, shapes")
     p_train.add_argument("--lambda", dest="lam", type=float, help="fixed regularization strength")
     p_train.add_argument(
-        "--lambda-grid", dest="lambda_grid", action="store_const", const=True,
+        "--lambda-grid", dest="lambda_grid", action="store_true",
         help=f"tune over the grid {LAMBDA_GRID} on the dev split",
     )
-    p_train.add_argument("--max-seg-len", dest="max_seg_len", type=int)
+    p_train.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=6)
     p_train.add_argument("--brown", help="cluster file (tab-separated)")
-    p_train.add_argument("--seed", type=int, help="no effect: training is deterministic")
-    p_train.add_argument("--out", help="model output path")
-    p_train.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p_train.add_argument("--tolerance", type=float)
+    p_train.add_argument("--seed", type=int, default=DEFAULT_SEED, help="no effect: training is deterministic")
+    p_train.add_argument("--out", default="model.ckcrf", help="model output path")
+    p_train.add_argument("--max-iterations", dest="max_iterations", type=int, default=500)
+    p_train.add_argument("--tolerance", type=float, default=1e-6)
     add_common(p_train)
     p_train.set_defaults(func=cmd_train)
 
@@ -391,19 +313,19 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="score predictions against gold spans")
     p_eval.add_argument("--gold")
     p_eval.add_argument("--pred")
-    p_eval.add_argument("--level", choices=["char", "word", "both"])
+    p_eval.add_argument("--level", choices=["char", "word", "both"], default="both")
     p_eval.add_argument("--json-out", dest="json_out", help="also write scores as JSON")
     add_common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_bench = sub.add_parser("bench", help="per-iteration training-time benchmark")
-    p_bench.add_argument("--sentences", type=int)
-    p_bench.add_argument("--length", type=int, help="tokens per synthetic sentence")
-    p_bench.add_argument("--labels", help="comma list of label-alphabet sizes")
-    p_bench.add_argument("--max-seg-len", dest="max_seg_len", type=int)
-    p_bench.add_argument("--iterations", type=int)
-    p_bench.add_argument("--warmup", type=int)
-    p_bench.add_argument("--seed", type=int)
+    p_bench.add_argument("--sentences", type=int, default=2000)
+    p_bench.add_argument("--length", type=int, default=10, help="tokens per synthetic sentence")
+    p_bench.add_argument("--labels", default="2,4,8,16", help="comma list of label-alphabet sizes")
+    p_bench.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=6)
+    p_bench.add_argument("--iterations", type=int, default=3)
+    p_bench.add_argument("--warmup", type=int, default=1)
+    p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_bench.add_argument("--out", help="CSV output path")
     add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
@@ -416,9 +338,11 @@ def main(argv: list[str] | None = None) -> int:
 
     Bad arguments return ``EXIT_USAGE`` (after the usage and error message go
     to stderr) and ``--help`` returns ``EXIT_OK``; the parser's ``SystemExit``
-    does not escape.  Data and numerical failures return ``EXIT_DATA`` and
-    ``EXIT_NUMERIC``; so does a required value that neither the flags nor the
-    config file supply, since a config file could have.
+    does not escape.  With ``--config``, the file's values become the
+    command's defaults and ``argv`` is parsed again, so flags override them.
+    Data and numerical failures return ``EXIT_DATA`` and ``EXIT_NUMERIC``; so
+    does a required value that neither the flags nor the config file supply,
+    since a config file could have.
     """
     parser = build_parser()
     try:
@@ -426,6 +350,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # raised by _Parser.error or by --help
         return exc.code or EXIT_OK
     try:
+        if args.config:
+            parser.commands[args.command].set_defaults(**load_config_file(args.config, parser, args.command))
+            args = parser.parse_args(argv)
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

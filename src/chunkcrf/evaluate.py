@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import CharSpan, WordSpan
 from .ingest import AnnotatedText
+from .lattice import MODEL_KINDS
 from .training import Dataset, TrainConfig, compile_split, derive_label_set
 
 Span = CharSpan | WordSpan
@@ -174,13 +175,6 @@ class ModelTiming:
     def mean(self) -> float:
         return statistics.fmean(self.seconds)
 
-    @property
-    def stdev(self) -> float:
-        return statistics.stdev(self.seconds) if len(self.seconds) > 1 else 0.0
-
-    @property
-    def median(self) -> float:
-        return statistics.median(self.seconds)
 
 
 @dataclass(frozen=True)
@@ -190,14 +184,6 @@ class BenchReport:
     @property
     def speedup_semi_over_weak(self) -> float:
         return self.timings["semi"].mean / self.timings["weak"].mean
-
-    def lines(self) -> list[str]:
-        out = [f"{'model':8s} {'edges':>10s} {'mean s/iter':>12s} {'median':>9s} {'stdev':>9s}"]
-        for kind, t in self.timings.items():
-            out.append(f"{kind:8s} {t.edges:10d} {t.mean:12.4f} {t.median:9.4f} {t.stdev:9.4f}")
-        if "semi" in self.timings and "weak" in self.timings:
-            out.append(f"speedup semi/weak: {self.speedup_semi_over_weak:.3f}x")
-        return out
 
 
 def benchmark_training(
@@ -260,7 +246,6 @@ def benchmark_label_sweep(
     iterations: int = 3,
     warmup: int = 1,
     seed: int = 13,
-    model_kinds: tuple[str, ...] = ("linear", "semi", "weak"),
 ) -> list[SweepRow]:
     """Per-iteration cost as the label alphabet grows, at fixed n and L.
 
@@ -277,10 +262,10 @@ def benchmark_label_sweep(
         )
         dataset = Dataset.from_annotated(corpus)
         configs = {
-            kind: TrainConfig(model_kind=kind, lam=1.0, max_seg_len=max_seg_len) for kind in model_kinds
+            kind: TrainConfig(model_kind=kind, lam=1.0, max_seg_len=max_seg_len) for kind in MODEL_KINDS
         }
         report = benchmark_training(dataset, configs, iterations=iterations, warmup=warmup)
-        for kind in model_kinds:
+        for kind in MODEL_KINDS:
             t = report.timings[kind]
             rows.append(SweepRow(kind, num_labels, sentence_len, max_seg_len, t.edges, t.mean))
     return rows

@@ -611,17 +611,3 @@ def build_lattice(
     shape = topology(model_kind, len(sentence), label_set, max_seg_len, outside_max_len)
     memo = _FeatureMemo(extractor, sentence)
     return Lattice(shape, sentence, [memo.part(slot) for slot in shape.slots])
-
-
-def build_linear(sentence: Sentence, label_set: LabelSet, extractor: FeatureExtractor | None) -> Lattice:
-    return build_lattice("linear", sentence, label_set, 1, extractor)
-
-
-def build_semi(sentence: Sentence, label_set: LabelSet, max_seg_len: int, extractor: FeatureExtractor | None,
-               outside_max_len: int = 1) -> Lattice:
-    return build_lattice("semi", sentence, label_set, max_seg_len, extractor, outside_max_len)
-
-
-def build_weak(sentence: Sentence, label_set: LabelSet, max_seg_len: int, extractor: FeatureExtractor | None,
-               outside_max_len: int = 1) -> Lattice:
-    return build_lattice("weak", sentence, label_set, max_seg_len, extractor, outside_max_len)

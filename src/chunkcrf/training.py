@@ -109,22 +109,17 @@ class Dataset:
     """Instances with gold word spans; original char spans kept when known."""
 
     items: list[DataItem]
-    split: str = "train"
 
     def __len__(self) -> int:
         return len(self.items)
 
     @classmethod
-    def from_pairs(cls, pairs: list[tuple[Sentence, list[WordSpan]]], split: str = "train") -> "Dataset":
-        return cls([DataItem(s, tuple(spans)) for s, spans in pairs], split)
-
-    @classmethod
-    def from_annotated(cls, items: list[AnnotatedText], split: str = "train") -> "Dataset":
+    def from_annotated(cls, items: list[AnnotatedText]) -> "Dataset":
         data = []
         for item in items:
             word = char_spans_to_word_spans(item.sentence, list(item.char_spans))
             data.append(DataItem(item.sentence, tuple(word), item.char_spans))
-        return cls(data, split)
+        return cls(data)
 
     def chunk_labels(self) -> tuple[str, ...]:
         labels = {span.label for item in self.items for span in item.word_spans}
@@ -139,7 +134,7 @@ class Dataset:
             kept = tuple(s for s in item.word_spans if s.length <= max_len)
             dropped += len(item.word_spans) - len(kept)
             items.append(DataItem(item.sentence, kept, item.char_spans))
-        return Dataset(items, self.split), dropped
+        return Dataset(items), dropped
 
 
 def derive_label_set(dataset: Dataset, label_set: LabelSet | None = None) -> LabelSet:
@@ -245,20 +240,6 @@ class ObjectiveEvaluator:
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise NumericalError("objective or gradient is not finite")
         return value, grad
-
-
-def objective_and_gradient(
-    dataset: Dataset,
-    weights: np.ndarray,
-    config: TrainConfig,
-    dictionary: FeatureDictionary,
-    label_set: LabelSet | None = None,
-    brown: BrownClusterMap | None = None,
-) -> tuple[float, np.ndarray]:
-    """One-shot maximization objective and gradient (convenience wrapper)."""
-    label_set = derive_label_set(dataset, label_set)
-    evaluator = ObjectiveEvaluator(dataset, label_set, config, dictionary, brown)
-    return evaluator.objective_and_gradient(weights)
 
 
 @dataclass

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chunkcrf.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from chunkcrf.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, load_config_file, main
 from chunkcrf.core import CharSpan
 from chunkcrf.ingest import annotate, read_jsonl, write_jsonl
 from chunkcrf.synth import separable_corpus
@@ -269,3 +269,88 @@ class TestBench:
         assert lines[0] == "model,num_labels,n,L,edges,sec_per_iter"
         assert len(lines) == 1 + 2 * 3  # two alphabet sizes, three models
         assert "semi/weak time ratio" in capsys.readouterr().out
+
+
+def _config(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+class TestConfigFile:
+    """Config-file values reach every command; flags still override them."""
+
+    def test_ingest_reads_input_and_format(self, tmp_path, capsys):
+        corpus = tmp_path / "brat"
+        corpus.mkdir()
+        (corpus / "m.txt").write_text("Dr teh says", encoding="utf-8")
+        (corpus / "m.ann").write_text("T1\tNP 0 6\tDr teh\n", encoding="utf-8")
+        config = _config(tmp_path / "run.cfg", f"input = {corpus}\nformat = brat\n")
+        out = tmp_path / "c.jsonl"
+        assert run(["ingest", "--config", config, "--out", out]) == EXIT_OK
+        (item,) = read_jsonl(out)
+        assert item.char_spans == (CharSpan(0, 6, "NP"),)
+        assert "chunks            1" in capsys.readouterr().out
+
+    def test_predict_reads_model_file_input_and_out(self, corpus_files, tmp_path, capsys):
+        train, dev = corpus_files
+        model_path = tmp_path / "m.ckcrf"
+        assert run(["train", "--train", train, "--lambda", "0.1", "--max-iterations", "5",
+                    "--out", model_path]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["predict", "--model-file", model_path, "--input", dev]) == EXIT_OK
+        expected = capsys.readouterr().out
+        out = tmp_path / "pred.jsonl"
+        config = _config(tmp_path / "run.cfg", f"model-file = {model_path}\ninput = {dev}\nout = {out}\n")
+        assert run(["predict", "--config", config]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == expected
+
+    def test_eval_level_char_prints_only_the_char_row(self, corpus_files, tmp_path, capsys):
+        _, dev = corpus_files
+        config = _config(tmp_path / "run.cfg", f"gold = {dev}\npred = {dev}\nlevel = char\n")
+        assert run(["eval", "--config", config]) == EXIT_OK
+        assert capsys.readouterr().out == "char-level: Prec Rec F = 100.00 100.00 100.00\n"
+
+    def test_bench_reads_its_options_and_a_flag_overrides_one(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        config = _config(
+            tmp_path / "run.cfg",
+            f"sentences = 12\nlength = 5\nlabels = 2,3\niterations = 1\nwarmup = 0\nout = {out}\n",
+        )
+        assert run(["bench", "--config", config, "--labels", "3"]) == EXIT_OK
+        header, *rows = out.read_text().strip().splitlines()
+        assert header == "model,num_labels,n,L,edges,sec_per_iter"
+        assert [row.split(",")[:3] for row in rows] == [[kind, "3", "5"] for kind in ("linear", "semi", "weak")]
+        assert "labels=3: semi/weak time ratio" in capsys.readouterr().out
+
+    @staticmethod
+    def _sample_value(action):
+        """A config-file value the option accepts, and what it parses to."""
+        if action.nargs == 0:
+            return "yes", True
+        if action.choices:
+            return action.choices[-1], action.choices[-1]
+        if action.type is int:
+            return "7", 7
+        if action.type is float:
+            return "0.5", 0.5
+        return "some/path", "some/path"
+
+    def test_every_option_is_a_config_key(self, tmp_path):
+        # under its destination and under each flag name, so a newly added
+        # option cannot miss the config file
+        parser = build_parser()
+        config = tmp_path / "run.cfg"
+        checked = set()
+        for name, command in parser.commands.items():
+            for action in command._actions:
+                if action.dest in ("help", "config"):
+                    continue
+                raw, value = self._sample_value(action)
+                for key in {action.dest, *(flag.lstrip("-") for flag in action.option_strings)}:
+                    _config(config, f"{key} = {raw}\n")
+                    assert load_config_file(str(config), parser, name) == {action.dest: value}, (name, key)
+                    checked.add(key)
+        assert {"input", "lambda", "lam", "lambda-grid", "model-file", "json-out", "warmup"} <= checked
+        _config(config, "lambda = 0.5\n")
+        assert load_config_file(str(config), parser, "train") == {"lam": 0.5}

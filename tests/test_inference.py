@@ -20,7 +20,7 @@ from chunkcrf.inference import (
     viterbi,
     viterbi_path,
 )
-from chunkcrf.lattice import Batch, build_lattice, build_linear, build_semi
+from chunkcrf.lattice import Batch, build_lattice
 
 from oracles import (
     all_edge_paths,
@@ -43,7 +43,7 @@ def make_extractor(max_seg_len=6):
 
 class TestLogPartition:
     def test_zero_weights_give_log_path_count_linear(self):
-        lat = build_linear(tokenize("a b"), NP, make_extractor())
+        lat = build_lattice("linear", tokenize("a b"), NP, 1, make_extractor())
         w = np.zeros(10_000)
         assert log_partition(lat, w) == pytest.approx(math.log(5), abs=1e-12)
 
@@ -56,7 +56,7 @@ class TestLogPartition:
     def test_single_path_lattice_returns_the_path_score(self):
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(max_seg_len=1), d)
-        lat = build_semi(tokenize("a"), LabelSet(("X",)), 1, ext)
+        lat = build_lattice("semi", tokenize("a"), LabelSet(("X",)), 1, ext)
         # restrict to one path by scoring: enumerate instead
         rng = np.random.default_rng(0)
         w = rng.normal(size=len(d))
@@ -77,7 +77,7 @@ class TestLogPartition:
 
 class TestMarginals:
     def test_zero_weights_marginal_is_path_fraction(self):
-        lat = build_semi(tokenize("a b c"), NP, 2, make_extractor(2))
+        lat = build_lattice("semi", tokenize("a b c"), NP, 2, make_extractor(2))
         w = np.zeros(10_000)
         marg = edge_marginals(lat, w)
         paths = all_edge_paths(lat)
@@ -134,7 +134,7 @@ class TestViterbi:
     def test_boosted_path_wins(self):
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(max_seg_len=2), d)
-        lat = build_semi(tokenize("a b c"), NP, 2, ext)
+        lat = build_lattice("semi", tokenize("a b c"), NP, 2, ext)
         gold = lat.gold_edge_ids([WordSpan(0, 1, "NP")])
         w = np.zeros(len(d))
         for eid in gold:

@@ -15,9 +15,6 @@ from chunkcrf.lattice import (
     Topology,
     _Builder,
     build_lattice,
-    build_linear,
-    build_semi,
-    build_weak,
 )
 
 from oracles import (
@@ -48,20 +45,20 @@ def spanset(lattice, edge_path):
 
 class TestLinear:
     def test_single_token_has_two_paths(self):
-        lat = build_linear(tokenize("a"), NP, make_extractor())
+        lat = build_lattice("linear", tokenize("a"), NP, 1, make_extractor())
         assert len(all_edge_paths(lat)) == 2
 
     def test_two_tokens_have_five_valid_bio_paths(self):
-        lat = build_linear(tokenize("a b"), NP, make_extractor())
+        lat = build_lattice("linear", tokenize("a b"), NP, 1, make_extractor())
         assert len(all_edge_paths(lat)) == 5
 
     def test_no_edge_from_outside_to_inside(self):
-        lat = build_linear(tokenize("a b"), NP, make_extractor())
+        lat = build_lattice("linear", tokenize("a b"), NP, 1, make_extractor())
         assert "Tag(0,O) -> Tag(1,I-NP)" not in lat.edge_list_text()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_paths_biject_with_valid_bio_strings(self, n):
-        lat = build_linear(synthetic_sentence(n), NP, make_extractor())
+        lat = build_lattice("linear", synthetic_sentence(n), NP, 1, make_extractor())
         lattice_sets = {spanset(lat, p) for p in all_edge_paths(lat)}
         direct = enumerate_bio_spansets(n, NP)
         assert lattice_sets == direct
@@ -69,28 +66,28 @@ class TestLinear:
 
     def test_two_chunk_labels(self):
         labels = LabelSet(("NP", "VP"))
-        lat = build_linear(synthetic_sentence(3), labels, make_extractor())
+        lat = build_lattice("linear", synthetic_sentence(3), labels, 1, make_extractor())
         assert {spanset(lat, p) for p in all_edge_paths(lat)} == enumerate_bio_spansets(3, labels)
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(ValueError):
-            build_linear(tokenize(""), NP, make_extractor())
+            build_lattice("linear", tokenize(""), NP, 1, make_extractor())
 
 
 class TestSemi:
     def test_n3_l2_has_twelve_paths(self):
-        lat = build_semi(tokenize("a b c"), NP, 2, make_extractor(2))
+        lat = build_lattice("semi", tokenize("a b c"), NP, 2, make_extractor(2))
         assert len(all_edge_paths(lat)) == 12
 
     def test_no_segment_longer_than_limit(self):
-        lat = build_semi(synthetic_sentence(6), NP, 2, make_extractor(2))
+        lat = build_lattice("semi", synthetic_sentence(6), NP, 2, make_extractor(2))
         for p in all_edge_paths(lat):
             for first, last, _ in spanset(lat, p):
                 assert last - first + 1 <= 2
 
     @pytest.mark.parametrize("n,max_len", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 3)])
     def test_paths_biject_with_segmentations(self, n, max_len):
-        lat = build_semi(synthetic_sentence(n), NP, max_len, make_extractor(max_len))
+        lat = build_lattice("semi", synthetic_sentence(n), NP, max_len, make_extractor(max_len))
         lattice_paths = all_edge_paths(lat)
         direct = enumerate_segmentations(n, NP, max_len)
         assert len(lattice_paths) == len(direct)
@@ -103,9 +100,9 @@ class TestSemi:
         # chunking space restricted to single-token chunks, adjacent chunks
         # staying distinct.
         for n in (1, 2, 3, 4):
-            lat = build_semi(synthetic_sentence(n), NP, 1, make_extractor(1))
+            lat = build_lattice("semi", synthetic_sentence(n), NP, 1, make_extractor(1))
             semi_sets = {spanset(lat, p) for p in all_edge_paths(lat)}
-            linear = build_linear(synthetic_sentence(n), NP, make_extractor())
+            linear = build_lattice("linear", synthetic_sentence(n), NP, 1, make_extractor())
             linear_single = {
                 s
                 for s in (spanset(linear, p) for p in all_edge_paths(linear))
@@ -118,22 +115,22 @@ class TestSemi:
 class TestWeak:
     def test_same_path_count_as_semi(self):
         ext = make_extractor(2)
-        semi = build_semi(tokenize("a b c"), NP, 2, ext)
-        weak = build_weak(tokenize("a b c"), NP, 2, ext)
+        semi = build_lattice("semi", tokenize("a b c"), NP, 2, ext)
+        weak = build_lattice("weak", tokenize("a b c"), NP, 2, ext)
         assert len(all_edge_paths(weak)) == len(all_edge_paths(semi)) == 12
 
     @pytest.mark.parametrize("n,max_len", [(1, 1), (3, 2), (4, 3), (5, 2)])
     def test_same_spanset_family_as_semi(self, n, max_len):
         ext = make_extractor(max_len)
         s = synthetic_sentence(n)
-        semi = build_semi(s, NP, max_len, ext)
-        weak = build_weak(s, NP, max_len, ext)
+        semi = build_lattice("semi", s, NP, max_len, ext)
+        weak = build_lattice("weak", s, NP, max_len, ext)
         semi_sets = {spanset(semi, p) for p in all_edge_paths(semi)}
         weak_sets = {spanset(weak, p) for p in all_edge_paths(weak)}
         assert semi_sets == weak_sets
 
     def test_segment_edges_never_change_label(self):
-        lat = build_weak(synthetic_sentence(4), NP, 3, make_extractor(3))
+        lat = build_lattice("weak", synthetic_sentence(4), NP, 3, make_extractor(3))
         for eid, (src, dst) in enumerate(zip(lat.edge_src, lat.edge_dst)):
             if lat.edge_class(eid) is EdgeClass.SEGMENT:
                 assert lat.nodes[src].label == lat.nodes[dst].label
@@ -141,7 +138,7 @@ class TestWeak:
     def test_segment_edges_carry_no_transition_features(self):
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(max_seg_len=3), d)
-        lat = build_weak(synthetic_sentence(4), NP, 3, ext)
+        lat = build_lattice("weak", synthetic_sentence(4), NP, 3, ext)
         for eid in range(lat.num_edges):
             names = {d.string(i) for i in edge_feature_ids(lat, eid)}
             if lat.edge_class(eid) is EdgeClass.SEGMENT:
@@ -151,7 +148,7 @@ class TestWeak:
 
     def test_edge_count_bounds(self):
         labels = LabelSet(("NP",))
-        lat = build_weak(synthetic_sentence(10), labels, 6, make_extractor())
+        lat = build_lattice("weak", synthetic_sentence(10), labels, 6, make_extractor())
         num_labels = len(labels.alphabet)
         segment_edges = sum(1 for eid in range(lat.num_edges) if lat.edge_class(eid) is EdgeClass.SEGMENT)
         transition_edges = lat.num_edges - segment_edges
@@ -164,7 +161,7 @@ class TestEdgeFeatures:
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(max_seg_len=3, use_shape=True), d)
         s = tokenize("Dr teh says it")
-        lat = build_semi(s, NP, 3, ext)
+        lat = build_lattice("semi", s, NP, 3, ext)
         dst = lat._node_ids[("seg", 3, "O")]
         # outside segments are single-token, so no edge skips position 2
         assert lat.edge_id(lat._node_ids[("seg", 1, "NP")], dst) is None
@@ -179,7 +176,7 @@ class TestEdgeFeatures:
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(use_affix=True), d)
         s = tokenize("Dr teh")
-        lat = build_linear(s, NP, ext)
+        lat = build_lattice("linear", s, NP, 1, ext)
         src = lat._node_ids[("tag", 0, "B-NP")]
         dst = lat._node_ids[("tag", 1, "I-NP")]
         eid = lat.edge_id(src, dst)
@@ -192,7 +189,7 @@ class TestEdgeFeatures:
     def test_features_cached_once_per_segment(self):
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(max_seg_len=2), d)
-        lat = build_semi(tokenize("a b c"), NP, 2, ext)
+        lat = build_lattice("semi", tokenize("a b c"), NP, 2, ext)
         # edges into the same segment from different predecessors share the
         # segment features and differ only in the transition feature
         ids = [
@@ -204,7 +201,7 @@ class TestEdgeFeatures:
 
     def test_each_distinct_part_is_stored_once(self):
         d = FeatureDictionary()
-        lat = build_semi(tokenize("a b c"), NP, 2, FeatureExtractor(FeatureConfig(max_seg_len=2), d))
+        lat = build_lattice("semi", tokenize("a b c"), NP, 2, FeatureExtractor(FeatureConfig(max_seg_len=2), d))
         # the empty part, 5 NP and 3 O segments, and 8 label pairs
         # (START, NP, O -> NP, O; NP, O -> STOP)
         assert lat.num_parts == 1 + 8 + 8
@@ -230,7 +227,7 @@ class TestGoldPaths:
 
     def test_unknown_label_is_unrepresentable(self):
         s = tokenize("a b")
-        lat = build_semi(s, NP, 2, make_extractor(2))
+        lat = build_lattice("semi", s, NP, 2, make_extractor(2))
         with pytest.raises(LatticeError):
             lat.gold_edge_ids([WordSpan(0, 0, "VP")])
 
@@ -260,7 +257,7 @@ End(1,NP) -> Leaf [transition]
 
 
 def test_weak_export_golden_file():
-    lat = build_weak(tokenize("a b"), NP, 2, make_extractor(2))
+    lat = build_lattice("weak", tokenize("a b"), NP, 2, make_extractor(2))
     assert lat.edge_list_text() == EXPECTED_WEAK_EXPORT
 
 
@@ -294,8 +291,8 @@ def test_csr_adjacency_lists_every_edge_once_by_node():
 
 def test_sentences_of_one_shape_share_a_topology_but_not_their_parts():
     ext = make_extractor(3)
-    first = build_semi(tokenize("a b c"), NP, 3, ext)
-    second = build_semi(tokenize("x y z"), NP, 3, ext)
+    first = build_lattice("semi", tokenize("a b c"), NP, 3, ext)
+    second = build_lattice("semi", tokenize("x y z"), NP, 3, ext)
     assert first.topology is second.topology
     assert first.part_idx.tolist() != second.part_idx.tolist()
     w = np.arange(1.0, len(ext.dictionary) + 1.0)
