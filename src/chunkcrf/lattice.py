@@ -29,13 +29,23 @@ once per such shape, cached, and shared by every sentence of that shape.  It
 names each edge's features by two *slots*: template keys such as
 ``("segment", first, last, label)`` or ``("transition", prev, label)``, with
 slot 0 the empty part that pads an edge with one.  The sentence's part table
-then holds the feature ids of each slot, computed once at construction, so an
-edge's score is the sum of two part scores and many edges share each part:
-in a ``semi`` lattice all ``|labels|`` edges into one segment share its
-segment part, and all edges between one label pair share its transition part.
-A built lattice is immutable and safe to share read-only.  Training compiles
-each sentence of its split once, while the objective evaluator is built, and
-every evaluation reuses those lattices.
+then holds the feature ids of each slot, so an edge's score is the sum of two
+part scores and many edges share each part: in a ``semi`` lattice all
+``|labels|`` edges into one segment share its segment part, and all edges
+between one label pair share its transition part.
+
+The part table is compiled for the whole sentence at once.  Every slot's
+features are label-free attributes conjoined with the slot's label (see
+``features.py``), so a topology compiles, once per template layout, an
+:class:`~chunkcrf.features.AttributePattern`: for every (slot, template)
+entry, which word row and column, or which transition attribute, it reads,
+and which label it takes.  A sentence then gathers its word rows through the
+pattern and the resulting (attribute, label) pairs through the extractor's
+feature-id table.  :class:`_FeatureMemo`, one extractor call per slot, is the
+reference the compiled table equals bit for bit.  A built lattice is
+immutable and safe to share read-only.  Training compiles each sentence of
+its split once, while the objective evaluator is built, and every evaluation
+reuses those lattices.
 """
 
 from __future__ import annotations
@@ -48,7 +58,16 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import OUTSIDE, BioSequence, LabelSet, Sentence, WordSpan, bio_to_word_spans, word_spans_to_bio
-from .features import START_LABEL, STOP_LABEL, FeatureExtractor
+from .features import (
+    LINEAR_TRANSITION_PREFIX,
+    SEGMENT_TRANSITION_PREFIX,
+    START_LABEL,
+    STOP_LABEL,
+    AttributePattern,
+    FeatureConfig,
+    FeatureExtractor,
+    TemplateLayout,
+)
 
 MODEL_KINDS = ("linear", "semi", "weak")
 
@@ -188,7 +207,7 @@ class Topology(LevelGraph):
     ``edge_parts[e]`` holds the slots of edge ``e``'s two parts, numbered in
     first-use order; ``slots[s]`` is slot ``s``'s template key, and slot 0 is
     the empty part.  :func:`topology` caches topologies, so their arrays are
-    read-only.
+    read-only; each also keeps the attribute patterns compiled for it.
     """
 
     def __init__(self, b: _Builder) -> None:
@@ -206,6 +225,7 @@ class Topology(LevelGraph):
         self.edge_ptr = np.array([0, len(b.edge_src)])
         self.edge_parts = np.asarray(b.edge_parts, dtype=np.int32).reshape(-1, 2)
         self.slots = b.slots
+        self._patterns: dict[FeatureConfig, AttributePattern] = {}
 
         self._index()
         self._check_connected()
@@ -226,6 +246,14 @@ class Topology(LevelGraph):
         ends_ok = self.level_ptr[1] == 1 and self.level_ptr[-2] == self.leaf
         if not (ends_ok and in_deg[1:].all() and out_deg[:-1].all()):
             raise AssertionError("lattice has unreachable or dead-end nodes")
+
+    def pattern(self, layout: TemplateLayout) -> AttributePattern:
+        """Where each slot's features come from under ``layout``, compiled on
+        first use per feature configuration."""
+        pattern = self._patterns.get(layout.config)
+        if pattern is None:
+            pattern = self._patterns[layout.config] = _compile_pattern(self, layout)
+        return pattern
 
     def edge_id(self, src: int, dst: int) -> int | None:
         """Id of the edge from ``src`` to ``dst``, or ``None`` if there is none."""
@@ -279,12 +307,12 @@ class Lattice:
     runs wherever a :class:`LevelGraph` does.
     """
 
-    def __init__(self, topology: Topology, sentence: Sentence, parts: list[np.ndarray]) -> None:
+    def __init__(self, topology: Topology, sentence: Sentence, part_idx: np.ndarray, part_row: np.ndarray) -> None:
         self.topology = topology
         self.sentence = sentence
-        self.num_parts = len(parts)
-        self.part_idx = np.concatenate(parts)
-        self.part_row = np.repeat(np.arange(self.num_parts, dtype=np.int32), [len(part) for part in parts])
+        self.num_parts = len(topology.slots)
+        self.part_idx = part_idx
+        self.part_row = part_row
 
     def __getattr__(self, name: str):
         return getattr(self.topology, name)
@@ -436,13 +464,14 @@ class _Builder:
 
 
 class _FeatureMemo:
-    """The one place a lattice asks for features: one method per template
-    family, called once per slot of the sentence's topology.
+    """Reference part table: one extractor call per slot, the part's
+    features by the template methods themselves.
 
-    A slot key is a method name and its arguments, so each distinct part's
-    templates are expanded once per sentence, however many edges share it.
-    Without an extractor every part is empty.  The benchmark's tracer wraps
-    the four methods by name (``perfbench/tracing.py``).
+    A slot key is a method name and its arguments.  :func:`build_lattice`
+    compiles the same table through an attribute pattern instead; the tests
+    hold the two equal.  Without an extractor every part is empty.  The
+    benchmark's tracer still wraps the four methods by name
+    (``perfbench/tracing.py``), so its ``features.extract`` spans stay empty.
     """
 
     def __init__(self, extractor: FeatureExtractor | None, sentence: Sentence) -> None:
@@ -581,6 +610,38 @@ def _weak_topology(n: int, label_set: LabelSet, max_seg_len: int, outside_max_le
     return Topology(b)
 
 
+def _compile_pattern(shape: Topology, layout: TemplateLayout) -> AttributePattern:
+    """Lay every slot's template entries out over a sentence's source
+    vector (see :class:`~chunkcrf.features.AttributePattern`)."""
+    kind = "token" if shape.model_kind == "linear" else "segment"
+    width = layout.width(kind)
+    n = shape.nodes[shape.leaf].position
+    labels = tuple(sorted({slot[-1] for slot in shape.slots[1:]}))
+    label_col = {label: i for i, label in enumerate(labels)}
+    transitions: dict[str, int] = {}
+    attr_pos: list[int] = []
+    label_pos: list[int] = []
+    entry_part: list[int] = []
+    for sid, (method, *args) in enumerate(shape.slots):
+        if method == "empty":
+            continue
+        label = args[-1]
+        if method in ("transition", "token_transition"):
+            prefix = SEGMENT_TRANSITION_PREFIX if method == "transition" else LINEAR_TRANSITION_PREFIX
+            t = transitions.setdefault(prefix + args[0], len(transitions))
+            pos = [(n + 2) * width + t]
+        else:
+            cells = layout.segment_cells(*args) if method == "segment" else layout.token_cells(args[0])
+            pos = [(p + 1) * width + col for p, col in cells]
+        attr_pos += pos
+        label_pos += [label_col[label]] * len(pos)
+        entry_part += [sid] * len(pos)
+    arrays = [np.asarray(a, dtype=np.int32) for a in (attr_pos, label_pos, entry_part)]
+    for array in arrays:
+        array.flags.writeable = False
+    return AttributePattern(kind, labels, tuple(transitions), *arrays)
+
+
 @lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
 def topology(model_kind: str, n: int, label_set: LabelSet, max_seg_len: int, outside_max_len: int = 1) -> Topology:
     """The shared topology of every ``n``-token lattice of one family, label
@@ -609,5 +670,7 @@ def build_lattice(
     """Compile ``sentence``'s lattice: the cached topology of its shape plus
     the feature ids of each slot."""
     shape = topology(model_kind, len(sentence), label_set, max_seg_len, outside_max_len)
-    memo = _FeatureMemo(extractor, sentence)
-    return Lattice(shape, sentence, [memo.part(slot) for slot in shape.slots])
+    if extractor is None:
+        return Lattice(shape, sentence, EMPTY_PART, EMPTY_PART)
+    part_idx, part_row = extractor.part_table(sentence, shape.pattern(extractor.layout))
+    return Lattice(shape, sentence, part_idx, part_row)

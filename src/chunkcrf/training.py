@@ -42,7 +42,7 @@ from .features import (
 )
 from .ingest import AnnotatedText
 from .lattice import MODEL_KINDS, Batch, LatticeError, build_lattice
-from .inference import NumericalError, edge_scores, marginals_from_scores, viterbi
+from .inference import NumericalError, edge_scores, marginals_from_scores, viterbi, viterbi_path
 
 log = logging.getLogger("chunkcrf")
 
@@ -244,7 +244,11 @@ class ObjectiveEvaluator:
 
 @dataclass
 class Model:
-    """A trained chunker: label set, feature space, and weights."""
+    """A trained chunker: label set, feature space, and weights.
+
+    The model keeps one extractor, made on first use, so every prediction
+    reuses its word rows and feature-id table.
+    """
 
     model_kind: str
     label_set: LabelSet
@@ -253,9 +257,12 @@ class Model:
     weights: np.ndarray
     brown: BrownClusterMap | None = None
     metadata: dict = field(default_factory=dict)
+    _extractor: FeatureExtractor | None = field(default=None, init=False, repr=False, compare=False)
 
     def extractor(self) -> FeatureExtractor:
-        return FeatureExtractor(self.feature_config, self.dictionary, self.brown)
+        if self._extractor is None:
+            self._extractor = FeatureExtractor(self.feature_config, self.dictionary, self.brown)
+        return self._extractor
 
     def predict(self, sentence: Sentence) -> list[WordSpan]:
         if len(sentence) == 0:
@@ -374,8 +381,10 @@ def tune_lambda(
     """Compile train once, fit once per grid point and pick the best
     character-level dev F1.
 
-    Ties go to the larger regularization strength.  Returns the chosen value,
-    a per-grid-point report dict and the model :func:`train` gives there.
+    The dictionary is frozen once train is compiled, so dev is compiled once
+    too and decoded as one batch per grid point.  Ties go to the larger
+    regularization strength.  Returns the chosen value, a per-grid-point
+    report dict and the model :func:`train` gives there.
     """
     from .evaluate import score_corpus  # local import to avoid a cycle
 
@@ -387,11 +396,23 @@ def tune_lambda(
         else word_spans_to_char_spans(item.sentence, list(item.word_spans))
         for item in dev_split.items
     ]
+    extractor = FeatureExtractor(config.feature_config, evaluator.dictionary, brown)
+    decoded = [i for i, item in enumerate(dev_split.items) if len(item.sentence)]
+    lattices = [
+        build_lattice(config.model_kind, dev_split.items[i].sentence, evaluator.label_set, config.max_seg_len,
+                      extractor)
+        for i in decoded
+    ]
+    dev_batch = Batch(lattices) if lattices else None
     reports, models = {}, {}
     for lam in sorted(grid):
         evaluator.lam = lam
         models[lam] = _fit(evaluator, brown, dropped)
-        predicted = [models[lam].predict_char_spans(item.sentence) for item in dev_split.items]
+        predicted: list[list[CharSpan]] = [[] for _ in dev_split.items]
+        if dev_batch is not None:
+            paths, _ = viterbi_path(dev_batch, models[lam].weights)
+            for i, lat, path in zip(decoded, lattices, paths):
+                predicted[i] = word_spans_to_char_spans(lat.sentence, lat.path_spans(path))
         reports[lam] = score_corpus(gold, predicted, level="char")
     best_lam = max(reports, key=lambda lam: (reports[lam].f1, lam))
     return best_lam, reports, models[best_lam]

@@ -113,7 +113,12 @@ class TestTrainPredictEval:
             encoding="utf-8",
         )
         assert run(["train", "--config", config, "--max-iterations", "5"]) == EXIT_OK
-        assert (tmp_path / "from_config.ckcrf").exists()
+        flags_only = tmp_path / "from_flags.ckcrf"
+        argv = ["train", "--train", train, "--model", "semi", "--lambda", "0.25", "--max-iterations", "5",
+                "--out", flags_only]
+        assert run(argv) == EXIT_OK
+        # the flag wins over the file's value, so both runs train for at most 5 iterations
+        assert (tmp_path / "from_config.ckcrf").read_bytes() == flags_only.read_bytes()
 
     def test_unknown_config_key_is_a_data_error(self, corpus_files, tmp_path):
         config = tmp_path / "run.cfg"

@@ -1,20 +1,34 @@
 """Lattice constructions: path sets, edge features, adjacency, export."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chunkcrf.core import LabelSet, WordSpan, tokenize
-from chunkcrf.features import FeatureConfig, FeatureDictionary, FeatureExtractor, TRANSITION_PREFIXES
+import chunkcrf.features
+from chunkcrf.core import LabelSet, Sentence, Token, WordSpan, tokenize
+from chunkcrf.features import (
+    BrownClusterMap,
+    FeatureConfig,
+    FeatureDictionary,
+    FeatureExtractor,
+    TRANSITION_PREFIXES,
+    WORD_CACHE_SIZE,
+)
 from chunkcrf.inference import edge_scores
 from chunkcrf.lattice import (
     EMPTY_SLOT,
+    MODEL_KINDS,
     EdgeClass,
     LatticeError,
     Node,
     NodeKind,
     Topology,
     _Builder,
+    _FeatureMemo,
     build_lattice,
+    topology,
 )
 
 from oracles import (
@@ -329,3 +343,86 @@ def test_unreachable_or_dead_end_node_is_rejected(edges):
         b.add_edge(src, dst, EMPTY_SLOT)
     with pytest.raises(AssertionError, match="unreachable or dead-end"):
         Topology(b)
+
+
+# Surfaces that look like sentinels, placeholders or template syntax, and
+# one- and two-character words (shorter than the longest affix).
+TRICKY_WORDS = ("<BOS>", "<EOS>", "<NUM>", "|", "=", "[0]", "x|y=z", "WS[0]=q", "a", "Ab", "9", "hi", "gr8", "there")
+CLUSTERS = BrownClusterMap({"a": "01", "<BOS>": "10", "x|y=z": "110", "hi": "111"})
+
+
+def sentence_of(words):
+    """A sentence with exactly these tokens, whatever the tokenizer would do."""
+    starts = np.cumsum([0] + [len(w) + 1 for w in words[:-1]]).tolist()
+    return Sentence(" ".join(words), tuple(Token(w, a, a + len(w)) for w, a in zip(words, starts)))
+
+
+def reference_part_table(kind, sentence, label_set, max_seg_len, extractor):
+    """The part table by one template-method call per slot."""
+    memo = _FeatureMemo(extractor, sentence)
+    parts = [memo.part(slot) for slot in topology(kind, len(sentence), label_set, max_seg_len).slots]
+    return np.concatenate(parts), np.repeat(np.arange(len(parts), dtype=np.int32), [len(p) for p in parts])
+
+
+def feature_config(flags, max_seg_len):
+    return FeatureConfig(use_affix="a" in flags, use_brown="b" in flags, use_shape="s" in flags,
+                         max_seg_len=max_seg_len)
+
+
+def assert_compiles_like_the_reference(kind, sentences, label_set, config, frozen_on=None):
+    """Compile ``sentences`` in order through one extractor, and through the
+    per-slot reference with another; the part tables must be equal bit for
+    bit and the dictionaries must list the same strings in the same order.
+    With ``frozen_on``, both share a dictionary holding only that sentence's
+    features, frozen."""
+    if frozen_on is None:
+        compiled_dict, reference_dict = FeatureDictionary(), FeatureDictionary()
+    else:
+        compiled_dict = reference_dict = FeatureDictionary()
+        reference_part_table(kind, frozen_on, label_set, config.max_seg_len,
+                             FeatureExtractor(config, compiled_dict, CLUSTERS))
+        compiled_dict.freeze()
+    compiled = FeatureExtractor(config, compiled_dict, CLUSTERS)
+    reference = FeatureExtractor(config, reference_dict, CLUSTERS)
+    for sentence in sentences:
+        lat = build_lattice(kind, sentence, label_set, config.max_seg_len, compiled)
+        idx, row = reference_part_table(kind, sentence, label_set, config.max_seg_len, reference)
+        assert lat.part_idx.dtype == idx.dtype and lat.part_row.dtype == row.dtype
+        assert lat.part_idx.tobytes() == idx.tobytes()
+        assert lat.part_row.tobytes() == row.tobytes()
+        assert compiled_dict.strings == reference_dict.strings
+
+
+@pytest.mark.parametrize("flags", ["", "a", "b", "s", "abs"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_real_tokens_spelled_like_sentinels_keep_their_features(kind, flags):
+    # the tokenizer keeps <BOS>/<EOS> whole, and they must be treated by
+    # their surface exactly as the template methods treat them
+    sentence = tokenize("hi <BOS> there <EOS> x|y=z WS[0]=q")
+    assert "<BOS>" in [t.surface for t in sentence.tokens]
+    config = feature_config(flags, 4)
+    assert_compiles_like_the_reference(kind, [sentence], LabelSet(("NP",)), config)
+    assert_compiles_like_the_reference(kind, [sentence], LabelSet(("NP",)), config, frozen_on=tokenize("hi there"))
+
+
+@st.composite
+def compile_cases(draw):
+    words = st.lists(st.sampled_from(TRICKY_WORDS), min_size=1, max_size=6)
+    return (
+        draw(st.sampled_from(MODEL_KINDS)),
+        [sentence_of(w) for w in draw(st.lists(words, min_size=1, max_size=4))],
+        LabelSet(draw(st.sampled_from([("NP",), ("NP", "VP")]))),
+        feature_config(draw(st.sets(st.sampled_from("abs"))), draw(st.integers(1, 4))),
+        draw(st.booleans()),
+        draw(st.sampled_from([0, 3, WORD_CACHE_SIZE])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(compile_cases())
+def test_compiled_part_tables_equal_the_per_slot_reference(case):
+    kind, sentences, label_set, config, frozen, cache_size = case
+    # a small word cache makes the extractor start afresh between sentences
+    with mock.patch.object(chunkcrf.features, "WORD_CACHE_SIZE", cache_size):
+        assert_compiles_like_the_reference(kind, sentences, label_set, config,
+                                           frozen_on=sentences[0] if frozen else None)

@@ -13,6 +13,7 @@ from chunkcrf.core import LabelSet, WordSpan, tokenize
 from chunkcrf.features import (
     SEGMENT_TRANSITION_PREFIX,
     LINEAR_TRANSITION_PREFIX,
+    WORD_CACHE_SIZE,
     FeatureConfig,
     FeatureDictionary,
     FeatureExtractor,
@@ -276,6 +277,30 @@ class TestTrain:
         assert model.metadata["clipped_spans"] == 1
 
 
+class TestModel:
+    def test_predictions_reuse_one_extractor(self):
+        model = train(Dataset.from_annotated(separable_corpus(20, seed=3)), TrainConfig("semi", lam=0.5,
+                                                                                       max_iterations=5))
+        assert model.extractor() is model.extractor()
+        fresh = Model(model.model_kind, model.label_set, model.feature_config, model.dictionary, model.weights)
+        for item in separable_corpus(30, seed=4):
+            assert model.predict(item.sentence) == fresh.predict(item.sentence)
+
+    def test_decoding_new_words_keeps_the_extractor_caches_bounded(self):
+        model = train(Dataset.from_annotated(separable_corpus(20, seed=3)),
+                      TrainConfig("semi", lam=0.5, max_iterations=5, use_affix=True, use_shape=True))
+        length = 3
+        for i in range(3000):
+            model.predict(tokenize(" ".join(f"new{i}w{j}" for j in range(length))))
+        ext = model.extractor()
+        word_types = sum(len(rows) for rows in ext._row_ids.values())
+        assert word_types <= WORD_CACHE_SIZE + length + 2
+        widest = max(ext.layout.width(kind) for kind in ext.layout.roles)
+        attributes = 1 + (WORD_CACHE_SIZE + length + 2) * widest + len(model.label_set.alphabet) + 1
+        assert len(ext._attributes) <= attributes
+        assert all(len(table) <= 2 * attributes for table in ext._tables.values())
+
+
 class TestTuneLambda:
     def test_grid_of_one_returns_it(self):
         train_ds = Dataset.from_annotated(separable_corpus(30, seed=8))
@@ -303,8 +328,8 @@ class TestTuneLambda:
         grid = (0.125, 0.5, 1000.0)  # the largest strength underfits, so the winner is not the last fit
         builds = count_builds(monkeypatch)
         best, reports, model = tune_lambda(train_ds, dev_ds, cfg, grid=grid)
-        # the train split once, then dev once per grid point to decode it
-        assert len(builds) == len(train_ds) + len(grid) * len(dev_ds)
+        # the train split once, then dev once, decoded as one batch per grid point
+        assert len(builds) == len(train_ds) + len(dev_ds)
         assert builds[: len(train_ds)] == [item.sentence for item in train_ds.items]
 
         retrained = {}
@@ -318,6 +343,22 @@ class TestTuneLambda:
         save_model(model, str(tmp_path / "tuned.ckcrf"))
         save_model(retrained[best], str(tmp_path / "trained.ckcrf"))
         assert (tmp_path / "tuned.ckcrf").read_bytes() == (tmp_path / "trained.ckcrf").read_bytes()
+
+    def test_empty_dev_messages_decode_to_nothing(self):
+        from chunkcrf.evaluate import score_corpus
+
+        train_ds = Dataset.from_annotated(separable_corpus(30, seed=8))
+        dev_ds = Dataset.from_annotated(separable_corpus(5, seed=9))
+        dev_ds.items.insert(0, DataItem(tokenize(""), ()))
+        cfg = TrainConfig(model_kind="semi", lam=1.0, max_iterations=30)
+        _, reports, model = tune_lambda(train_ds, dev_ds, cfg, grid=(0.5,))
+        gold = [list(item.char_spans or ()) for item in dev_ds.items]
+        predicted = [model.predict_char_spans(item.sentence) for item in dev_ds.items]
+        assert predicted[0] == []
+        assert reports[0.5] == score_corpus(gold, predicted, level="char")
+        # a dev split of empty messages only has nothing to batch
+        _, reports, _ = tune_lambda(train_ds, Dataset([DataItem(tokenize(""), ())]), cfg, grid=(0.5,))
+        assert reports[0.5] == score_corpus([[]], [[]], level="char")
 
     def test_default_grid_is_pinned(self):
         assert LAMBDA_GRID == (0.125, 0.25, 0.5, 1.0, 2.0)
