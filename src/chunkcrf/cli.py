@@ -4,8 +4,9 @@ Every option is declared once, in :func:`build_parser`: its flags, type and
 built-in default.  Runs are reproducible: every option can also live in a
 flat ``key = value`` config file, whose keys are the options' destinations
 or flag names (``-`` and ``_`` alike).  Command-line flags override config
-values one-to-one, config values override the built-in defaults, and all
-randomness flows from the ``seed`` option.  Inputs are validated before any
+values one-to-one and config values override the built-in defaults.  Only
+``bench`` draws random data, from its ``seed`` option; training and
+prediction are deterministic.  Inputs are validated before any
 work starts.  Exit codes: 0 success, 1 usage error, 2 data error,
 3 numerical failure.  A usage error is a command line the parser rejects.
 A required value still missing once flags and the config file are merged
@@ -21,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import SpanError, char_spans_to_word_spans
+from .core import SpanError, char_spans_to_word_spans, word_spans_to_char_spans
 from .evaluate import (
     benchmark_label_sweep,
     format_eval_table,
@@ -49,6 +50,9 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 DEFAULT_SEED = 13
+
+# Messages ``predict`` compiles and decodes together; bounds the lattices held.
+PREDICT_CHUNK = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,13 +189,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     items = read_jsonl(args.input)
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for item in items:
-            spans = model.predict_char_spans(item.sentence)
-            obj = {
-                "text": item.sentence.raw_text,
-                "spans": [{"start": s.start, "end": s.end, "label": s.label} for s in spans],
-            }
-            out_fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        for lo in range(0, len(items), PREDICT_CHUNK):
+            sentences = [item.sentence for item in items[lo : lo + PREDICT_CHUNK]]
+            for sentence, word_spans in zip(sentences, model.predict_many(sentences)):
+                spans = word_spans_to_char_spans(sentence, word_spans)
+                obj = {
+                    "text": sentence.raw_text,
+                    "spans": [{"start": s.start, "end": s.end, "label": s.label} for s in spans],
+                }
+                out_fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
     finally:
         if args.out:
             out_fh.close()
@@ -296,7 +302,6 @@ def build_parser() -> _Parser:
     )
     p_train.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=6)
     p_train.add_argument("--brown", help="cluster file (tab-separated)")
-    p_train.add_argument("--seed", type=int, default=DEFAULT_SEED, help="no effect: training is deterministic")
     p_train.add_argument("--out", default="model.ckcrf", help="model output path")
     p_train.add_argument("--max-iterations", dest="max_iterations", type=int, default=500)
     p_train.add_argument("--tolerance", type=float, default=1e-6)

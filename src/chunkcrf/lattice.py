@@ -148,11 +148,11 @@ class LevelGraph:
     contiguous run).
     """
 
-    def _index(self) -> None:
+    def _index(self, in_order: np.ndarray, out_order: np.ndarray) -> None:
         n = self.num_nodes
-        self.in_order = np.lexsort((self.edge_src, self.edge_dst)).astype(np.int32)
+        self.in_order = in_order.astype(np.int32)
         self.in_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_dst, minlength=n))))
-        self.out_order = np.argsort(self.edge_src, kind="stable").astype(np.int32)
+        self.out_order = out_order.astype(np.int32)
         self.out_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_src, minlength=n))))
 
     @property
@@ -227,7 +227,7 @@ class Topology(LevelGraph):
         self.slots = b.slots
         self._patterns: dict[FeatureConfig, AttributePattern] = {}
 
-        self._index()
+        self._index(np.lexsort((self.edge_src, self.edge_dst)), np.argsort(self.edge_src, kind="stable"))
         self._check_connected()
         for array in (self.leaves, self.level_ptr, self.edge_src, self.edge_dst, self.edge_ptr, self.edge_parts,
                       self.in_order, self.in_ptr, self.out_order, self.out_ptr):
@@ -386,6 +386,10 @@ class Batch(LevelGraph):
     take), then by member and member node id, which keeps each member's
     source order for tie-breaking.  ``local_node`` maps a batch node to its
     id in its member.
+
+    Since renumbering keeps each member's node order, the adjacency is each
+    member's own, offset and stably sorted by batch node: the same arrays as
+    a sort of every edge, from runs that are already sorted.
     """
 
     def __init__(self, lattices: Sequence[Lattice]) -> None:
@@ -414,7 +418,10 @@ class Batch(LevelGraph):
         self.edge_parts = np.concatenate([lat.edge_parts + off for lat, off in zip(lattices, part_off)])
         self.part_idx = np.concatenate([lat.part_idx for lat in lattices])
         self.part_row = np.concatenate([lat.part_row + off for lat, off in zip(lattices, part_off)])
-        self._index()
+        in_order = np.concatenate([lat.in_order + off for lat, off in zip(lattices, self.edge_ptr)])
+        out_order = np.concatenate([lat.out_order + off for lat, off in zip(lattices, self.edge_ptr)])
+        self._index(in_order[np.argsort(self.edge_dst[in_order], kind="stable")],
+                    out_order[np.argsort(self.edge_src[out_order], kind="stable")])
 
     def local_ids(self, nodes: list[int]) -> list[int]:
         return self.local_node[nodes].tolist()
@@ -665,11 +672,10 @@ def build_lattice(
     label_set: LabelSet,
     max_seg_len: int,
     extractor: FeatureExtractor | None,
-    outside_max_len: int = 1,
 ) -> Lattice:
     """Compile ``sentence``'s lattice: the cached topology of its shape plus
     the feature ids of each slot."""
-    shape = topology(model_kind, len(sentence), label_set, max_seg_len, outside_max_len)
+    shape = topology(model_kind, len(sentence), label_set, max_seg_len)
     if extractor is None:
         return Lattice(shape, sentence, EMPTY_PART, EMPTY_PART)
     part_idx, part_row = extractor.part_table(sentence, shape.pattern(extractor.layout))

@@ -21,6 +21,7 @@ import json
 import logging
 import struct
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,7 @@ from .features import (
     FeatureExtractor,
 )
 from .ingest import AnnotatedText
-from .lattice import MODEL_KINDS, Batch, LatticeError, build_lattice
+from .lattice import MODEL_KINDS, Batch, Lattice, LatticeError, build_lattice
 from .inference import NumericalError, edge_scores, marginals_from_scores, viterbi, viterbi_path
 
 log = logging.getLogger("chunkcrf")
@@ -242,6 +243,26 @@ class ObjectiveEvaluator:
         return value, grad
 
 
+def decode(lattices: Sequence[Lattice | None], weights: np.ndarray) -> list[list[WordSpan]]:
+    """Best word spans of each lattice, from one Viterbi pass over all of
+    them; ``None``, an empty sentence's lattice, decodes to ``[]``.
+
+    A lone lattice runs on its topology's cached sweeps, several as one
+    :class:`Batch` (a batch of one decodes about twice as slowly as its
+    lattice alone).  A member's spans do not depend on the others.
+    """
+    present = [lat for lat in lattices if lat is not None]
+    if len(present) == 1:
+        decoded = [viterbi(present[0], weights)[0]]
+    elif present:
+        paths, _ = viterbi_path(Batch(present), weights)
+        decoded = [lat.path_spans(path) for lat, path in zip(present, paths)]
+    else:
+        decoded = []
+    spans = iter(decoded)
+    return [[] if lat is None else next(spans) for lat in lattices]
+
+
 @dataclass
 class Model:
     """A trained chunker: label set, feature space, and weights.
@@ -264,14 +285,18 @@ class Model:
             self._extractor = FeatureExtractor(self.feature_config, self.dictionary, self.brown)
         return self._extractor
 
+    def predict_many(self, sentences: Sequence[Sentence]) -> list[list[WordSpan]]:
+        """Compile every sentence, then :func:`decode` them together."""
+        extractor = self.extractor()
+        max_seg_len = self.feature_config.max_seg_len
+        lattices = [
+            build_lattice(self.model_kind, s, self.label_set, max_seg_len, extractor) if len(s) else None
+            for s in sentences
+        ]
+        return decode(lattices, self.weights)
+
     def predict(self, sentence: Sentence) -> list[WordSpan]:
-        if len(sentence) == 0:
-            return []
-        lat = build_lattice(
-            self.model_kind, sentence, self.label_set, self.feature_config.max_seg_len, self.extractor()
-        )
-        spans, _ = viterbi(lat, self.weights)
-        return spans
+        return self.predict_many([sentence])[0]
 
     def predict_char_spans(self, sentence: Sentence) -> list[CharSpan]:
         return word_spans_to_char_spans(sentence, self.predict(sentence))
@@ -382,9 +407,9 @@ def tune_lambda(
     character-level dev F1.
 
     The dictionary is frozen once train is compiled, so dev is compiled once
-    too and decoded as one batch per grid point.  Ties go to the larger
-    regularization strength.  Returns the chosen value, a per-grid-point
-    report dict and the model :func:`train` gives there.
+    too and decoded in one :func:`decode` call per grid point.  Ties go to
+    the larger regularization strength.  Returns the chosen value, a
+    per-grid-point report dict and the model :func:`train` gives there.
     """
     from .evaluate import score_corpus  # local import to avoid a cycle
 
@@ -397,22 +422,17 @@ def tune_lambda(
         for item in dev_split.items
     ]
     extractor = FeatureExtractor(config.feature_config, evaluator.dictionary, brown)
-    decoded = [i for i, item in enumerate(dev_split.items) if len(item.sentence)]
+    sentences = [item.sentence for item in dev_split.items]
     lattices = [
-        build_lattice(config.model_kind, dev_split.items[i].sentence, evaluator.label_set, config.max_seg_len,
-                      extractor)
-        for i in decoded
+        build_lattice(config.model_kind, s, evaluator.label_set, config.max_seg_len, extractor) if len(s) else None
+        for s in sentences
     ]
-    dev_batch = Batch(lattices) if lattices else None
     reports, models = {}, {}
     for lam in sorted(grid):
         evaluator.lam = lam
         models[lam] = _fit(evaluator, brown, dropped)
-        predicted: list[list[CharSpan]] = [[] for _ in dev_split.items]
-        if dev_batch is not None:
-            paths, _ = viterbi_path(dev_batch, models[lam].weights)
-            for i, lat, path in zip(decoded, lattices, paths):
-                predicted[i] = word_spans_to_char_spans(lat.sentence, lat.path_spans(path))
+        decoded = decode(lattices, models[lam].weights)
+        predicted = [word_spans_to_char_spans(s, spans) for s, spans in zip(sentences, decoded)]
         reports[lam] = score_corpus(gold, predicted, level="char")
     best_lam = max(reports, key=lambda lam: (reports[lam].f1, lam))
     return best_lam, reports, models[best_lam]

@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from chunkcrf import cli
 from chunkcrf.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, load_config_file, main
 from chunkcrf.core import CharSpan
-from chunkcrf.ingest import annotate, read_jsonl, write_jsonl
+from chunkcrf.ingest import AnnotatedText, annotate, read_jsonl, write_jsonl
 from chunkcrf.synth import separable_corpus
 from chunkcrf.training import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 
@@ -173,6 +175,29 @@ class TestTrainPredictEval:
         assert captured.err.startswith("error: ") and "non-finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    def test_predict_is_identical_across_chunk_boundaries(self, corpus_files, tmp_path, monkeypatch, kind):
+        train, dev = corpus_files
+        path = tmp_path / "m.ckcrf"
+        assert run(["train", "--train", train, "--model", kind, "--lambda", "0.1",
+                    "--max-iterations", "5", "--out", path]) == EXIT_OK
+        model = load_model(str(path))
+        model.weights[:] = np.random.default_rng(3).normal(size=len(model.weights))
+        save_model(model, str(path))
+        # chunks of two: a pair, one message and an empty one, two empty ones, a pair, a lone message
+        dev_items = read_jsonl(dev)
+        items = dev_items[:3] + [annotate("", [])] * 3 + dev_items[3:6]
+        messages, out = tmp_path / "messages.jsonl", tmp_path / "pred.jsonl"
+        write_jsonl(messages, items)
+        monkeypatch.setattr(cli, "PREDICT_CHUNK", 2)
+        assert run(["predict", "--model-file", path, "--input", messages, "--out", out]) == EXIT_OK
+        rendered = [
+            AnnotatedText(item.sentence, tuple(model.predict_char_spans(item.sentence))) for item in items
+        ]
+        assert any(item.char_spans for item in rendered)
+        write_jsonl(tmp_path / "expected.jsonl", rendered)
+        assert out.read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
     def test_predict_with_overflowing_weights_is_a_numerical_error(self, corpus_files, tmp_path, capsys):
         # Finite weights whose path scores overflow to infinity.
         _, dev = corpus_files
@@ -225,8 +250,8 @@ class TestTrainPredictEval:
 
     @pytest.mark.parametrize(
         "argv",
-        [[], ["bogus"], ["train", "--nope"], ["train", "--lambda", "abc"]],
-        ids=["no-subcommand", "unknown-subcommand", "unknown-flag", "bad-float"],
+        [[], ["bogus"], ["train", "--nope"], ["train", "--lambda", "abc"], ["train", "--seed", "1"]],
+        ids=["no-subcommand", "unknown-subcommand", "unknown-flag", "bad-float", "train-seed"],
     )
     def test_parse_errors_return_usage_code(self, argv, capsys):
         assert run(argv) == EXIT_USAGE
@@ -256,7 +281,7 @@ class TestTrainPredictEval:
         train, _ = corpus_files
         a, b = tmp_path / "a.ckcrf", tmp_path / "b.ckcrf"
         args = ["train", "--train", train, "--model", "weak", "--lambda", "0.1",
-                "--max-iterations", "15", "--seed", "13"]
+                "--max-iterations", "15"]
         assert run(args + ["--out", a]) == EXIT_OK
         assert run(args + ["--out", b]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()

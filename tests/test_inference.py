@@ -212,6 +212,9 @@ class TestBatch:
         assert not has_out[batch.leaves].any() and has_out.sum() == batch.num_nodes - len(lattices)
         for i, lat in enumerate(lattices):
             assert batch.local_node[batch.leaves[i]] == lat.leaf
+        # the members' adjacency, composed, equals a sort of every batch edge
+        assert np.array_equal(batch.in_order, np.lexsort((batch.edge_src, batch.edge_dst)))
+        assert np.array_equal(batch.out_order, np.argsort(batch.edge_src, kind="stable"))
 
     @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
     def test_zero_weight_ties_go_to_the_lowest_source_in_a_mixed_length_batch(self, kind):

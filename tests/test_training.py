@@ -286,6 +286,22 @@ class TestModel:
         for item in separable_corpus(30, seed=4):
             assert model.predict(item.sentence) == fresh.predict(item.sentence)
 
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    def test_predict_many_equals_one_predict_per_sentence(self, kind):
+        model = train(Dataset.from_annotated(separable_corpus(20, seed=3, num_chunk_labels=2)),
+                      TrainConfig(kind, lam=0.5, max_iterations=5, use_affix=True))
+        model.weights = np.random.default_rng(7).normal(size=len(model.weights))
+        items = [item.sentence for item in separable_corpus(6, seed=5, num_chunk_labels=2, min_len=1)]
+        empty = tokenize("")
+        sentences = [items[0], empty, *items[1:4], items[0], tokenize("npw1 npw1 npw1 fill2"), empty, *items[4:]]
+        expected = [model.predict(s) for s in sentences]
+        assert expected[1] == expected[7] == [] and any(expected)
+        assert model.predict_many(sentences) == expected
+        assert model.predict_many(sentences[::-1]) == expected[::-1]
+        for cut in (1, 2, 5):
+            assert model.predict_many(sentences[:cut]) + model.predict_many(sentences[cut:]) == expected
+        assert model.predict_many([]) == []
+
     def test_decoding_new_words_keeps_the_extractor_caches_bounded(self):
         model = train(Dataset.from_annotated(separable_corpus(20, seed=3)),
                       TrainConfig("semi", lam=0.5, max_iterations=5, use_affix=True, use_shape=True))
