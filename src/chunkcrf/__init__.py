@@ -37,7 +37,6 @@ from .lattice import (
 )
 from .inference import (
     Marginals,
-    complexity_probe,
     edge_marginals,
     edge_scores,
     log_partition,
@@ -60,11 +59,9 @@ from .training import (
     tune_lambda,
 )
 from .evaluate import (
-    BenchReport,
     BootstrapResult,
     EvalReport,
     benchmark_label_sweep,
-    benchmark_training,
     bootstrap_interval,
     gold_upper_bound,
     score_corpus,

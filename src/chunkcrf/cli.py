@@ -213,6 +213,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise DataFormatError(
             f"gold has {len(gold_items)} messages but predictions have {len(pred_items)}"
         )
+    for i, (g, p) in enumerate(zip(gold_items, pred_items), start=1):
+        if g.sentence.raw_text != p.sentence.raw_text:
+            raise DataFormatError(f"prediction {i} is not for gold message {i}: their texts differ")
     char_gold = [list(i.char_spans) for i in gold_items]
     char_pred = [list(i.char_spans) for i in pred_items]
     word_gold = [char_spans_to_word_spans(i.sentence, list(i.char_spans)) for i in gold_items]
@@ -266,10 +269,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         Path(args.out).write_text(csv_text, encoding="utf-8")
         print(f"benchmark CSV written to {args.out}")
     print(csv_text, end="")
+    seconds = {(r.model, r.num_labels): r.sec_per_iter for r in rows}
     for num_labels in label_values:
-        semi = next(r for r in rows if r.model == "semi" and r.num_labels == num_labels)
-        weak = next(r for r in rows if r.model == "weak" and r.num_labels == num_labels)
-        print(f"labels={num_labels}: semi/weak time ratio {semi.sec_per_iter / weak.sec_per_iter:.3f}")
+        ratio = seconds["semi", num_labels] / seconds["weak", num_labels]
+        print(f"labels={num_labels}: semi/weak time ratio {ratio:.3f}")
     return EXIT_OK
 
 
@@ -326,7 +329,10 @@ def build_parser() -> _Parser:
     p_bench = sub.add_parser("bench", help="per-iteration training-time benchmark")
     p_bench.add_argument("--sentences", type=int, default=2000)
     p_bench.add_argument("--length", type=int, default=10, help="tokens per synthetic sentence")
-    p_bench.add_argument("--labels", default="2,4,8,16", help="comma list of label-alphabet sizes")
+    p_bench.add_argument(
+        "--labels", default="2,4,8,16",
+        help="comma list of label-alphabet sizes; each counts the outside label and must be >= 2",
+    )
     p_bench.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=6)
     p_bench.add_argument("--iterations", type=int, default=3)
     p_bench.add_argument("--warmup", type=int, default=1)

@@ -4,25 +4,30 @@ per-iteration training-time benchmark.
 Scoring is exact-match: a predicted span counts only when both boundaries
 and the label equal a gold span.  Character-level evaluation compares
 original character spans; word-level evaluation compares token spans after
-boundary snapping.  The benchmark times complete objective-plus-gradient
-evaluations over lattices compiled beforehand, as in training (edge
-scoring, forward-backward and gradient accumulation, no lattice
-construction), on one execution lane: the unit an optimizer iteration is
-built from.
+boundary snapping.
+
+The benchmark is one function, :func:`benchmark_label_sweep`.  For each
+requested label-alphabet size it builds exactly that alphabet and a
+synthetic corpus over it, compiles the corpus once per model family, and
+times complete objective-plus-gradient evaluations over those lattices, as
+in training (edge scoring, forward-backward and gradient accumulation, no
+lattice construction), on one execution lane: the unit an optimizer
+iteration is built from.  Each row also reports the edge count of the real
+lattices it timed.
 """
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CharSpan, WordSpan
+from .core import CharSpan, LabelSet, WordSpan
 from .ingest import AnnotatedText
 from .lattice import MODEL_KINDS
-from .training import Dataset, TrainConfig, compile_split, derive_label_set
+from .synth import chunk_label_names, timing_corpus
+from .training import Dataset, TrainConfig, compile_split
 
 Span = CharSpan | WordSpan
 
@@ -162,63 +167,6 @@ def bootstrap_interval(
 
 
 @dataclass(frozen=True)
-class ModelTiming:
-    model_kind: str
-    seconds: tuple[float, ...]
-    edges: int
-
-    def __post_init__(self) -> None:
-        if not self.seconds or min(self.seconds) <= 0:
-            raise ValueError("need positive iteration times")
-
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.seconds)
-
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    timings: dict[str, ModelTiming]
-
-    @property
-    def speedup_semi_over_weak(self) -> float:
-        return self.timings["semi"].mean / self.timings["weak"].mean
-
-
-def benchmark_training(
-    dataset: Dataset,
-    configs: dict[str, TrainConfig],
-    iterations: int = 3,
-    warmup: int = 1,
-    label_set=None,
-) -> BenchReport:
-    """Wall-clock per-iteration cost of each configured model on one dataset.
-
-    One iteration is one full objective-plus-gradient evaluation over
-    lattices compiled beforehand, as in training: edge scoring,
-    forward-backward and gradient accumulation, without lattice
-    construction.  Warm-up evaluations are excluded from the statistics.
-    """
-    label_set = derive_label_set(dataset, label_set)
-    timings: dict[str, ModelTiming] = {}
-    for kind, config in configs.items():
-        if config.model_kind != kind:
-            raise ValueError(f"config under key {kind!r} is for model {config.model_kind!r}")
-        evaluator, _ = compile_split(dataset, config, None, label_set)
-        w = np.zeros(len(evaluator.dictionary))
-        for _ in range(warmup):
-            evaluator.objective_and_gradient(w)
-        seconds = []
-        for _ in range(iterations):
-            t0 = time.perf_counter()
-            evaluator.objective_and_gradient(w)
-            seconds.append(time.perf_counter() - t0)
-        timings[kind] = ModelTiming(kind, tuple(seconds), evaluator.batch.num_edges)
-    return BenchReport(timings)
-
-
-@dataclass(frozen=True)
 class SweepRow:
     model: str
     num_labels: int
@@ -247,27 +195,43 @@ def benchmark_label_sweep(
     warmup: int = 1,
     seed: int = 13,
 ) -> list[SweepRow]:
-    """Per-iteration cost as the label alphabet grows, at fixed n and L.
+    """Per-iteration cost of every family as the label alphabet grows, at
+    fixed n and L: one row per (alphabet size, family).
 
-    The conventional segment lattice scales quadratically in the alphabet
+    Each size counts the outside label, so size Y is ``Y - 1`` synthetic
+    chunk labels plus ``O``, whether or not the sampled corpus uses them
+    all.  Each family compiles the corpus once, runs ``warmup`` untimed
+    evaluations at zero weights, then reports the mean wall-clock time of
+    ``iterations`` more and the edge count of the lattices they ran on.
+    The conventional segment lattice grows quadratically in the alphabet
     size, the split-node one linearly (for its segment edges), so the
     semi/weak ratio grows with the alphabet.
     """
-    from .synth import timing_corpus
+    for num_labels in num_label_values:
+        if num_labels < 2:
+            raise ValueError(f"label-alphabet sizes count the outside label and must be >= 2, got {num_labels}")
+    for name, value, least in (("sentences", sentences, 1), ("sentence length", sentence_len, 1),
+                               ("max_seg_len", max_seg_len, 1), ("iterations", iterations, 1),
+                               ("warmup", warmup, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
     rows: list[SweepRow] = []
     for num_labels in num_label_values:
-        corpus = timing_corpus(
-            sentences, num_chunk_labels=num_labels - 1, seed=seed, sentence_len=sentence_len
-        )
+        label_set = LabelSet(tuple(chunk_label_names(num_labels - 1)))
+        corpus = timing_corpus(sentences, num_labels - 1, seed=seed, sentence_len=sentence_len)
         dataset = Dataset.from_annotated(corpus)
-        configs = {
-            kind: TrainConfig(model_kind=kind, lam=1.0, max_seg_len=max_seg_len) for kind in MODEL_KINDS
-        }
-        report = benchmark_training(dataset, configs, iterations=iterations, warmup=warmup)
         for kind in MODEL_KINDS:
-            t = report.timings[kind]
-            rows.append(SweepRow(kind, num_labels, sentence_len, max_seg_len, t.edges, t.mean))
+            config = TrainConfig(model_kind=kind, lam=1.0, max_seg_len=max_seg_len)
+            evaluator, _ = compile_split(dataset, config, None, label_set)
+            w = np.zeros(len(evaluator.dictionary))
+            for _ in range(warmup):
+                evaluator.objective_and_gradient(w)
+            t0 = time.perf_counter()
+            for _ in range(iterations):
+                evaluator.objective_and_gradient(w)
+            seconds = (time.perf_counter() - t0) / iterations
+            rows.append(SweepRow(kind, num_labels, sentence_len, max_seg_len, evaluator.batch.num_edges, seconds))
     return rows
 
 

@@ -164,10 +164,15 @@ class FeatureConfig:
     max_seg_len: int = 6
 
     def __post_init__(self) -> None:
-        if self.affix_max_len < 1:
-            raise ValueError("affix_max_len must be >= 1")
-        if self.max_seg_len < 1:
-            raise ValueError("max_seg_len must be >= 1")
+        for name in ("use_affix", "use_brown", "use_shape"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        for name in ("affix_max_len", "max_seg_len"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def word_shape(surface: str) -> str:

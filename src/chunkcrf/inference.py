@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelSet, WordSpan
-from .lattice import Lattice, LevelGraph, Sweep, topology
+from .core import WordSpan
+from .lattice import Lattice, LevelGraph, Sweep
 
 
 class NumericalError(RuntimeError):
@@ -147,19 +147,3 @@ def viterbi(lattice: Lattice, weights: np.ndarray) -> tuple[list[WordSpan], floa
     """Best labeling as word spans, with its path score."""
     (path,), (score,) = viterbi_path(lattice, weights)
     return lattice.path_spans(path), float(score)
-
-
-def complexity_probe(model_kind: str, n: int, max_seg_len: int, num_labels: int) -> int:
-    """Exact edge count of an ``n``-token lattice topology over a generic
-    label alphabet.
-
-    The probe generalizes past the chunk/outside split: all ``num_labels``
-    labels admit segments up to ``max_seg_len`` so the count reflects the
-    uniform-alphabet scaling regime (for the linear trellis, the alphabet is
-    expanded to its BIO tag set).  Edge counts depend on the topology alone,
-    so no sentence or part table is built.
-    """
-    if num_labels < 2:
-        raise ValueError("need at least two labels (one chunk label plus outside)")
-    label_set = LabelSet(tuple(f"Y{i}" for i in range(1, num_labels)))
-    return topology(model_kind, n, label_set, max_seg_len, max_seg_len).num_edges

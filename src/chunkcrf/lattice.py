@@ -24,15 +24,16 @@ level, over one lattice or over a :class:`Batch` of lattices of one family.
 
 A lattice is a :class:`Topology` plus a part table.  The topology (nodes,
 levels, edges, adjacency and sweeps) depends only on the family, the
-sentence length, the label set and the segment-length limits, so it is built
-once per such shape, cached, and shared by every sentence of that shape.  It
-names each edge's features by two *slots*: template keys such as
-``("segment", first, last, label)`` or ``("transition", prev, label)``, with
-slot 0 the empty part that pads an edge with one.  The sentence's part table
-then holds the feature ids of each slot, so an edge's score is the sum of two
-part scores and many edges share each part: in a ``semi`` lattice all
-``|labels|`` edges into one segment share its segment part, and all edges
-between one label pair share its transition part.
+sentence length, the label set and the segment-length limit (outside
+segments are always one token long), so it is built once per such shape,
+cached, and shared by every sentence of that shape.  It names each edge's
+features by two *slots*: template keys such as ``("segment", first, last,
+label)`` or ``("transition", prev, label)``, with slot 0 the empty part that
+pads an edge with one.  The sentence's part table then holds the feature
+ids of each slot, so an edge's score is the sum of two part scores and many
+edges share each part: in a ``semi`` lattice all ``|labels|`` edges into one
+segment share its segment part, and all edges between one label pair share
+its transition part.
 
 The part table is compiled for the whole sentence at once.  Every slot's
 features are label-free attributes conjoined with the slot's label (see
@@ -547,13 +548,10 @@ def _linear_topology(n: int, label_set: LabelSet) -> Topology:
     return Topology(b)
 
 
-def _segment_length_limit(label: str, max_seg_len: int, outside_max_len: int) -> int:
-    return outside_max_len if label == OUTSIDE else max_seg_len
-
-
-def _semi_topology(n: int, label_set: LabelSet, max_seg_len: int, outside_max_len: int) -> Topology:
+def _semi_topology(n: int, label_set: LabelSet, max_seg_len: int) -> Topology:
     """Segment lattice: an edge covers a whole segment and carries both the
-    segment templates and the transition template."""
+    segment templates and the transition template.  Outside segments are
+    one token long."""
     b = _Builder("semi")
     alphabet = label_set.alphabet
     b.new_level()
@@ -568,7 +566,7 @@ def _semi_topology(n: int, label_set: LabelSet, max_seg_len: int, outside_max_le
     for i in range(n):
         for label in alphabet:
             dst = b.node_ids[("seg", i, label)]
-            limit = _segment_length_limit(label, max_seg_len, outside_max_len)
+            limit = 1 if label == OUTSIDE else max_seg_len
             for k in range(1, min(limit, i + 1) + 1):
                 j = i - k
                 seg = ("segment", j + 1, i, label)
@@ -582,9 +580,9 @@ def _semi_topology(n: int, label_set: LabelSet, max_seg_len: int, outside_max_le
     return Topology(b)
 
 
-def _weak_topology(n: int, label_set: LabelSet, max_seg_len: int, outside_max_len: int) -> Topology:
+def _weak_topology(n: int, label_set: LabelSet, max_seg_len: int) -> Topology:
     """Split-node segment lattice: segment-length and label-transition
-    decisions live on separate edges."""
+    decisions live on separate edges.  Outside segments are one token long."""
     b = _Builder("weak")
     alphabet = label_set.alphabet
     b.new_level()
@@ -604,7 +602,7 @@ def _weak_topology(n: int, label_set: LabelSet, max_seg_len: int, outside_max_le
     for j in range(n):
         for label in alphabet:
             src = b.node_ids[("begin", j, label)]
-            limit = _segment_length_limit(label, max_seg_len, outside_max_len)
+            limit = 1 if label == OUTSIDE else max_seg_len
             for i in range(j, min(j + limit, n)):
                 b.add_edge(src, b.node_ids[("end", i, label)], ("segment", j, i, label))
     for i in range(n - 1):
@@ -650,9 +648,9 @@ def _compile_pattern(shape: Topology, layout: TemplateLayout) -> AttributePatter
 
 
 @lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
-def topology(model_kind: str, n: int, label_set: LabelSet, max_seg_len: int, outside_max_len: int = 1) -> Topology:
+def topology(model_kind: str, n: int, label_set: LabelSet, max_seg_len: int) -> Topology:
     """The shared topology of every ``n``-token lattice of one family, label
-    set and segment-length limit (``linear`` ignores the limits)."""
+    set and segment-length limit (``linear`` ignores the limit)."""
     if n == 0:
         raise ValueError("cannot build a lattice for an empty sentence")
     if model_kind == "linear":
@@ -662,8 +660,8 @@ def topology(model_kind: str, n: int, label_set: LabelSet, max_seg_len: int, out
     if max_seg_len < 1:
         raise ValueError("max_seg_len must be >= 1")
     if model_kind == "semi":
-        return _semi_topology(n, label_set, max_seg_len, outside_max_len)
-    return _weak_topology(n, label_set, max_seg_len, outside_max_len)
+        return _semi_topology(n, label_set, max_seg_len)
+    return _weak_topology(n, label_set, max_seg_len)
 
 
 def build_lattice(

@@ -29,7 +29,9 @@ def _assemble(words: list[str], chunk_ranges: list[tuple[int, int, str]]) -> Ann
     return AnnotatedText(sentence, spans)
 
 
-def _label_names(num_chunk_labels: int) -> list[str]:
+def chunk_label_names(num_chunk_labels: int) -> list[str]:
+    """The chunk labels the generators draw from: ``NP`` alone, or
+    ``T1`` ... ``Tk``."""
     if num_chunk_labels == 1:
         return ["NP"]
     return [f"T{i}" for i in range(1, num_chunk_labels + 1)]
@@ -46,7 +48,7 @@ def separable_corpus(
 ) -> list[AnnotatedText]:
     """Messages whose chunks are maximal runs from per-label vocabularies."""
     rng = np.random.default_rng(seed)
-    labels = _label_names(num_chunk_labels)
+    labels = chunk_label_names(num_chunk_labels)
     chunk_vocab = {lbl: [f"{lbl.lower()}w{j}" for j in range(vocab_size)] for lbl in labels}
     filler_vocab = [f"fill{j}" for j in range(vocab_size)]
 
@@ -85,7 +87,7 @@ def timing_corpus(
     """Fixed-length messages with random chunk annotations over the given
     number of chunk labels; shaped for benchmarking, not for learnability."""
     rng = np.random.default_rng(seed)
-    labels = _label_names(num_chunk_labels)
+    labels = chunk_label_names(num_chunk_labels)
     vocab = [f"v{j}" for j in range(vocab_size)]
 
     items = []

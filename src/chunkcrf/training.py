@@ -22,7 +22,7 @@ import logging
 import struct
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import minimize
@@ -454,13 +454,7 @@ def _model_header(model: Model) -> dict:
     return {
         "model_kind": model.model_kind,
         "chunk_labels": list(model.label_set.chunk_labels),
-        "feature_config": {
-            "use_affix": model.feature_config.use_affix,
-            "use_brown": model.feature_config.use_brown,
-            "use_shape": model.feature_config.use_shape,
-            "affix_max_len": model.feature_config.affix_max_len,
-            "max_seg_len": model.feature_config.max_seg_len,
-        },
+        "feature_config": asdict(model.feature_config),
         "brown": model.brown.entries if model.brown is not None else None,
         "features": list(model.dictionary.strings),
         "metadata": {k: model.metadata[k] for k in _PERSISTED_METADATA if k in model.metadata},
@@ -488,6 +482,7 @@ _HEADER_TYPES = {
     "features": list,
     "metadata": dict,
 }
+_FEATURE_CONFIG_KEYS = {f.name for f in fields(FeatureConfig)}
 
 
 def load_model(path: str) -> Model:
@@ -540,17 +535,13 @@ def load_model(path: str) -> Model:
     if not np.all(np.isfinite(weights)):
         raise ModelFormatError(f"{path}: weight vector holds non-finite values")
     fc = header["feature_config"]
+    if set(fc) != _FEATURE_CONFIG_KEYS:
+        raise ModelFormatError(f"{path}: feature_config keys are not {sorted(_FEATURE_CONFIG_KEYS)}")
     try:
         model = Model(
             header["model_kind"],
             LabelSet(tuple(header["chunk_labels"])),
-            FeatureConfig(
-                use_affix=fc["use_affix"],
-                use_brown=fc["use_brown"],
-                use_shape=fc["use_shape"],
-                affix_max_len=fc["affix_max_len"],
-                max_seg_len=fc["max_seg_len"],
-            ),
+            FeatureConfig(**fc),
             dictionary,
             weights,
             BrownClusterMap(header["brown"]) if header["brown"] is not None else None,

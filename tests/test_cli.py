@@ -97,6 +97,15 @@ class TestTrainPredictEval:
         assert log_text.count("lambda=") == 5
         assert "selected lambda=" in capsys.readouterr().out
 
+    def test_eval_rejects_a_prediction_for_another_message(self, tmp_path, capsys):
+        gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+        write_jsonl(gold, [annotate("first one", []), annotate("hello big world", [CharSpan(6, 9, "NP")])])
+        write_jsonl(pred, [annotate("first one", []), annotate("abcdef ghijklmnop", [CharSpan(6, 9, "NP")])])
+        assert run(["eval", "--gold", gold, "--pred", pred]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: prediction 2 is not for gold message 2: their texts differ\n"
+
     def test_missing_brown_file_fails_before_training(self, corpus_files, tmp_path):
         train, _ = corpus_files
         code = run(
@@ -299,6 +308,15 @@ class TestBench:
         assert lines[0] == "model,num_labels,n,L,edges,sec_per_iter"
         assert len(lines) == 1 + 2 * 3  # two alphabet sizes, three models
         assert "semi/weak time ratio" in capsys.readouterr().out
+
+    def test_bad_label_size_is_a_plain_data_error(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--labels", "2,1", "--out", out]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: label-alphabet sizes count the outside label")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
 
 def _config(path, text):

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chunkcrf.core import CharSpan, WordSpan
+from chunkcrf import evaluate
+from chunkcrf.core import CharSpan, LabelSet, WordSpan
 from chunkcrf.evaluate import (
-    BenchReport,
-    ModelTiming,
-    benchmark_training,
+    benchmark_label_sweep,
     bootstrap_interval,
     gold_upper_bound,
     score_corpus,
@@ -17,8 +16,8 @@ from chunkcrf.evaluate import (
     SweepRow,
 )
 from chunkcrf.ingest import annotate
-from chunkcrf.synth import inject_improper_spans, separable_corpus, timing_corpus
-from chunkcrf.training import Dataset, TrainConfig
+from chunkcrf.lattice import MODEL_KINDS, topology
+from chunkcrf.synth import chunk_label_names, inject_improper_spans, separable_corpus
 
 
 def cs(*triples):
@@ -139,18 +138,16 @@ class TestBootstrap:
 
 
 class TestBenchmark:
-    def test_timing_report_structure(self):
-        ds = Dataset.from_annotated(timing_corpus(40, num_chunk_labels=1, seed=4, sentence_len=8))
-        configs = {k: TrainConfig(model_kind=k, lam=1.0) for k in ("linear", "semi", "weak")}
-        report = benchmark_training(ds, configs, iterations=2, warmup=1)
-        assert set(report.timings) == {"linear", "semi", "weak"}
-        for timing in report.timings.values():
-            assert len(timing.seconds) == 2
-            assert timing.mean > 0
-            assert timing.edges > 0
-        assert report.speedup_semi_over_weak == pytest.approx(
-            report.timings["semi"].mean / report.timings["weak"].mean
-        )
+    def test_sweep_rows_time_the_requested_alphabet(self):
+        # five four-token sentences hold at most ten chunks, so they cannot
+        # use all 15 chunk labels; the lattices still span all 16 labels
+        rows = benchmark_label_sweep((3, 16), sentences=5, sentence_len=4, max_seg_len=3, iterations=2, warmup=0)
+        assert [(r.num_labels, r.model) for r in rows] == [(y, k) for y in (3, 16) for k in MODEL_KINDS]
+        for r in rows:
+            label_set = LabelSet(tuple(chunk_label_names(r.num_labels - 1)))
+            assert (r.n, r.max_seg_len) == (4, 3)
+            assert r.edges == 5 * topology(r.model, 4, label_set, 3).num_edges
+            assert r.sec_per_iter > 0
 
     def test_sweep_csv_schema(self):
         rows = [SweepRow("semi", 2, 10, 6, 1234, 0.5), SweepRow("weak", 2, 10, 6, 999, 0.4)]
@@ -159,6 +156,22 @@ class TestBenchmark:
         assert lines[0] == "model,num_labels,n,L,edges,sec_per_iter"
         assert lines[1] == "semi,2,10,6,1234,0.500000"
 
-    def test_model_timing_validates_positive_times(self):
-        with pytest.raises(ValueError):
-            ModelTiming("semi", (0.0,), 10)
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"num_label_values": (2, 1)}, "sizes count the outside label and must be >= 2, got 1"),
+            ({"iterations": 0}, "iterations must be >= 1, got 0"),
+            ({"warmup": -1}, "warmup must be >= 0, got -1"),
+            ({"sentences": 0}, "sentences must be >= 1, got 0"),
+            ({"sentence_len": 0}, "sentence length must be >= 1, got 0"),
+            ({"max_seg_len": 0}, "max_seg_len must be >= 1, got 0"),
+        ],
+        ids=["labels", "iterations", "warmup", "sentences", "length", "max-seg-len"],
+    )
+    def test_sweep_rejects_bad_arguments_before_any_work(self, monkeypatch, kwargs, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep generated a corpus")
+
+        monkeypatch.setattr(evaluate, "timing_corpus", no_work)
+        with pytest.raises(ValueError, match=message):
+            benchmark_label_sweep(**{"num_label_values": (2,), **kwargs})

@@ -11,7 +11,6 @@ from chunkcrf.core import LabelSet, WordSpan, tokenize
 from chunkcrf.features import FeatureConfig, FeatureDictionary, FeatureExtractor
 from chunkcrf.inference import (
     NumericalError,
-    complexity_probe,
     edge_marginals,
     edge_scores,
     forward_log,
@@ -230,34 +229,6 @@ class TestBatch:
             assert path == expected[::-1]
             assert score == 0.0
             assert lat.path_spans(path) == []
-
-
-class TestComplexityProbe:
-    def test_linear_trellis_bound(self):
-        # alphabet of 2 expands to 3 BIO tags
-        edges = complexity_probe("linear", 10, 1, 2)
-        assert edges <= 10 * 9 + 5
-
-    def test_segment_model_grows_quadratically_transition_model_linearly(self):
-        semi = [complexity_probe("semi", 12, 4, y) for y in (2, 4, 8, 16)]
-        weak = [complexity_probe("weak", 12, 4, y) for y in (2, 4, 8, 16)]
-        # quadratic growth: doubling labels roughly quadruples segment-model
-        # edges once the alphabet dominates
-        assert semi[3] / semi[2] > 3.0
-        # the split-node model's segment edges grow linearly; with the
-        # quadratic transition part included the overall growth is slower
-        assert weak[3] / weak[2] < semi[3] / semi[2]
-
-    def test_split_node_wins_once_past_the_degenerate_corner(self):
-        # closed form: per-position costs are L*Y^2 (conventional) versus
-        # Y^2 + L*Y (split), which tie exactly when (L-1)(Y-1) = 1
-        for n in (5, 20):
-            for max_len in (2, 6):
-                for y in (2, 4, 8, 16):
-                    semi = complexity_probe("semi", n, max_len, y)
-                    weak = complexity_probe("weak", n, max_len, y)
-                    if (max_len - 1) * (y - 1) > 1:
-                        assert weak < semi
 
 
 @st.composite

@@ -170,6 +170,36 @@ class TestWeak:
         assert transition_edges <= 10 * num_labels**2 + 2 * num_labels
 
 
+def _closed_form_edges(kind, n, chunk_labels, max_len):
+    """Edge count of an ``n``-token topology with ``chunk_labels`` chunk
+    labels plus outside (Y of them), outside segments one token long."""
+    c, y = chunk_labels, chunk_labels + 1
+    if kind == "semi":
+        chunk = sum(i * y + 1 if i < max_len else max_len * y for i in range(n))
+        return 1 + (n - 1) * y + c * chunk + y
+    if kind == "weak":
+        return 2 * y + n + c * sum(min(max_len, n - j) for j in range(n)) + (n - 1) * y * y
+    if n == 1:
+        return 2 * (1 + c)
+    per_step = (1 + c) * (1 + 2 * c) + 2 * c
+    return (1 + c) + (1 + c) ** 2 + c + (n - 2) * per_step + (1 + 2 * c)
+
+
+class TestEdgeCounts:
+    """The edge counts behind the paper's cost argument, O(n*L*|Y|^2) for
+    ``semi`` against O(n*|Y|^2 + n*L*|Y|) for ``weak``, read off the real
+    topologies."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_topology_edges_match_closed_form(self, kind):
+        for chunk_labels in range(1, 5):
+            label_set = LabelSet(tuple(f"T{i}" for i in range(1, chunk_labels + 1)))
+            for n in range(1, 13):
+                for max_len in range(1, 7):
+                    expected = _closed_form_edges(kind, n, chunk_labels, max_len)
+                    assert topology(kind, n, label_set, max_len).num_edges == expected, (n, chunk_labels, max_len)
+
+
 class TestEdgeFeatures:
     def test_semi_edge_features_match_direct_extraction(self):
         d = FeatureDictionary()

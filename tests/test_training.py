@@ -467,10 +467,14 @@ class TestSerialization:
             lambda h: h["feature_config"].pop("max_seg_len"),
             lambda h: h["feature_config"].update(affix_max_len="3"),
             lambda h: h["feature_config"].update(use_brown=True),
+            lambda h: h["feature_config"].update(use_affix="no"),
+            lambda h: h["feature_config"].update(max_seg_len=True),
+            lambda h: h["feature_config"].update(use_case=False),
         ],
         ids=[
             "missing-field", "extra-field", "wrong-type", "non-string-feature", "unknown-kind",
             "bad-label", "missing-config-field", "bad-config-value", "clusters-without-map",
+            "string-config-flag", "bool-config-limit", "unknown-config-key",
         ],
     )
     def test_invalid_header_rejected(self, tmp_path, mutate):
