@@ -22,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import SpanError, char_spans_to_word_spans, word_spans_to_char_spans
+from .core import char_spans_to_word_spans, word_spans_to_char_spans
 from .evaluate import (
     benchmark_label_sweep,
     format_eval_table,
@@ -35,7 +35,6 @@ from .lattice import MODEL_KINDS
 from .training import (
     LAMBDA_GRID,
     Dataset,
-    ModelFormatError,
     NumericalError,
     TrainConfig,
     load_model,
@@ -77,9 +76,9 @@ def load_config_file(path: str, parser: _Parser, command: str) -> dict:
 
     A key is an option's destination or one of its flag names, with ``-``
     turned into ``_``, and its value is parsed as the option parses a flag
-    value (``yes``/``no`` for a switch).  Keys of the other commands are
-    checked and parsed too, then dropped, so one file can serve several
-    commands.
+    value (``yes``/``no`` for a switch) and must be one of its choices.
+    Keys of the other commands are checked and parsed too, then dropped, so
+    one file can serve several commands.
     """
     keys = {}
     for sub_parser in parser.commands.values():
@@ -102,9 +101,12 @@ def load_config_file(path: str, parser: _Parser, command: str) -> dict:
             action = keys[key]
             parse = _parse_bool if action.nargs == 0 else action.type or str
             try:
-                values[action.dest] = parse(raw.strip())
+                value = parse(raw.strip())
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise DataFormatError(f"{path}:{lineno}: {key} must be one of {', '.join(action.choices)}, got {value!r}")
+            values[action.dest] = value
     own = {action.dest for action in parser.commands[command]._actions}
     return {dest: value for dest, value in values.items() if dest in own}
 
@@ -112,8 +114,6 @@ def load_config_file(path: str, parser: _Parser, command: str) -> dict:
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     """Check a training run's options before any data is read and return
     its configuration; ``tune_lambda`` sets lambda per grid point."""
-    if args.model not in MODEL_KINDS:
-        raise ValueError(f"unknown model {args.model!r}")
     flags = {f.strip() for f in args.features.split(",") if f.strip()}
     unknown = flags - {"a", "b", "s"}
     if unknown:
@@ -229,8 +229,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         reports["char"] = score_corpus(char_gold, char_pred, level="char")
     if args.level in ("word", "both"):
         reports["word"] = score_corpus(word_gold, word_pred, level="word")
-    if not reports:
-        raise ValueError(f"unknown eval level {args.level!r}")
 
     if "char" in reports and "word" in reports:
         print(format_eval_table({"system": (reports["char"], reports["word"])}))
@@ -254,9 +252,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    label_values = tuple(int(x) for x in args.labels.split(",") if x.strip())
+    label_values = []
+    for item in filter(None, (x.strip() for x in args.labels.split(","))):
+        try:
+            label_values.append(int(item))
+        except ValueError:
+            raise ValueError(f"label-alphabet sizes must be integers, got {item!r}") from None
     rows = benchmark_label_sweep(
-        num_label_values=label_values,
+        num_label_values=tuple(label_values),
         sentences=args.sentences,
         sentence_len=args.length,
         max_seg_len=args.max_seg_len,
@@ -351,9 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     to stderr) and ``--help`` returns ``EXIT_OK``; the parser's ``SystemExit``
     does not escape.  With ``--config``, the file's values become the
     command's defaults and ``argv`` is parsed again, so flags override them.
-    Data and numerical failures return ``EXIT_DATA`` and ``EXIT_NUMERIC``; so
-    does a required value that neither the flags nor the config file supply,
-    since a config file could have.
+    Any ``ValueError`` or ``OSError`` (bad data, an unusable path, a required
+    value neither the flags nor the config file supply) returns ``EXIT_DATA``
+    and a numerical failure returns ``EXIT_NUMERIC``.
     """
     parser = build_parser()
     try:
@@ -368,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataFormatError, SpanError, ModelFormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

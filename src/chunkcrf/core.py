@@ -11,12 +11,18 @@ Conventions used throughout the package:
   cut through tokens; projecting them onto token boundaries is lossy by
   design, and the projection is a pure snap-to-boundary rule with no other
   normalization.
+- A span list is valid when every span lies inside ``[0, limit)`` (the text's
+  characters or the sentence's tokens) and no two spans overlap; the list's
+  order does not matter.  :func:`ordered_spans` is the one place that checks
+  this, for every reader, converter, lattice and scorer.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import TypeVar
 
 OUTSIDE = "O"
 """Reserved label for tokens outside any chunk."""
@@ -31,7 +37,7 @@ _TOKEN_RE = re.compile(rf"{_ANON_PATTERN}|\w+|[^\w\s]+")
 
 
 class SpanError(ValueError):
-    """Raised when spans violate bounds, ordering, or overlap contracts."""
+    """Raised when a span, or a span list under :func:`ordered_spans`, is invalid."""
 
 
 @dataclass(frozen=True)
@@ -174,15 +180,28 @@ def tokenize(raw_text: str) -> Sentence:
     return Sentence(raw_text, tokens)
 
 
-def _check_char_spans(sentence: Sentence, spans: list[CharSpan]) -> list[CharSpan]:
-    ordered = sorted(spans, key=lambda s: (s.start, s.end))
-    prev_end = -1
-    for span in ordered:
-        if span.start < 0 or span.end > len(sentence.raw_text):
-            raise SpanError(f"span [{span.start}, {span.end}) outside text of length {len(sentence.raw_text)}")
-        if span.start < prev_end:
-            raise SpanError(f"overlapping char spans at offset {span.start}")
-        prev_end = span.end
+def span_bounds(span: CharSpan | WordSpan) -> tuple[int, int]:
+    """A span's half-open ``[start, end)``: characters for a :class:`CharSpan`,
+    tokens for a :class:`WordSpan`."""
+    if isinstance(span, WordSpan):
+        return span.first_token, span.last_token + 1
+    return span.start, span.end
+
+
+SpanT = TypeVar("SpanT", CharSpan, WordSpan)
+
+
+def ordered_spans(spans: Iterable[SpanT], limit: float) -> list[SpanT]:
+    """``spans`` sorted by position; raises :class:`SpanError` when a span
+    leaves ``[0, limit)`` or two spans overlap."""
+    ordered = sorted(spans, key=span_bounds)
+    prev_end = 0
+    for start, end in map(span_bounds, ordered):
+        if start < 0 or end > limit:
+            raise SpanError(f"span [{start}, {end}) outside [0, {limit})")
+        if start < prev_end:
+            raise SpanError(f"spans overlap at {start}")
+        prev_end = end
     return ordered
 
 
@@ -195,9 +214,8 @@ def char_spans_to_word_spans(sentence: Sentence, spans: list[CharSpan]) -> list[
     dropped; spans that collide after snapping are merged left to right
     (keeping the earlier span's label).
     """
-    ordered = _check_char_spans(sentence, spans)
     snapped: list[WordSpan] = []
-    for span in ordered:
+    for span in ordered_spans(spans, len(sentence.raw_text)):
         first = last = None
         for idx, tok in enumerate(sentence.tokens):
             if tok.start < span.end and tok.end > span.start:
@@ -220,23 +238,10 @@ def char_spans_to_word_spans(sentence: Sentence, spans: list[CharSpan]) -> list[
     return merged
 
 
-def _check_word_spans(sentence: Sentence, spans: list[WordSpan]) -> list[WordSpan]:
-    ordered = sorted(spans, key=lambda s: (s.first_token, s.last_token))
-    prev_last = -1
-    for span in ordered:
-        if span.last_token >= len(sentence):
-            raise SpanError(f"word span ({span.first_token}, {span.last_token}) outside sentence of {len(sentence)} tokens")
-        if span.first_token <= prev_last:
-            raise SpanError(f"overlapping word spans at token {span.first_token}")
-        prev_last = span.last_token
-    return ordered
-
-
 def word_spans_to_bio(sentence: Sentence, spans: list[WordSpan]) -> BioSequence:
     """Encode non-overlapping word spans as per-token BIO tags."""
-    ordered = _check_word_spans(sentence, spans)
     tags = [OUTSIDE] * len(sentence)
-    for span in ordered:
+    for span in ordered_spans(spans, len(sentence)):
         tags[span.first_token] = f"B-{span.label}"
         for idx in range(span.first_token + 1, span.last_token + 1):
             tags[idx] = f"I-{span.label}"
@@ -262,10 +267,9 @@ def bio_to_word_spans(bio: BioSequence) -> list[WordSpan]:
 
 def word_spans_to_char_spans(sentence: Sentence, spans: list[WordSpan]) -> list[CharSpan]:
     """Map word spans to character spans via first-token start / last-token end."""
-    ordered = _check_word_spans(sentence, spans)
     return [
         CharSpan(sentence.tokens[s.first_token].start, sentence.tokens[s.last_token].end, s.label)
-        for s in ordered
+        for s in ordered_spans(spans, len(sentence))
     ]
 
 

@@ -4,7 +4,8 @@ per-iteration training-time benchmark.
 Scoring is exact-match: a predicted span counts only when both boundaries
 and the label equal a gold span.  Character-level evaluation compares
 original character spans; word-level evaluation compares token spans after
-boundary snapping.
+boundary snapping.  Each list must pass :func:`chunkcrf.core.ordered_spans`
+with no upper limit: no negative offset and no overlap.
 
 The benchmark is one function, :func:`benchmark_label_sweep`.  For each
 requested label-alphabet size it builds exactly that alphabet and a
@@ -18,35 +19,19 @@ lattices it timed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CharSpan, LabelSet, WordSpan
+from .core import CharSpan, LabelSet, WordSpan, ordered_spans, span_bounds
 from .ingest import AnnotatedText
 from .lattice import MODEL_KINDS
 from .synth import chunk_label_names, timing_corpus
 from .training import Dataset, TrainConfig, compile_split
 
 Span = CharSpan | WordSpan
-
-
-def _normalize(span: Span) -> tuple[int, int, str]:
-    """Half-open (start, end, label) key; word spans use token indices."""
-    if isinstance(span, WordSpan):
-        return (span.first_token, span.last_token + 1, span.label)
-    return (span.start, span.end, span.label)
-
-
-def _check_disjoint(spans: list[Span], who: str) -> set[tuple[int, int, str]]:
-    keys = sorted(_normalize(s) for s in spans)
-    prev_end = None
-    for start, end, _ in keys:
-        if prev_end is not None and start < prev_end:
-            raise ValueError(f"{who} spans overlap at {start}")
-        prev_end = end
-    return set(keys)
 
 
 @dataclass(frozen=True)
@@ -70,9 +55,13 @@ def _report(level: str, tp: int, fp: int, fn: int) -> EvalReport:
     return EvalReport(level, precision, recall, f1, tp, fp, fn)
 
 
+def _span_keys(spans: list[Span]) -> set[tuple[int, int, str]]:
+    return {(*span_bounds(span), span.label) for span in ordered_spans(spans, math.inf)}
+
+
 def span_counts(gold: list[Span], predicted: list[Span]) -> tuple[int, int, int]:
-    gold_keys = _check_disjoint(gold, "gold")
-    pred_keys = _check_disjoint(predicted, "predicted")
+    gold_keys = _span_keys(gold)
+    pred_keys = _span_keys(predicted)
     tp = len(gold_keys & pred_keys)
     return tp, len(pred_keys) - tp, len(gold_keys) - tp
 
@@ -207,6 +196,8 @@ def benchmark_label_sweep(
     size, the split-node one linearly (for its segment edges), so the
     semi/weak ratio grows with the alphabet.
     """
+    if not num_label_values:
+        raise ValueError("need at least one label-alphabet size")
     for num_labels in num_label_values:
         if num_labels < 2:
             raise ValueError(f"label-alphabet sizes count the outside label and must be >= 2, got {num_labels}")

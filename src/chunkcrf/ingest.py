@@ -10,7 +10,8 @@ Two input formats are supported:
 
 JSON-lines is also the canonical on-disk dataset format written by the
 ``ingest`` command.  Parsing is fail-fast: any malformed line aborts with
-file and line context.
+file and line context.  A message's spans must pass the one span rule,
+:func:`chunkcrf.core.ordered_spans`; they may be listed in any order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import CharSpan, Sentence, SpanError, is_token_aligned, tokenize
+from .core import CharSpan, Sentence, SpanError, is_token_aligned, ordered_spans, span_bounds, tokenize
 
 
 class DataFormatError(ValueError):
@@ -35,17 +36,11 @@ class AnnotatedText:
     char_spans: tuple[CharSpan, ...]
 
     def __post_init__(self) -> None:
-        prev_end = -1
-        for span in self.char_spans:
-            if span.start < prev_end:
-                raise SpanError(f"overlapping spans at offset {span.start}")
-            if span.end > len(self.sentence.raw_text):
-                raise SpanError(f"span [{span.start}, {span.end}) outside text")
-            prev_end = span.end
+        ordered_spans(self.char_spans, len(self.sentence.raw_text))
 
 
 def annotate(text: str, spans: list[CharSpan]) -> AnnotatedText:
-    return AnnotatedText(tokenize(text), tuple(sorted(spans, key=lambda s: (s.start, s.end))))
+    return AnnotatedText(tokenize(text), tuple(sorted(spans, key=span_bounds)))
 
 
 def read_jsonl(path: str | Path) -> list[AnnotatedText]:

@@ -58,7 +58,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import OUTSIDE, BioSequence, LabelSet, Sentence, WordSpan, bio_to_word_spans, word_spans_to_bio
+from .core import (
+    OUTSIDE, BioSequence, LabelSet, Sentence, WordSpan, bio_to_word_spans, ordered_spans, word_spans_to_bio,
+)
 from .features import (
     LINEAR_TRANSITION_PREFIX,
     SEGMENT_TRANSITION_PREFIX,
@@ -324,12 +326,9 @@ class Lattice:
         return np.concatenate([self.part_idx[lo:hi] for lo, hi in bounds.T])
 
     def _segments(self, spans: list[WordSpan]) -> list[tuple[int, int, str]]:
-        ordered = sorted(spans, key=lambda s: s.first_token)
         segments: list[tuple[int, int, str]] = []
         cursor = 0
-        for span in ordered:
-            if span.first_token < cursor:
-                raise LatticeError("overlapping gold spans")
+        for span in ordered_spans(spans, len(self.sentence)):
             while cursor < span.first_token:
                 segments.append((cursor, cursor, OUTSIDE))
                 cursor += 1
@@ -344,7 +343,8 @@ class Lattice:
         """Edge path realizing the given chunk structure.
 
         Raises :class:`LatticeError` when the structure is not representable
-        (unknown label, segment too long, or a missing edge).
+        (spans :func:`~chunkcrf.core.ordered_spans` rejects, an unknown label,
+        a segment too long, or a missing edge).
         """
         try:
             if self.model_kind == "linear":

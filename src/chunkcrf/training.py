@@ -33,6 +33,7 @@ from .core import (
     Sentence,
     WordSpan,
     char_spans_to_word_spans,
+    ordered_spans,
     word_spans_to_char_spans,
 )
 from .features import (
@@ -96,13 +97,7 @@ class DataItem:
     char_spans: tuple[CharSpan, ...] | None = None
 
     def __post_init__(self) -> None:
-        prev_last = -1
-        for span in sorted(self.word_spans, key=lambda s: s.first_token):
-            if span.first_token <= prev_last:
-                raise ValueError("gold word spans overlap")
-            if span.last_token >= len(self.sentence):
-                raise ValueError("gold word span outside sentence")
-            prev_last = span.last_token
+        ordered_spans(self.word_spans, len(self.sentence))
 
 
 @dataclass

@@ -62,6 +62,15 @@ class TestIngest:
     def test_missing_input_is_a_data_error(self, tmp_path):
         assert run(["ingest", tmp_path / "nope.jsonl", "--format", "jsonl"]) == EXIT_DATA
 
+    def test_negative_span_start_is_a_data_error(self, tmp_path, capsys):
+        src = tmp_path / "src.jsonl"
+        line = json.dumps({"text": "Dr teh says", "spans": [{"start": -1, "end": 5, "label": "NP"}]})
+        src.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert run(["ingest", src, "--out", out]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {src}:1: span [-1, 5) outside [0, 11)")
+        assert not out.exists()
+
 
 class TestTrainPredictEval:
     def test_full_cycle_reaches_perfect_scores(self, corpus_files, tmp_path, capsys):
@@ -251,6 +260,26 @@ class TestTrainPredictEval:
         assert captured.err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "FILE/in.jsonl"],
+            ["ingest", "DEV", "--out", "FILE/out.jsonl"],
+            ["predict", "--model-file", "FILE/m.ckcrf", "--input", "DEV"],
+            ["eval", "--gold", "FILE/gold.jsonl", "--pred", "DEV"],
+        ],
+        ids=["ingest-input", "ingest-out", "predict-model-file", "eval-gold"],
+    )
+    def test_path_under_a_regular_file_is_a_data_error(self, corpus_files, tmp_path, capsys, argv):
+        _, dev = corpus_files
+        regular = tmp_path / "file"
+        regular.write_text("", encoding="utf-8")
+        argv = [str(dev) if arg == "DEV" else arg.replace("FILE", str(regular)) for arg in argv]
+        assert run(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_usage_error_exit_code(self, capsys):
         assert run(["train", "--model", "bogus"]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -309,12 +338,21 @@ class TestBench:
         assert len(lines) == 1 + 2 * 3  # two alphabet sizes, three models
         assert "semi/weak time ratio" in capsys.readouterr().out
 
-    def test_bad_label_size_is_a_plain_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ("2,1", "label-alphabet sizes count the outside label"),
+            ("2,x", "label-alphabet sizes must be integers, got 'x'"),
+            (",", "need at least one label-alphabet size"),
+        ],
+        ids=["too-small", "not-an-integer", "empty"],
+    )
+    def test_bad_label_size_is_a_plain_data_error(self, tmp_path, capsys, labels, message):
         out = tmp_path / "bench.csv"
-        assert run(["bench", "--labels", "2,1", "--out", out]) == EXIT_DATA
+        assert run(["bench", "--labels", labels, "--out", out]) == EXIT_DATA
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: label-alphabet sizes count the outside label")
+        assert captured.err.startswith(f"error: {message}")
         assert "Traceback" not in captured.err
         assert not out.exists()
 
@@ -370,6 +408,25 @@ class TestConfigFile:
         assert header == "model,num_labels,n,L,edges,sec_per_iter"
         assert [row.split(",")[:3] for row in rows] == [[kind, "3", "5"] for kind in ("linear", "semi", "weak")]
         assert "labels=3: semi/weak time ratio" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["train", "--train", "DEV", "--lambda", "0.1", "--out", "OUT"], "model"),
+            (["eval", "--gold", "DEV", "--pred", "DEV", "--json-out", "OUT"], "level"),
+            (["ingest", "DEV", "--out", "OUT"], "format"),
+        ],
+        ids=["model", "level", "format"],
+    )
+    def test_value_outside_the_choices_is_a_data_error(self, corpus_files, tmp_path, capsys, argv, key):
+        _, dev = corpus_files
+        config = _config(tmp_path / "run.cfg", f"{key} = bogus\n")
+        argv = [{"DEV": dev, "OUT": tmp_path / "out"}.get(arg, arg) for arg in argv]
+        assert run([*argv, "--config", config]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {config}:1: {key} must be one of ")
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def _sample_value(action):

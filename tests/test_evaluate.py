@@ -165,8 +165,9 @@ class TestBenchmark:
             ({"sentences": 0}, "sentences must be >= 1, got 0"),
             ({"sentence_len": 0}, "sentence length must be >= 1, got 0"),
             ({"max_seg_len": 0}, "max_seg_len must be >= 1, got 0"),
+            ({"num_label_values": ()}, "need at least one label-alphabet size"),
         ],
-        ids=["labels", "iterations", "warmup", "sentences", "length", "max-seg-len"],
+        ids=["labels", "iterations", "warmup", "sentences", "length", "max-seg-len", "no-labels"],
     )
     def test_sweep_rejects_bad_arguments_before_any_work(self, monkeypatch, kwargs, message):
         def no_work(*args, **kwargs):
