@@ -30,7 +30,7 @@ from .evaluate import (
     sweep_rows_to_csv,
 )
 from .features import load_brown_clusters
-from .ingest import DataFormatError, corpus_stats, read_corpus, read_jsonl, write_jsonl
+from .ingest import DataFormatError, corpus_stats, jsonl_line, read_corpus, read_jsonl, write_jsonl
 from .lattice import MODEL_KINDS
 from .training import (
     LAMBDA_GRID,
@@ -192,12 +192,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         for lo in range(0, len(items), PREDICT_CHUNK):
             sentences = [item.sentence for item in items[lo : lo + PREDICT_CHUNK]]
             for sentence, word_spans in zip(sentences, model.predict_many(sentences)):
-                spans = word_spans_to_char_spans(sentence, word_spans)
-                obj = {
-                    "text": sentence.raw_text,
-                    "spans": [{"start": s.start, "end": s.end, "label": s.label} for s in spans],
-                }
-                out_fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+                out_fh.write(jsonl_line(sentence.raw_text, word_spans_to_char_spans(sentence, word_spans)))
     finally:
         if args.out:
             out_fh.close()

@@ -60,8 +60,9 @@ TRANSITION_PREFIXES = (LINEAR_TRANSITION_PREFIX, SEGMENT_TRANSITION_PREFIX)
 
 PAD_ATTRIBUTE = 0  # attribute id of a role a word has no value for; its table row is all -1
 UNSEEN = -2  # table cell not looked up in the dictionary yet
-# Word types an extractor keeps rows for; past this many it starts its caches
-# afresh, so decoding an open-ended stream of new words holds them bounded.
+# Word types an extractor over a frozen dictionary keeps rows for; past this
+# many it starts its caches afresh, so decoding an open-ended stream of new
+# words holds them bounded (a growing dictionary's finite data bounds them).
 WORD_CACHE_SIZE = 2048
 
 
@@ -395,7 +396,7 @@ class FeatureExtractor:
         per-part methods would.
         """
         kind = pattern.kind
-        if len(self._row_ids[kind]) > WORD_CACHE_SIZE:
+        if self.dictionary.frozen and len(self._row_ids[kind]) > WORD_CACHE_SIZE:
             self._clear_caches()
         row_ids = self._row_ids[kind]
         words = [BOS_WORD, *(token.surface for token in sentence.tokens), EOS_WORD]

@@ -3,12 +3,13 @@
 Every program runs on a :class:`~chunkcrf.lattice.LevelGraph`: one lattice
 (its shared topology's levels, edges and sweeps with the sentence's part
 table), or a :class:`~chunkcrf.lattice.Batch` holding several lattices of one
-family whose nodes are numbered level by level.  Forward and Viterbi walk the
-levels bottom-up, backward top-down, and each level is a handful of numpy
-reductions (``maximum.reduceat`` and an ``add.reduceat`` log-sum-exp) over
-the contiguous run of that level's edges, so the cost is per level and per
-edge, with no Python work per node.  One call covers every member of a batch,
-and a member's results do not depend on which other lattices share its batch.
+family whose nodes are numbered level by level.  One level sweep serves
+forward and Viterbi (bottom-up) and backward (top-down): each level is a
+handful of numpy reductions over the contiguous run of that level's edges, a
+``maximum.reduceat`` and then, outside Viterbi's max-plus semiring, an
+``add.reduceat`` log-sum-exp.  The cost is per level and per edge, with no
+Python work per node.  One call covers every member of a batch, and a
+member's results do not depend on which other lattices share its batch.
 
 An edge's score is the dot product of the weight vector with its indicator
 features, computed once per part and summed over the edge's two parts.
@@ -43,18 +44,22 @@ def edge_scores(graph: LevelGraph, weights: np.ndarray) -> np.ndarray:
         return part[graph.edge_parts[:, 0]] + part[graph.edge_parts[:, 1]]
 
 
-def _log_sweep(sweep: Sweep, scores: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _sweep(sweep: Sweep, scores: np.ndarray, x: np.ndarray, log: bool = True) -> np.ndarray:
     """Fill ``x`` step by step with the log-sum-exp over each node's edges of
-    (score + value of the node the edge reads)."""
-    s = scores[sweep.order]
+    (score + value of the node the edge reads), or with their maximum when
+    ``log`` is false (the max-plus semiring, for Viterbi).  Returns those
+    per-edge sums, in ``sweep.order``."""
+    sums = scores[sweep.order]
     for a, b, lo, hi, starts in sweep.steps:
-        vals = x[sweep.read[lo:hi]]
-        vals += s[lo:hi]
+        vals = sums[lo:hi]
+        vals += x[sweep.read[lo:hi]]
         x[a:b] = np.maximum.reduceat(vals, starts)
-        vals -= x[sweep.write[lo:hi]]
-        np.exp(vals, out=vals)
-        x[a:b] += np.log(np.add.reduceat(vals, starts))
-    return x
+        if log:
+            shifted = x[sweep.write[lo:hi]]
+            np.subtract(vals, shifted, out=shifted)
+            np.exp(shifted, out=shifted)
+            x[a:b] += np.log(np.add.reduceat(shifted, starts))
+    return sums
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -64,16 +69,18 @@ def _check_finite(values: np.ndarray, what: str) -> None:
 
 def forward_log(graph: LevelGraph, scores: np.ndarray) -> np.ndarray:
     """Log-sums of path prefixes ending at each node (roots = 0)."""
+    alpha = np.zeros(graph.num_nodes)
     with np.errstate(all="ignore"):
-        alpha = _log_sweep(graph.forward_sweep, scores, np.zeros(graph.num_nodes))
+        _sweep(graph.forward_sweep, scores, alpha)
     _check_finite(alpha[graph.leaves], "log partition")
     return alpha
 
 
 def backward_log(graph: LevelGraph, scores: np.ndarray) -> np.ndarray:
     """Log-sums of path suffixes starting at each node (leaves = 0)."""
+    beta = np.zeros(graph.num_nodes)
     with np.errstate(all="ignore"):
-        beta = _log_sweep(graph.backward_sweep, scores, np.zeros(graph.num_nodes))
+        _sweep(graph.backward_sweep, scores, beta)
     _check_finite(beta[: graph.level_ptr[1]], "log partition")
     return beta
 
@@ -111,33 +118,29 @@ def viterbi_path(graph: LevelGraph, weights: np.ndarray) -> tuple[list[list[int]
     """Maximum-score root-to-leaf node path of each member, in member-local
     node ids, with its score.
 
-    Ties are broken toward the topologically earliest predecessor: each
-    node's in-edges are source-sorted and the first one reaching the maximum
-    wins.  That makes decoding deterministic; with all-zero weights every
+    Ties go to the lowest source: after the max-plus sweep, a node's
+    back-pointer is the first *tight* edge (source value + score == node
+    value) in its source-sorted in-edge run ``in_ptr[v]:in_ptr[v + 1]``.
+    That makes decoding deterministic; with all-zero weights every
     construction decodes to the all-outside labeling.
     """
     scores = edge_scores(graph, weights)
     sweep = graph.forward_sweep
-    s = scores[sweep.order]
     delta = np.zeros(graph.num_nodes)
-    pred = np.zeros(graph.num_nodes, dtype=np.int64)
     with np.errstate(all="ignore"):
-        for a, b, lo, hi, starts in sweep.steps:
-            vals = delta[sweep.read[lo:hi]] + s[lo:hi]
-            delta[a:b] = np.maximum.reduceat(vals, starts)
-            # A NaN segment has no hit; its index stays in range, and the
-            # NaN reaches the leaf's score, which is checked below.
-            hit = np.where(vals == delta[sweep.write[lo:hi]], np.arange(lo, hi), hi - 1)
-            pred[a:b] = sweep.read[np.minimum.reduceat(hit, starts)]
+        sums = _sweep(sweep, scores, delta, log=False)
     best = delta[graph.leaves]
+    # np.maximum keeps NaNs and every node reaches a leaf, so with finite
+    # leaves each node's value is one of its in-edge sums: it has a tight edge.
     _check_finite(best, "best path score")
     num_roots = int(graph.level_ptr[1])
-    back = pred.tolist()
+    edge_ids = np.where(sums == delta[sweep.write], np.arange(len(sums)), len(sums) - 1)
+    back = sweep.read[np.minimum.reduceat(edge_ids, graph.in_ptr[num_roots:-1])].tolist()
     paths = []
     for leaf in graph.leaves.tolist():
         path = [leaf]
         while path[-1] >= num_roots:
-            path.append(back[path[-1]])
+            path.append(back[path[-1] - num_roots])
         path.reverse()
         paths.append(graph.local_ids(path))
     return paths, best

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,16 +60,15 @@ def read_jsonl(path: str | Path) -> list[AnnotatedText]:
     return items
 
 
+def jsonl_line(text: str, spans: Iterable[CharSpan]) -> str:
+    """One message as a line of the JSON-lines format, newline included."""
+    obj = {"text": text, "spans": [{"start": s.start, "end": s.end, "label": s.label} for s in spans]}
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
 def write_jsonl(path: str | Path, items: list[AnnotatedText]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            obj = {
-                "text": item.sentence.raw_text,
-                "spans": [
-                    {"start": s.start, "end": s.end, "label": s.label} for s in item.char_spans
-                ],
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        fh.writelines(jsonl_line(item.sentence.raw_text, item.char_spans) for item in items)
 
 
 _T_LINE = re.compile(r"T\S*\t(\S+) (\d+) (\d+)\t(.*)\Z")

@@ -231,7 +231,9 @@ class TestTrainPredictEval:
         assert run(["train", "--train", train, "--out", tmp_path / "m.ckcrf"]) == EXIT_DATA
 
     @pytest.mark.parametrize(
-        "flag, value", [("--tolerance", "-1"), ("--tolerance", "nan"), ("--max-iterations", "0")]
+        "flag, value",
+        [("--tolerance", "-1"), ("--tolerance", "nan"), ("--max-iterations", "0"), ("--lambda", "0"),
+         ("--lambda", "inf"), ("--features", "x")],
     )
     def test_invalid_stopping_rule_is_a_data_error(self, corpus_files, tmp_path, capsys, flag, value):
         train, _ = corpus_files
@@ -267,8 +269,9 @@ class TestTrainPredictEval:
             ["ingest", "DEV", "--out", "FILE/out.jsonl"],
             ["predict", "--model-file", "FILE/m.ckcrf", "--input", "DEV"],
             ["eval", "--gold", "FILE/gold.jsonl", "--pred", "DEV"],
+            ["train", "--train", "DEV", "--lambda", "0.1", "--dev", "FILE/dev.jsonl"],
         ],
-        ids=["ingest-input", "ingest-out", "predict-model-file", "eval-gold"],
+        ids=["ingest-input", "ingest-out", "predict-model-file", "eval-gold", "train-dev"],
     )
     def test_path_under_a_regular_file_is_a_data_error(self, corpus_files, tmp_path, capsys, argv):
         _, dev = corpus_files
@@ -426,6 +429,18 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {config}:1: {key} must be one of ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("lambda 0.5", "expected 'key = value', got 'lambda 0.5'"), ("lambda-grid = maybe", "not a boolean: 'maybe'")],
+        ids=["no-equals-sign", "not-a-boolean"],
+    )
+    def test_malformed_config_line_is_a_data_error(self, corpus_files, tmp_path, capsys, line, message):
+        train, _ = corpus_files
+        config = _config(tmp_path / "run.cfg", f"{line}\n")
+        assert run(["train", "--train", train, "--config", config, "--out", tmp_path / "out"]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {config}:1: {message}")
         assert not (tmp_path / "out").exists()
 
     @staticmethod

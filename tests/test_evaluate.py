@@ -141,7 +141,7 @@ class TestBenchmark:
     def test_sweep_rows_time_the_requested_alphabet(self):
         # five four-token sentences hold at most ten chunks, so they cannot
         # use all 15 chunk labels; the lattices still span all 16 labels
-        rows = benchmark_label_sweep((3, 16), sentences=5, sentence_len=4, max_seg_len=3, iterations=2, warmup=0)
+        rows = benchmark_label_sweep((3, 16), sentences=5, sentence_len=4, max_seg_len=3, iterations=2, warmup=1)
         assert [(r.num_labels, r.model) for r in rows] == [(y, k) for y in (3, 16) for k in MODEL_KINDS]
         for r in rows:
             label_set = LabelSet(tuple(chunk_label_names(r.num_labels - 1)))

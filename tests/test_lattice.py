@@ -88,6 +88,12 @@ class TestLinear:
             build_lattice("linear", tokenize(""), NP, 1, make_extractor())
 
 
+@pytest.mark.parametrize("kind", ["semi", "weak"])
+def test_segments_longer_than_the_extractor_allows_are_rejected(kind):
+    with pytest.raises(ValueError, match="segment length 3 exceeds limit 2"):
+        build_lattice(kind, tokenize("a b c"), NP, 3, make_extractor(2))
+
+
 class TestSemi:
     def test_n3_l2_has_twelve_paths(self):
         lat = build_lattice("semi", tokenize("a b c"), NP, 2, make_extractor(2))
@@ -456,3 +462,25 @@ def test_compiled_part_tables_equal_the_per_slot_reference(case):
     with mock.patch.object(chunkcrf.features, "WORD_CACHE_SIZE", cache_size):
         assert_compiles_like_the_reference(kind, sentences, label_set, config,
                                            frozen_on=sentences[0] if frozen else None)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_an_unfrozen_extractor_builds_each_word_row_once(kind, monkeypatch):
+    # a growing dictionary compiles finite training data, so the word cache
+    # bound applies to frozen dictionaries only
+    sentences = [tokenize(f"w{i} w{i + 1} w{i + 2} w{i + 3}") for i in range(10)]
+    config = feature_config("as", 3)
+    reference_ext = FeatureExtractor(config, FeatureDictionary())
+    reference = [build_lattice(kind, s, NP, 3, reference_ext) for s in sentences]
+
+    added = []
+    add_row = FeatureExtractor._add_row
+    monkeypatch.setattr(FeatureExtractor, "_add_row", lambda self, k, w: added.append(w) or add_row(self, k, w))
+    monkeypatch.setattr(chunkcrf.features, "WORD_CACHE_SIZE", 2)
+    ext = FeatureExtractor(config, FeatureDictionary())
+    lattices = [build_lattice(kind, s, NP, 3, ext) for s in sentences]
+    assert sorted(added) == sorted({"<BOS>", "<EOS>", *(t.surface for s in sentences for t in s.tokens)})
+    for lat, ref in zip(lattices, reference):
+        assert lat.part_idx.tobytes() == ref.part_idx.tobytes()
+        assert lat.part_row.tobytes() == ref.part_row.tobytes()
+    assert ext.dictionary.strings == reference_ext.dictionary.strings

@@ -256,11 +256,13 @@ class TestTrain:
         assert builds == [item.sentence for item in ds.items[:30]]
 
     @pytest.mark.parametrize(
-        "field, value", [("tolerance", -1.0), ("tolerance", math.nan), ("max_iterations", 0), ("max_iterations", -2)]
+        "field, value",
+        [("tolerance", -1.0), ("tolerance", math.nan), ("max_iterations", 0), ("max_iterations", -2),
+         ("lam", math.inf), ("max_seg_len", 0)],
     )
     def test_invalid_stopping_rule_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            TrainConfig(model_kind="weak", lam=0.1, **{field: value})
+            TrainConfig(**{"model_kind": "weak", "lam": 0.1, field: value})
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -406,6 +408,13 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="magic"):
             load_model(str(path))
 
+    def test_unknown_version_rejected(self, tmp_path):
+        path, data = self._tiny_file(tmp_path)
+        magic = len(MODEL_MAGIC)
+        path.write_bytes(data[:magic] + struct.pack("<I", MODEL_VERSION + 1) + data[magic + 4 :])
+        with pytest.raises(ModelFormatError, match=f"unsupported model version {MODEL_VERSION + 1}"):
+            load_model(str(path))
+
     def _tiny_file(self, tmp_path):
         dictionary = FeatureDictionary.from_strings(["TR=O|NP", "WS[0]=a|NP"])
         model = Model("weak", NP, FeatureConfig(), dictionary, np.array([0.5, -1.0]))
@@ -470,11 +479,12 @@ class TestSerialization:
             lambda h: h["feature_config"].update(use_affix="no"),
             lambda h: h["feature_config"].update(max_seg_len=True),
             lambda h: h["feature_config"].update(use_case=False),
+            lambda h: h.update(features=["TR=O|NP"]),
         ],
         ids=[
             "missing-field", "extra-field", "wrong-type", "non-string-feature", "unknown-kind",
             "bad-label", "missing-config-field", "bad-config-value", "clusters-without-map",
-            "string-config-flag", "bool-config-limit", "unknown-config-key",
+            "string-config-flag", "bool-config-limit", "unknown-config-key", "feature-count",
         ],
     )
     def test_invalid_header_rejected(self, tmp_path, mutate):
