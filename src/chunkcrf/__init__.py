@@ -28,11 +28,9 @@ from .ingest import AnnotatedText, CorpusStats, DataFormatError, corpus_stats, r
 from .lattice import (
     MODEL_KINDS,
     Batch,
-    EdgeClass,
     Lattice,
     LatticeError,
     Node,
-    NodeKind,
     build_lattice,
 )
 from .inference import (

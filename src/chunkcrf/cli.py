@@ -120,10 +120,10 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
         raise ValueError(f"unknown feature flags {sorted(unknown)} (expected subset of a,b,s)")
     if args.lam is None and not args.lambda_grid:
         raise ValueError("need either a fixed lambda or --lambda-grid")
+    if args.lambda_grid and args.dev is None:
+        raise ValueError("lambda tuning needs a dev split (--dev)")
     if not Path(args.train).exists():
         raise FileNotFoundError(f"training data not found: {args.train}")
-    if args.lambda_grid and (args.dev is None or not Path(args.dev).exists()):
-        raise FileNotFoundError("lambda tuning needs an existing dev split")
     if args.dev is not None and not Path(args.dev).exists():
         raise FileNotFoundError(f"dev data not found: {args.dev}")
     if "b" in flags and (args.brown is None or not Path(args.brown).exists()):

@@ -111,6 +111,12 @@ class WordSpan:
         return self.last_token - self.first_token + 1
 
 
+def bio_follows(prev: str, tag: str) -> bool:
+    """Whether ``tag`` may follow ``prev`` (``O`` before the first token):
+    ``I-X`` continues only ``B-X`` or ``I-X``; any other tag follows anything."""
+    return not tag.startswith("I-") or prev in (f"B-{tag[2:]}", tag)
+
+
 @dataclass(frozen=True)
 class BioSequence:
     """Per-token tags over {B-label, I-label, O}; I never opens a chunk."""
@@ -120,12 +126,10 @@ class BioSequence:
     def __post_init__(self) -> None:
         prev = OUTSIDE
         for tag in self.tags:
-            if tag != OUTSIDE:
-                if len(tag) < 3 or tag[0] not in "BI" or tag[1] != "-":
-                    raise ValueError(f"malformed BIO tag {tag!r}")
-                if tag[0] == "I":
-                    if prev == OUTSIDE or prev[2:] != tag[2:]:
-                        raise ValueError(f"tag {tag!r} continues nothing (previous tag {prev!r})")
+            if tag != OUTSIDE and (len(tag) < 3 or tag[0] not in "BI" or tag[1] != "-"):
+                raise ValueError(f"malformed BIO tag {tag!r}")
+            if not bio_follows(prev, tag):
+                raise ValueError(f"tag {tag!r} continues nothing (previous tag {prev!r})")
             prev = tag
 
     def __len__(self) -> int:

@@ -106,12 +106,12 @@ class FeatureDictionary:
         return tuple(self._strings)
 
     @classmethod
-    def from_strings(cls, strings: list[str], frozen: bool = True) -> "FeatureDictionary":
+    def from_strings(cls, strings: list[str]) -> "FeatureDictionary":
+        """A frozen dictionary listing ``strings`` in order."""
         d = cls()
         for s in strings:
             d.index(s)
-        if frozen:
-            d.freeze()
+        d.freeze()
         return d
 
 

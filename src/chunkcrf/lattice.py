@@ -1,19 +1,27 @@
 """Per-sentence labeling lattices for the three model families.
 
 Each lattice is a rooted DAG whose root-to-leaf paths are in bijection with
-the legal labelings of one sentence:
+the legal labelings of one sentence.  A node is a :class:`Node`, a
+``(kind, position, label)`` tuple that is also its key in the lattice:
 
-- ``linear``: one node per (position, BIO tag); edges connect adjacent
-  positions and respect BIO validity.
-- ``semi``: one node per (position, segment label), a node marking a segment
-  that ends at that position; an edge spans the whole segment, so it carries
-  the segment templates plus the label-transition template.
-- ``weak``: every segment node splits into a Begin and an End node.  Segment
-  edges (Begin -> End, same label) carry only segment templates; transition
-  edges (End -> next Begin, any label pair) carry only the transition
-  template.  Choosing a segment's length and choosing the next label become
-  separate decisions, which shrinks the edge count from
+- ``linear``: one ``tag`` node per (position, BIO tag); edges connect
+  adjacent positions where :func:`~chunkcrf.core.bio_follows` allows.
+- ``semi``: one ``seg`` node per (position, segment label), a node marking a
+  segment that ends at that position; an edge spans the whole segment, so it
+  carries the segment templates plus the label-transition template.
+- ``weak``: every segment node splits into a ``begin`` and an ``end`` node.
+  Segment edges (Begin -> End, same label) carry only segment templates;
+  transition edges (End -> next Begin, any label pair) carry only the
+  transition template.  Choosing a segment's length and choosing the next
+  label become separate decisions, which shrinks the edge count from
   O(n * L * |labels|^2) to O(n * |labels|^2 + n * L * |labels|).
+
+The ``root`` sits at position -1 and the ``leaf`` at ``n``.  A labeling is a
+list of chunk spans; :meth:`Lattice.gold_edge_ids` encodes it as a path and
+:meth:`Lattice.path_spans` decodes a path back, both through one
+segmentation (:func:`_segments`: the chunks, with every other token a
+one-token outside segment), so a gold path and a decoded path of the same
+spans are the same path.
 
 Nodes are stored level by level (outside label first within a layer;
 decoding tie-breaks rely on that): the root, then one level per position (two
@@ -51,15 +59,16 @@ reuses those lattices.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
-    OUTSIDE, BioSequence, LabelSet, Sentence, WordSpan, bio_to_word_spans, ordered_spans, word_spans_to_bio,
+    OUTSIDE, BioSequence, LabelSet, Sentence, SpanError, WordSpan, bio_follows, bio_to_word_spans, ordered_spans,
+    word_spans_to_bio,
 )
 from .features import (
     LINEAR_TRANSITION_PREFIX,
@@ -85,32 +94,15 @@ class LatticeError(ValueError):
     """Raised when a labeling cannot be represented in a lattice."""
 
 
-class NodeKind(enum.Enum):
-    ROOT = "root"
-    LEAF = "leaf"
-    TAG = "tag"       # linear trellis only
-    SEG = "seg"       # segment lattice: a segment with this label ends here
-    BEGIN = "begin"   # split-node lattice only
-    END = "end"       # split-node lattice only
+class Node(NamedTuple):
+    """One lattice node, and its key: ``kind`` is ``"root"``, ``"leaf"``,
+    ``"tag"`` (linear), ``"seg"`` (semi), ``"begin"`` or ``"end"`` (weak);
+    ``label`` is the node's BIO tag or segment label, ``None`` at the root
+    and the leaf."""
 
-
-class EdgeClass(enum.Enum):
-    TRANSITION = "transition"
-    SEGMENT = "segment"
-
-
-@dataclass(frozen=True, slots=True)
-class Node:
-    kind: NodeKind
+    kind: str
     position: int
     label: str | None = None
-
-    def __str__(self) -> str:
-        if self.kind is NodeKind.ROOT:
-            return "Root"
-        if self.kind is NodeKind.LEAF:
-            return "Leaf"
-        return f"{self.kind.value.capitalize()}({self.position},{self.label})"
 
 
 @dataclass(frozen=True)
@@ -207,10 +199,12 @@ class Topology(LevelGraph):
     arrays, adjacency and sweeps, with one root (node 0) and one leaf (the
     last node), compiled from a :class:`_Builder`.
 
-    ``edge_parts[e]`` holds the slots of edge ``e``'s two parts, numbered in
-    first-use order; ``slots[s]`` is slot ``s``'s template key, and slot 0 is
-    the empty part.  :func:`topology` caches topologies, so their arrays are
-    read-only; each also keeps the attribute patterns compiled for it.
+    ``nodes[v]`` is node ``v``'s :class:`Node`, which is also its key:
+    ``_node_ids`` maps it back to ``v``.  ``edge_parts[e]`` holds the slots
+    of edge ``e``'s two parts, numbered in first-use order; ``slots[s]`` is
+    slot ``s``'s template key, and slot 0 is the empty part.
+    :func:`topology` caches topologies, so their arrays are read-only; each
+    also keeps the attribute patterns compiled for it.
     """
 
     def __init__(self, b: _Builder) -> None:
@@ -266,39 +260,6 @@ class Topology(LevelGraph):
             return int(eids[k])
         return None
 
-    def edge_class(self, eid: int) -> EdgeClass:
-        """Segment edges are exactly those that end on a segment node."""
-        if self.nodes[self.edge_dst[eid]].kind in (NodeKind.SEG, NodeKind.END):
-            return EdgeClass.SEGMENT
-        return EdgeClass.TRANSITION
-
-    def edge_list_text(self) -> str:
-        """Debug export: one ``from -> to [class]`` line per edge."""
-        lines = [
-            f"{self.nodes[src]} -> {self.nodes[dst]} [{self.edge_class(eid).value}]"
-            for eid, (src, dst) in enumerate(zip(self.edge_src, self.edge_dst))
-        ]
-        return "\n".join(lines) + "\n"
-
-    def path_spans(self, node_path: list[int]) -> list[WordSpan]:
-        """Chunk spans encoded by a full root-to-leaf node path."""
-        interior = [self.nodes[v] for v in node_path[1:-1]]
-        if self.model_kind == "linear":
-            tags = tuple(node.label for node in interior)
-            return bio_to_word_spans(BioSequence(tags))
-        spans: list[WordSpan] = []
-        if self.model_kind == "semi":
-            prev_end = -1
-            for node in interior:
-                if node.label != OUTSIDE:
-                    spans.append(WordSpan(prev_end + 1, node.position, node.label))
-                prev_end = node.position
-            return spans
-        for begin, end in zip(interior[0::2], interior[1::2]):
-            if begin.label != OUTSIDE:
-                spans.append(WordSpan(begin.position, end.position, begin.label))
-        return spans
-
 
 class Lattice:
     """Immutable compiled lattice of one sentence: its shape's shared
@@ -306,8 +267,9 @@ class Lattice:
     the features of slot ``s``.
 
     Every other attribute (nodes, levels, edge arrays, ``edge_parts``,
-    adjacency, sweeps and the path mapping) is the topology's, so a lattice
-    runs wherever a :class:`LevelGraph` does.
+    adjacency and sweeps) is the topology's, so a lattice runs wherever a
+    :class:`LevelGraph` does.  :meth:`gold_edge_ids` and :meth:`path_spans`
+    map chunk spans to a path and back through one segmentation.
     """
 
     def __init__(self, topology: Topology, sentence: Sentence, part_idx: np.ndarray, part_row: np.ndarray) -> None:
@@ -325,46 +287,30 @@ class Lattice:
         bounds = np.searchsorted(self.part_row, [self.edge_parts[eid], self.edge_parts[eid] + 1])
         return np.concatenate([self.part_idx[lo:hi] for lo, hi in bounds.T])
 
-    def _segments(self, spans: list[WordSpan]) -> list[tuple[int, int, str]]:
-        segments: list[tuple[int, int, str]] = []
-        cursor = 0
-        for span in ordered_spans(spans, len(self.sentence)):
-            while cursor < span.first_token:
-                segments.append((cursor, cursor, OUTSIDE))
-                cursor += 1
-            segments.append((span.first_token, span.last_token, span.label))
-            cursor = span.last_token + 1
-        while cursor < len(self.sentence):
-            segments.append((cursor, cursor, OUTSIDE))
-            cursor += 1
-        return segments
-
     def gold_edge_ids(self, spans: list[WordSpan]) -> list[int]:
         """Edge path realizing the given chunk structure.
 
         Raises :class:`LatticeError` when the structure is not representable
-        (spans :func:`~chunkcrf.core.ordered_spans` rejects, an unknown label,
-        a segment too long, or a missing edge).
+        (spans :func:`_segments` rejects, an unknown label, a segment too
+        long, or a missing edge).
         """
         try:
+            segments = _segments(len(self.sentence), spans)  # checks the spans in every family
             if self.model_kind == "linear":
-                bio = word_spans_to_bio(self.sentence, spans)
-                keys = [("tag", i, tag) for i, tag in enumerate(bio.tags)]
+                nodes = [Node("tag", i, tag) for i, tag in enumerate(word_spans_to_bio(self.sentence, spans).tags)]
             elif self.model_kind == "semi":
-                keys = [("seg", last, label) for _, last, label in self._segments(spans)]
+                nodes = [Node("seg", last, label) for _, last, label in segments]
             else:
-                keys = []
-                for first, last, label in self._segments(spans):
-                    keys.append(("begin", first, label))
-                    keys.append(("end", last, label))
+                nodes = [node for first, last, label in segments
+                         for node in (Node("begin", first, label), Node("end", last, label))]
         except ValueError as exc:
             raise LatticeError(str(exc)) from exc
         path = [self.root]
-        for key in keys:
-            node = self._node_ids.get(key)
-            if node is None:
-                raise LatticeError(f"no lattice node for {key}")
-            path.append(node)
+        for node in nodes:
+            nid = self._node_ids.get(node)
+            if nid is None:
+                raise LatticeError(f"no lattice node {node}")
+            path.append(nid)
         path.append(self.leaf)
         edges = []
         for src, dst in zip(path, path[1:]):
@@ -373,6 +319,36 @@ class Lattice:
                 raise LatticeError(f"missing edge {self.nodes[src]} -> {self.nodes[dst]}")
             edges.append(eid)
         return edges
+
+    def path_spans(self, node_path: list[int]) -> list[WordSpan]:
+        """Chunk spans encoded by a full root-to-leaf node path; the inverse
+        of :meth:`gold_edge_ids`."""
+        shape = self.topology  # not through __getattr__, which costs more than the decode
+        nodes = [shape.nodes[v] for v in node_path[:-1]]
+        if shape.model_kind == "linear":
+            return bio_to_word_spans(BioSequence(tuple(node.label for node in nodes[1:])))
+        if shape.model_kind == "semi":
+            segments = [(prev.position + 1, end) for prev, end in zip(nodes, nodes[1:])]
+        else:
+            segments = [(begin.position, end) for begin, end in zip(nodes[1::2], nodes[2::2])]
+        return [WordSpan(first, end.position, end.label) for first, end in segments if end.label != OUTSIDE]
+
+
+def _segments(n: int, spans: list[WordSpan]) -> list[tuple[int, int, str]]:
+    """The segmentation of ``n`` tokens that chunk ``spans`` encode, in order:
+    each chunk as ``(first, last, label)``, each other token as a one-token
+    outside segment.  Raises :class:`~chunkcrf.core.SpanError` for spans
+    :func:`~chunkcrf.core.ordered_spans` rejects and for a chunk labeled
+    outside, which would decode to no chunk."""
+    segments: list[tuple[int, int, str]] = []
+    cursor = 0
+    for span in ordered_spans(spans, n):
+        if span.label == OUTSIDE:
+            raise SpanError(f"a chunk cannot take the outside label {OUTSIDE!r}")
+        segments += [(i, i, OUTSIDE) for i in range(cursor, span.first_token)]
+        segments.append((span.first_token, span.last_token, span.label))
+        cursor = span.last_token + 1
+    return segments + [(i, i, OUTSIDE) for i in range(cursor, n)]
 
 
 class Batch(LevelGraph):
@@ -435,7 +411,7 @@ class _Builder:
     def __init__(self, model_kind: str) -> None:
         self.model_kind = model_kind
         self.nodes: list[Node] = []
-        self.node_ids: dict[tuple, int] = {}
+        self.node_ids: dict[Node, int] = {}
         self.level_ptr: list[int] = []
         self.edge_src: list[int] = []
         self.edge_dst: list[int] = []
@@ -447,10 +423,10 @@ class _Builder:
         """Start a level: the nodes added next, up to the next call, form it."""
         self.level_ptr.append(len(self.nodes))
 
-    def add_node(self, key: tuple, node: Node) -> int:
+    def add_node(self, node: Node) -> int:
         nid = len(self.nodes)
         self.nodes.append(node)
-        self.node_ids[key] = nid
+        self.node_ids[node] = nid
         return nid
 
     def _slot_id(self, slot: tuple) -> int:
@@ -505,46 +481,37 @@ class _FeatureMemo:
         return self.extractor.token_transition_features(prev_tag, cur_tag)
 
 
-def _bio_ok(prev_tag: str, cur_tag: str) -> bool:
-    if cur_tag.startswith("I-"):
-        return prev_tag == f"B-{cur_tag[2:]}" or prev_tag == cur_tag
-    return True
-
-
 def _linear_topology(n: int, label_set: LabelSet) -> Topology:
-    """Token-level trellis over BIO tags with validity-pruned edges."""
+    """Token-level trellis over BIO tags, with an edge wherever
+    :func:`~chunkcrf.core.bio_follows` lets one tag follow another."""
     b = _Builder("linear")
     tags = label_set.bio_tags
     b.new_level()
-    b.add_node(("root",), Node(NodeKind.ROOT, -1))
+    b.add_node(Node("root", -1))
     for i in range(n):
         b.new_level()
         for tag in tags:
-            if i == 0 and tag.startswith("I-"):
-                continue  # nothing to continue at the first position
-            b.add_node(("tag", i, tag), Node(NodeKind.TAG, i, tag))
+            if i > 0 or bio_follows(OUTSIDE, tag):  # the first tag continues nothing
+                b.add_node(Node("tag", i, tag))
     b.new_level()
-    leaf = b.add_node(("leaf",), Node(NodeKind.LEAF, n))
+    leaf = b.add_node(Node("leaf", n))
 
     for tag in tags:
-        if tag.startswith("I-"):
-            continue
-        b.add_edge(0, b.node_ids[("tag", 0, tag)], ("token_context", 0, tag), ("token_transition", START_LABEL, tag))
+        dst = b.node_ids.get(Node("tag", 0, tag))
+        if dst is not None:
+            b.add_edge(0, dst, ("token_context", 0, tag), ("token_transition", START_LABEL, tag))
     for i in range(1, n):
         for cur in tags:
-            dst = b.node_ids[("tag", i, cur)]
+            dst = b.node_ids[Node("tag", i, cur)]
             ctx = ("token_context", i, cur)
             for prev in tags:
-                if i == 1 and prev.startswith("I-"):
-                    continue
-                if not _bio_ok(prev, cur):
-                    continue
-                b.add_edge(b.node_ids[("tag", i - 1, prev)], dst, ctx, ("token_transition", prev, cur))
+                src = b.node_ids.get(Node("tag", i - 1, prev))
+                if src is not None and bio_follows(prev, cur):
+                    b.add_edge(src, dst, ctx, ("token_transition", prev, cur))
     for tag in tags:
-        if n == 1 and tag.startswith("I-"):
-            continue
-        ctx = ("token_context", n, STOP_LABEL)
-        b.add_edge(b.node_ids[("tag", n - 1, tag)], leaf, ctx, ("token_transition", tag, STOP_LABEL))
+        src = b.node_ids.get(Node("tag", n - 1, tag))
+        if src is not None:
+            b.add_edge(src, leaf, ("token_context", n, STOP_LABEL), ("token_transition", tag, STOP_LABEL))
     return Topology(b)
 
 
@@ -555,17 +522,17 @@ def _semi_topology(n: int, label_set: LabelSet, max_seg_len: int) -> Topology:
     b = _Builder("semi")
     alphabet = label_set.alphabet
     b.new_level()
-    b.add_node(("root",), Node(NodeKind.ROOT, -1))
+    b.add_node(Node("root", -1))
     for i in range(n):
         b.new_level()
         for label in alphabet:
-            b.add_node(("seg", i, label), Node(NodeKind.SEG, i, label))
+            b.add_node(Node("seg", i, label))
     b.new_level()
-    leaf = b.add_node(("leaf",), Node(NodeKind.LEAF, n))
+    leaf = b.add_node(Node("leaf", n))
 
     for i in range(n):
         for label in alphabet:
-            dst = b.node_ids[("seg", i, label)]
+            dst = b.node_ids[Node("seg", i, label)]
             limit = 1 if label == OUTSIDE else max_seg_len
             for k in range(1, min(limit, i + 1) + 1):
                 j = i - k
@@ -574,9 +541,9 @@ def _semi_topology(n: int, label_set: LabelSet, max_seg_len: int) -> Topology:
                     b.add_edge(0, dst, seg, ("transition", START_LABEL, label))
                 else:
                     for prev in alphabet:
-                        b.add_edge(b.node_ids[("seg", j, prev)], dst, seg, ("transition", prev, label))
+                        b.add_edge(b.node_ids[Node("seg", j, prev)], dst, seg, ("transition", prev, label))
     for label in alphabet:
-        b.add_edge(b.node_ids[("seg", n - 1, label)], leaf, ("transition", label, STOP_LABEL))
+        b.add_edge(b.node_ids[Node("seg", n - 1, label)], leaf, ("transition", label, STOP_LABEL))
     return Topology(b)
 
 
@@ -586,32 +553,32 @@ def _weak_topology(n: int, label_set: LabelSet, max_seg_len: int) -> Topology:
     b = _Builder("weak")
     alphabet = label_set.alphabet
     b.new_level()
-    b.add_node(("root",), Node(NodeKind.ROOT, -1))
+    b.add_node(Node("root", -1))
     for i in range(n):
         b.new_level()
         for label in alphabet:
-            b.add_node(("begin", i, label), Node(NodeKind.BEGIN, i, label))
+            b.add_node(Node("begin", i, label))
         b.new_level()
         for label in alphabet:
-            b.add_node(("end", i, label), Node(NodeKind.END, i, label))
+            b.add_node(Node("end", i, label))
     b.new_level()
-    leaf = b.add_node(("leaf",), Node(NodeKind.LEAF, n))
+    leaf = b.add_node(Node("leaf", n))
 
     for label in alphabet:
-        b.add_edge(0, b.node_ids[("begin", 0, label)], ("transition", START_LABEL, label))
+        b.add_edge(0, b.node_ids[Node("begin", 0, label)], ("transition", START_LABEL, label))
     for j in range(n):
         for label in alphabet:
-            src = b.node_ids[("begin", j, label)]
+            src = b.node_ids[Node("begin", j, label)]
             limit = 1 if label == OUTSIDE else max_seg_len
             for i in range(j, min(j + limit, n)):
-                b.add_edge(src, b.node_ids[("end", i, label)], ("segment", j, i, label))
+                b.add_edge(src, b.node_ids[Node("end", i, label)], ("segment", j, i, label))
     for i in range(n - 1):
         for prev in alphabet:
-            src = b.node_ids[("end", i, prev)]
+            src = b.node_ids[Node("end", i, prev)]
             for label in alphabet:
-                b.add_edge(src, b.node_ids[("begin", i + 1, label)], ("transition", prev, label))
+                b.add_edge(src, b.node_ids[Node("begin", i + 1, label)], ("transition", prev, label))
     for label in alphabet:
-        b.add_edge(b.node_ids[("end", n - 1, label)], leaf, ("transition", label, STOP_LABEL))
+        b.add_edge(b.node_ids[Node("end", n - 1, label)], leaf, ("transition", label, STOP_LABEL))
     return Topology(b)
 
 

@@ -238,6 +238,12 @@ class ObjectiveEvaluator:
         return value, grad
 
 
+def _compile_sentences(sentences: Sequence[Sentence], model_kind: str, label_set: LabelSet, max_seg_len: int,
+                       extractor: FeatureExtractor) -> list[Lattice | None]:
+    """Each sentence's lattice for :func:`decode`; ``None`` for an empty one."""
+    return [build_lattice(model_kind, s, label_set, max_seg_len, extractor) if len(s) else None for s in sentences]
+
+
 def decode(lattices: Sequence[Lattice | None], weights: np.ndarray) -> list[list[WordSpan]]:
     """Best word spans of each lattice, from one Viterbi pass over all of
     them; ``None``, an empty sentence's lattice, decodes to ``[]``.
@@ -282,12 +288,8 @@ class Model:
 
     def predict_many(self, sentences: Sequence[Sentence]) -> list[list[WordSpan]]:
         """Compile every sentence, then :func:`decode` them together."""
-        extractor = self.extractor()
-        max_seg_len = self.feature_config.max_seg_len
-        lattices = [
-            build_lattice(self.model_kind, s, self.label_set, max_seg_len, extractor) if len(s) else None
-            for s in sentences
-        ]
+        lattices = _compile_sentences(sentences, self.model_kind, self.label_set, self.feature_config.max_seg_len,
+                                      self.extractor())
         return decode(lattices, self.weights)
 
     def predict(self, sentence: Sentence) -> list[WordSpan]:
@@ -416,12 +418,9 @@ def tune_lambda(
         else word_spans_to_char_spans(item.sentence, list(item.word_spans))
         for item in dev_split.items
     ]
-    extractor = FeatureExtractor(config.feature_config, evaluator.dictionary, brown)
     sentences = [item.sentence for item in dev_split.items]
-    lattices = [
-        build_lattice(config.model_kind, s, evaluator.label_set, config.max_seg_len, extractor) if len(s) else None
-        for s in sentences
-    ]
+    lattices = _compile_sentences(sentences, config.model_kind, evaluator.label_set, config.max_seg_len,
+                                  FeatureExtractor(config.feature_config, evaluator.dictionary, brown))
     reports, models = {}, {}
     for lam in sorted(grid):
         evaluator.lam = lam

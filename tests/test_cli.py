@@ -247,10 +247,11 @@ class TestTrainPredictEval:
         [
             ["ingest", "--format", "jsonl", "--out", "OUT"],
             ["train", "--lambda", "0.1", "--out", "OUT"],
+            ["train", "--train", "DEV", "--lambda", "0.1", "--lambda-grid", "--out", "OUT"],
             ["predict", "--input", "DEV", "--out", "OUT"],
             ["eval", "--pred", "DEV", "--json-out", "OUT"],
         ],
-        ids=["ingest-input", "train-train", "predict-model-file", "eval-gold"],
+        ids=["ingest-input", "train-train", "train-dev", "predict-model-file", "eval-gold"],
     )
     def test_missing_required_value_is_a_data_error(self, corpus_files, tmp_path, capsys, argv):
         # a config file could supply the value, so the command line itself is valid

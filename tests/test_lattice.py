@@ -1,4 +1,4 @@
-"""Lattice constructions: path sets, edge features, adjacency, export."""
+"""Lattice constructions: path sets, edge features, adjacency, gold paths."""
 
 from unittest import mock
 
@@ -20,10 +20,8 @@ from chunkcrf.inference import edge_scores
 from chunkcrf.lattice import (
     EMPTY_SLOT,
     MODEL_KINDS,
-    EdgeClass,
     LatticeError,
     Node,
-    NodeKind,
     Topology,
     _Builder,
     _FeatureMemo,
@@ -57,6 +55,11 @@ def spanset(lattice, edge_path):
     return tuple((s.first_token, s.last_token, s.label) for s in spans)
 
 
+def edge_class(lattice, eid):
+    """``"segment"`` or ``"transition"``: the template of the edge's first slot."""
+    return lattice.slots[lattice.edge_parts[eid, 0]][0]
+
+
 class TestLinear:
     def test_single_token_has_two_paths(self):
         lat = build_lattice("linear", tokenize("a"), NP, 1, make_extractor())
@@ -68,7 +71,7 @@ class TestLinear:
 
     def test_no_edge_from_outside_to_inside(self):
         lat = build_lattice("linear", tokenize("a b"), NP, 1, make_extractor())
-        assert "Tag(0,O) -> Tag(1,I-NP)" not in lat.edge_list_text()
+        assert lat.edge_id(lat._node_ids[Node("tag", 0, "O")], lat._node_ids[Node("tag", 1, "I-NP")]) is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_paths_biject_with_valid_bio_strings(self, n):
@@ -152,7 +155,7 @@ class TestWeak:
     def test_segment_edges_never_change_label(self):
         lat = build_lattice("weak", synthetic_sentence(4), NP, 3, make_extractor(3))
         for eid, (src, dst) in enumerate(zip(lat.edge_src, lat.edge_dst)):
-            if lat.edge_class(eid) is EdgeClass.SEGMENT:
+            if edge_class(lat, eid) == "segment":
                 assert lat.nodes[src].label == lat.nodes[dst].label
 
     def test_segment_edges_carry_no_transition_features(self):
@@ -161,7 +164,7 @@ class TestWeak:
         lat = build_lattice("weak", synthetic_sentence(4), NP, 3, ext)
         for eid in range(lat.num_edges):
             names = {d.string(i) for i in edge_feature_ids(lat, eid)}
-            if lat.edge_class(eid) is EdgeClass.SEGMENT:
+            if edge_class(lat, eid) == "segment":
                 assert not any(name.startswith(TRANSITION_PREFIXES) for name in names)
             else:
                 assert all(name.startswith("TR=") for name in names)
@@ -170,7 +173,7 @@ class TestWeak:
         labels = LabelSet(("NP",))
         lat = build_lattice("weak", synthetic_sentence(10), labels, 6, make_extractor())
         num_labels = len(labels.alphabet)
-        segment_edges = sum(1 for eid in range(lat.num_edges) if lat.edge_class(eid) is EdgeClass.SEGMENT)
+        segment_edges = sum(1 for eid in range(lat.num_edges) if edge_class(lat, eid) == "segment")
         transition_edges = lat.num_edges - segment_edges
         assert segment_edges <= 10 * 6 * num_labels
         assert transition_edges <= 10 * num_labels**2 + 2 * num_labels
@@ -212,10 +215,10 @@ class TestEdgeFeatures:
         ext = FeatureExtractor(FeatureConfig(max_seg_len=3, use_shape=True), d)
         s = tokenize("Dr teh says it")
         lat = build_lattice("semi", s, NP, 3, ext)
-        dst = lat._node_ids[("seg", 3, "O")]
+        dst = lat._node_ids[Node("seg", 3, "O")]
         # outside segments are single-token, so no edge skips position 2
-        assert lat.edge_id(lat._node_ids[("seg", 1, "NP")], dst) is None
-        eid = lat.edge_id(lat._node_ids[("seg", 2, "NP")], dst)
+        assert lat.edge_id(lat._node_ids[Node("seg", 1, "NP")], dst) is None
+        eid = lat.edge_id(lat._node_ids[Node("seg", 2, "NP")], dst)
         direct = (
             ext.segment_features(s, 3, 3, "O").tolist()
             + ext.transition_features("NP", "O").tolist()
@@ -227,8 +230,8 @@ class TestEdgeFeatures:
         ext = FeatureExtractor(FeatureConfig(use_affix=True), d)
         s = tokenize("Dr teh")
         lat = build_lattice("linear", s, NP, 1, ext)
-        src = lat._node_ids[("tag", 0, "B-NP")]
-        dst = lat._node_ids[("tag", 1, "I-NP")]
+        src = lat._node_ids[Node("tag", 0, "B-NP")]
+        dst = lat._node_ids[Node("tag", 1, "I-NP")]
         eid = lat.edge_id(src, dst)
         direct = (
             ext.token_context_features(s, 1, "I-NP").tolist()
@@ -243,7 +246,7 @@ class TestEdgeFeatures:
         # edges into the same segment from different predecessors share the
         # segment features and differ only in the transition feature
         ids = [
-            lat.edge_id(lat._node_ids[("seg", 0, prev)], lat._node_ids[("seg", 1, "NP")])
+            lat.edge_id(lat._node_ids[Node("seg", 0, prev)], lat._node_ids[Node("seg", 1, "NP")])
             for prev in ("O", "NP")
         ]
         names = [{d.string(i) for i in edge_feature_ids(lat, e)} for e in ids]
@@ -281,6 +284,22 @@ class TestGoldPaths:
         with pytest.raises(LatticeError):
             lat.gold_edge_ids([WordSpan(0, 0, "VP")])
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_a_chunk_labeled_outside_is_unrepresentable(self, kind):
+        lat = build_lattice(kind, tokenize("a b"), NP, 2, make_extractor(2))
+        with pytest.raises(LatticeError):
+            lat.gold_edge_ids([WordSpan(0, 0, "O")])
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_gold_edge_ids_invert_path_spans_on_every_path(self, kind):
+        for labels in (NP, LabelSet(("NP", "VP"))):
+            for n in range(1, 6):
+                for max_len in (1,) if kind == "linear" else (1, 2, 3):
+                    lat = build_lattice(kind, synthetic_sentence(n), labels, max_len, None)
+                    for path in all_edge_paths(lat):
+                        spans = lat.path_spans(path_nodes(lat, path))
+                        assert lat.gold_edge_ids(spans) == path, (n, labels, max_len, spans)
+
     def test_adjacent_same_label_chunks_are_representable(self):
         s = tokenize("a b")
         gold = [WordSpan(0, 0, "NP"), WordSpan(1, 1, "NP")]
@@ -289,26 +308,37 @@ class TestGoldPaths:
             assert spanset(lat, lat.gold_edge_ids(gold)) == ((0, 0, "NP"), (1, 1, "NP"))
 
 
-EXPECTED_WEAK_EXPORT = """\
-Root -> Begin(0,O) [transition]
-Root -> Begin(0,NP) [transition]
-Begin(0,O) -> End(0,O) [segment]
-Begin(0,NP) -> End(0,NP) [segment]
-Begin(0,NP) -> End(1,NP) [segment]
-Begin(1,O) -> End(1,O) [segment]
-Begin(1,NP) -> End(1,NP) [segment]
-End(0,O) -> Begin(1,O) [transition]
-End(0,O) -> Begin(1,NP) [transition]
-End(0,NP) -> Begin(1,O) [transition]
-End(0,NP) -> Begin(1,NP) [transition]
-End(1,O) -> Leaf [transition]
-End(1,NP) -> Leaf [transition]
-"""
+def _begin(i, label):
+    return Node("begin", i, label)
+
+
+def _end(i, label):
+    return Node("end", i, label)
+
+
+ROOT, LEAF_2 = Node("root", -1), Node("leaf", 2)
+EXPECTED_WEAK_EDGES = [  # the weak lattice of "a b": (source, target, first slot's template)
+    (ROOT, _begin(0, "O"), "transition"),
+    (ROOT, _begin(0, "NP"), "transition"),
+    (_begin(0, "O"), _end(0, "O"), "segment"),
+    (_begin(0, "NP"), _end(0, "NP"), "segment"),
+    (_begin(0, "NP"), _end(1, "NP"), "segment"),
+    (_begin(1, "O"), _end(1, "O"), "segment"),
+    (_begin(1, "NP"), _end(1, "NP"), "segment"),
+    (_end(0, "O"), _begin(1, "O"), "transition"),
+    (_end(0, "O"), _begin(1, "NP"), "transition"),
+    (_end(0, "NP"), _begin(1, "O"), "transition"),
+    (_end(0, "NP"), _begin(1, "NP"), "transition"),
+    (_end(1, "O"), LEAF_2, "transition"),
+    (_end(1, "NP"), LEAF_2, "transition"),
+]
 
 
 def test_weak_export_golden_file():
     lat = build_lattice("weak", tokenize("a b"), NP, 2, make_extractor(2))
-    assert lat.edge_list_text() == EXPECTED_WEAK_EXPORT
+    edges = [(lat.nodes[src], lat.nodes[dst], edge_class(lat, eid))
+             for eid, (src, dst) in enumerate(zip(lat.edge_src, lat.edge_dst))]
+    assert edges == EXPECTED_WEAK_EDGES
 
 
 def test_topological_order_is_respected_everywhere():
@@ -355,12 +385,12 @@ def _two_node_level_builder():
     """Root, one level holding two segment nodes, leaf; no edges yet."""
     b = _Builder("semi")
     b.new_level()
-    b.add_node(("root",), Node(NodeKind.ROOT, -1))
+    b.add_node(Node("root", -1))
     b.new_level()
-    x = b.add_node(("seg", 0, "O"), Node(NodeKind.SEG, 0, "O"))
-    y = b.add_node(("seg", 0, "NP"), Node(NodeKind.SEG, 0, "NP"))
+    x = b.add_node(Node("seg", 0, "O"))
+    y = b.add_node(Node("seg", 0, "NP"))
     b.new_level()
-    leaf = b.add_node(("leaf",), Node(NodeKind.LEAF, 1))
+    leaf = b.add_node(Node("leaf", 1))
     return b, x, y, leaf
 
 
