@@ -6,8 +6,8 @@ flat ``key = value`` config file, whose keys are the options' destinations
 or flag names (``-`` and ``_`` alike).  Command-line flags override config
 values one-to-one and config values override the built-in defaults.  Only
 ``bench`` draws random data, from its ``seed`` option; training and
-prediction are deterministic.  Inputs are validated before any
-work starts.  Exit codes: 0 success, 1 usage error, 2 data error,
+prediction are deterministic.  Inputs and output directories are checked
+before any work starts.  Exit codes: 0 success, 1 usage error, 2 data error,
 3 numerical failure.  A usage error is a command line the parser rejects.
 A required value still missing once flags and the config file are merged
 (``ingest``'s input, ``train``'s ``--train``, ``predict``'s ``--model-file``
@@ -140,9 +140,16 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
+def _check_output(path: str | None) -> None:
+    """Fail before any work if an output path's directory is missing."""
+    if path and not Path(path).parent.is_dir():
+        raise FileNotFoundError(f"cannot write {path}: {Path(path).parent} is not a directory")
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     if not args.input:
         raise ValueError("ingest needs an input path")
+    _check_output(args.out)
     items = read_corpus(args.input, args.format)
     if args.out:
         write_jsonl(args.out, items)
@@ -154,6 +161,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.train:
         raise ValueError("train needs a training split")
+    _check_output(args.out)
     config = _train_config(args)
 
     train_set = Dataset.from_annotated(read_jsonl(args.train))
@@ -202,6 +210,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if not args.gold or not args.pred:
         raise ValueError("eval needs gold and predicted files")
+    _check_output(args.json_out)
     gold_items = read_jsonl(args.gold)
     pred_items = read_jsonl(args.pred)
     if len(gold_items) != len(pred_items):
@@ -247,6 +256,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _check_output(args.out)
     label_values = []
     for item in filter(None, (x.strip() for x in args.labels.split(","))):
         try:

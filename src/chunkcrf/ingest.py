@@ -53,11 +53,18 @@ def read_jsonl(path: str | Path) -> list[AnnotatedText]:
             try:
                 obj = json.loads(line)
                 text = obj["text"]
-                spans = [CharSpan(s["start"], s["end"], s["label"]) for s in obj.get("spans", [])]
+                spans = [_json_span(s) for s in obj.get("spans", [])]
                 items.append(annotate(text, spans))
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
     return items
+
+
+def _json_span(obj: dict) -> CharSpan:
+    start, end, label = obj["start"], obj["end"], obj["label"]
+    if type(start) is not int or type(end) is not int or not isinstance(label, str):
+        raise ValueError(f"a span needs integer start and end and a string label, got {obj!r}")
+    return CharSpan(start, end, label)
 
 
 def jsonl_line(text: str, spans: Iterable[CharSpan]) -> str:

@@ -30,18 +30,18 @@ climbs from a lower level to a higher one, and every node is reachable from
 the root and co-reachable from the leaf.  The dynamic programs run level by
 level, over one lattice or over a :class:`Batch` of lattices of one family.
 
-A lattice is a :class:`Topology` plus a part table.  The topology (nodes,
-levels, edges, adjacency and sweeps) depends only on the family, the
-sentence length, the label set and the segment-length limit (outside
-segments are always one token long), so it is built once per such shape,
-cached, and shared by every sentence of that shape.  It names each edge's
-features by two *slots*: template keys such as ``("segment", first, last,
-label)`` or ``("transition", prev, label)``, with slot 0 the empty part that
-pads an edge with one.  The sentence's part table then holds the feature
-ids of each slot, so an edge's score is the sum of two part scores and many
-edges share each part: in a ``semi`` lattice all ``|labels|`` edges into one
-segment share its segment part, and all edges between one label pair share
-its transition part.
+A lattice is its shape plus a part table.  The shape, a :class:`Topology`
+(nodes, levels, edges, adjacency and sweeps), depends only on the family,
+the sentence length, the label set and the segment-length limit (outside
+segments are always one token long), so it is built once per shape, cached,
+and its arrays and sweeps shared by reference by every lattice of it.  It
+names each edge's features by two *slots*: template keys such as
+``("segment", first, last, label)`` or ``("transition", prev, label)``, with
+slot 0 the empty part that pads an edge with one.  The sentence's part table
+then holds the feature ids of each slot, so an edge's score is the sum of two
+part scores and many edges share each part: in a ``semi`` lattice all
+``|labels|`` edges into one segment share its segment part, and all edges
+between one label pair share its transition part.
 
 The part table is compiled for the whole sentence at once.  Every slot's
 features are label-free attributes conjoined with the slot's label (see
@@ -135,6 +135,8 @@ class LevelGraph:
     ``in_order[in_ptr[v]:in_ptr[v + 1]]``, sorted by source, so each level's
     in-edges form one run and the lowest source comes first (decoding breaks
     ties toward it); ``out_order``/``out_ptr`` list out-edges by source.
+    ``in_key`` keys each in-edge ``dst * num_nodes + src`` in that order, so
+    :meth:`edge_ids` looks up many node pairs in one ``searchsorted``.
 
     Edge ``e``'s features are those of parts ``edge_parts[e, 0]`` and
     ``edge_parts[e, 1]``, in that order.  The part table lists every part's
@@ -147,6 +149,7 @@ class LevelGraph:
         n = self.num_nodes
         self.in_order = in_order.astype(np.int32)
         self.in_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_dst, minlength=n))))
+        self.in_key = self.edge_dst[self.in_order] * np.int64(n) + self.edge_src[self.in_order]
         self.out_order = out_order.astype(np.int32)
         self.out_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_src, minlength=n))))
 
@@ -168,6 +171,17 @@ class LevelGraph:
     def out_edge_ids(self, v: int) -> np.ndarray:
         """Ids of the edges out of node ``v``."""
         return self.out_order[self.out_ptr[v] : self.out_ptr[v + 1]]
+
+    def edge_ids(self, src: Sequence[int] | np.ndarray, dst: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Ids of the edges ``src[i] -> dst[i]``, -1 where there is none."""
+        key = np.asarray(dst, dtype=np.int64) * self.num_nodes + src
+        k = np.searchsorted(self.in_key, key).clip(max=len(self.in_key) - 1)
+        return np.where(self.in_key[k] == key, self.in_order[k], -1)
+
+    def edge_id(self, src: int, dst: int) -> int | None:
+        """Id of the edge from ``src`` to ``dst``, or ``None`` if there is none."""
+        eid = int(self.edge_ids([src], [dst])[0])
+        return eid if eid >= 0 else None
 
     def local_ids(self, nodes: list[int]) -> list[int]:
         """Member-local ids of the given nodes (a lattice's are its own)."""
@@ -227,7 +241,7 @@ class Topology(LevelGraph):
         self._index(np.lexsort((self.edge_src, self.edge_dst)), np.argsort(self.edge_src, kind="stable"))
         self._check_connected()
         for array in (self.leaves, self.level_ptr, self.edge_src, self.edge_dst, self.edge_ptr, self.edge_parts,
-                      self.in_order, self.in_ptr, self.out_order, self.out_ptr):
+                      self.in_order, self.in_ptr, self.in_key, self.out_order, self.out_ptr):
             array.flags.writeable = False
 
     def _check_connected(self) -> None:
@@ -252,35 +266,29 @@ class Topology(LevelGraph):
             pattern = self._patterns[layout.config] = _compile_pattern(self, layout)
         return pattern
 
-    def edge_id(self, src: int, dst: int) -> int | None:
-        """Id of the edge from ``src`` to ``dst``, or ``None`` if there is none."""
-        eids = self.in_edge_ids(dst)
-        k = int(np.searchsorted(self.edge_src[eids], src))
-        if k < len(eids) and self.edge_src[eids[k]] == src:
-            return int(eids[k])
-        return None
 
-
-class Lattice:
-    """Immutable compiled lattice of one sentence: its shape's shared
+class Lattice(Topology):
+    """Immutable compiled lattice of one sentence: its shape's
     :class:`Topology` plus the sentence's part table, whose part ``s`` holds
     the features of slot ``s``.
 
-    Every other attribute (nodes, levels, edge arrays, ``edge_parts``,
-    adjacency and sweeps) is the topology's, so a lattice runs wherever a
-    :class:`LevelGraph` does.  :meth:`gold_edge_ids` and :meth:`path_spans`
-    map chunk spans to a path and back through one segmentation.
+    It takes the topology's attributes by reference, so its nodes, levels,
+    edge arrays, ``edge_parts``, adjacency and sweeps are the shape's own.
+    :meth:`gold_edge_ids` and :meth:`path_spans` map chunk spans to a path
+    and back through one segmentation.
     """
 
     def __init__(self, topology: Topology, sentence: Sentence, part_idx: np.ndarray, part_row: np.ndarray) -> None:
+        vars(self).update(vars(topology))
         self.topology = topology
         self.sentence = sentence
         self.num_parts = len(topology.slots)
         self.part_idx = part_idx
         self.part_row = part_row
 
-    def __getattr__(self, name: str):
-        return getattr(self.topology, name)
+    # Cached on first use, perhaps after this lattice was built: read from the shape.
+    forward_sweep = property(lambda self: self.topology.forward_sweep)
+    backward_sweep = property(lambda self: self.topology.backward_sweep)
 
     def edge_features(self, eid: int) -> np.ndarray:
         """Feature ids of edge ``eid``: its first part's, then its second's."""
@@ -305,29 +313,23 @@ class Lattice:
                          for node in (Node("begin", first, label), Node("end", last, label))]
         except ValueError as exc:
             raise LatticeError(str(exc)) from exc
-        path = [self.root]
-        for node in nodes:
-            nid = self._node_ids.get(node)
-            if nid is None:
-                raise LatticeError(f"no lattice node {node}")
-            path.append(nid)
-        path.append(self.leaf)
-        edges = []
-        for src, dst in zip(path, path[1:]):
-            eid = self.edge_id(src, dst)
-            if eid is None:
-                raise LatticeError(f"missing edge {self.nodes[src]} -> {self.nodes[dst]}")
-            edges.append(eid)
-        return edges
+        path = [self.root, *map(self._node_ids.get, nodes), self.leaf]
+        if None in path:
+            raise LatticeError(f"no lattice node {nodes[path.index(None) - 1]}")
+        edges = self.edge_ids(path[:-1], path[1:])
+        missing = np.flatnonzero(edges < 0)
+        if len(missing):
+            src, dst = path[missing[0]], path[missing[0] + 1]
+            raise LatticeError(f"missing edge {self.nodes[src]} -> {self.nodes[dst]}")
+        return edges.tolist()
 
     def path_spans(self, node_path: list[int]) -> list[WordSpan]:
         """Chunk spans encoded by a full root-to-leaf node path; the inverse
         of :meth:`gold_edge_ids`."""
-        shape = self.topology  # not through __getattr__, which costs more than the decode
-        nodes = [shape.nodes[v] for v in node_path[:-1]]
-        if shape.model_kind == "linear":
+        nodes = [self.nodes[v] for v in node_path[:-1]]
+        if self.model_kind == "linear":
             return bio_to_word_spans(BioSequence(tuple(node.label for node in nodes[1:])))
-        if shape.model_kind == "semi":
+        if self.model_kind == "semi":
             segments = [(prev.position + 1, end) for prev, end in zip(nodes, nodes[1:])]
         else:
             segments = [(begin.position, end) for begin, end in zip(nodes[1::2], nodes[2::2])]

@@ -142,6 +142,12 @@ def derive_label_set(dataset: Dataset, label_set: LabelSet | None = None) -> Lab
     return LabelSet(labels)
 
 
+def _compile_sentences(sentences: Sequence[Sentence], model_kind: str, label_set: LabelSet, max_seg_len: int,
+                       extractor: FeatureExtractor) -> list[Lattice | None]:
+    """Each sentence's lattice, in order; ``None`` for an empty one."""
+    return [build_lattice(model_kind, s, label_set, max_seg_len, extractor) if len(s) else None for s in sentences]
+
+
 def build_feature_space(
     dataset: Dataset,
     label_set: LabelSet,
@@ -155,14 +161,10 @@ def build_feature_space(
     """
     dictionary = FeatureDictionary()
     extractor = FeatureExtractor(config.feature_config, dictionary, brown)
-    edges = 0
-    for item in dataset.items:
-        if len(item.sentence) == 0:
-            continue
-        lat = build_lattice(config.model_kind, item.sentence, label_set, config.max_seg_len, extractor)
-        edges += lat.num_edges
+    lattices = _compile_sentences([item.sentence for item in dataset.items], config.model_kind, label_set,
+                                  config.max_seg_len, extractor)
     dictionary.freeze()
-    return dictionary, edges
+    return dictionary, sum(lat.num_edges for lat in lattices if lat is not None)
 
 
 class ObjectiveEvaluator:
@@ -195,12 +197,13 @@ class ObjectiveEvaluator:
         gold_edges: list[np.ndarray] = []  # batch edge ids, per instance
         edge_offset = 0
         self.skipped = 0
-        for item in dataset.items:
-            if len(item.sentence) == 0:
+        compiled = _compile_sentences([item.sentence for item in dataset.items], config.model_kind, label_set,
+                                      config.max_seg_len, extractor)
+        for item, lat in zip(dataset.items, compiled):
+            if lat is None:
                 self.skipped += 1
                 log.warning("skipping empty sentence %r", item.sentence.raw_text)
                 continue
-            lat = build_lattice(config.model_kind, item.sentence, label_set, config.max_seg_len, extractor)
             try:
                 gold = lat.gold_edge_ids(list(item.word_spans))
             except LatticeError as exc:
@@ -236,12 +239,6 @@ class ObjectiveEvaluator:
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise NumericalError("objective or gradient is not finite")
         return value, grad
-
-
-def _compile_sentences(sentences: Sequence[Sentence], model_kind: str, label_set: LabelSet, max_seg_len: int,
-                       extractor: FeatureExtractor) -> list[Lattice | None]:
-    """Each sentence's lattice for :func:`decode`; ``None`` for an empty one."""
-    return [build_lattice(model_kind, s, label_set, max_seg_len, extractor) if len(s) else None for s in sentences]
 
 
 def decode(lattices: Sequence[Lattice | None], weights: np.ndarray) -> list[list[WordSpan]]:

@@ -284,6 +284,46 @@ class TestTrainPredictEval:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "DEV", "--out", "MISSING/out.jsonl"],
+            ["train", "--train", "DEV", "--lambda", "0.1", "--out", "MISSING/m.ckcrf"],
+            ["eval", "--gold", "DEV", "--pred", "DEV", "--json-out", "MISSING/scores.json"],
+            ["bench", "--labels", "2", "--out", "MISSING/bench.csv"],
+        ],
+        ids=["ingest", "train", "eval", "bench"],
+    )
+    def test_missing_output_directory_fails_before_any_work(self, corpus_files, tmp_path, capsys, monkeypatch,
+                                                            argv):
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        for name in ("read_corpus", "read_jsonl", "train", "benchmark_label_sweep"):
+            monkeypatch.setattr(cli, name, never)
+        _, dev = corpus_files
+        argv = [str(dev) if arg == "DEV" else arg.replace("MISSING", str(tmp_path / "nodir")) for arg in argv]
+        assert run(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ") and "nodir" in captured.err
+
+    @pytest.mark.parametrize(
+        "span",
+        [{"start": 0, "end": 6, "label": 5}, {"start": 0.5, "end": 6, "label": "NP"},
+         {"start": True, "end": 6, "label": "NP"}],
+        ids=["int-label", "float-start", "bool-start"],
+    )
+    def test_mistyped_span_field_is_a_data_error(self, tmp_path, capsys, span):
+        train = tmp_path / "train.jsonl"
+        train.write_text(json.dumps({"text": "Dr teh says", "spans": [span]}) + "\n", encoding="utf-8")
+        out = tmp_path / "m.ckcrf"
+        assert run(["train", "--train", train, "--lambda", "0.1", "--out", out]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {train}:1: ")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self, capsys):
         assert run(["train", "--model", "bogus"]) == EXIT_USAGE
         err = capsys.readouterr().err

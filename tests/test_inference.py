@@ -285,6 +285,9 @@ class TestProperties:
         for src in range(lat.num_nodes):
             for dst in range(lat.num_nodes):
                 assert lat.edge_id(src, dst) == edges.get((src, dst))
+        src, dst = np.divmod(np.arange(lat.num_nodes**2), lat.num_nodes)
+        found = lat.edge_ids(src, dst)
+        assert {(int(s), int(d)): int(e) for s, d, e in zip(src, dst, found) if e >= 0} == edges
         assert edge_scores(lat, w).tolist() == [edge_score(lat, eid, w) for eid in range(lat.num_edges)]
 
     @settings(deadline=None)
@@ -297,6 +300,8 @@ class TestProperties:
         paths, best = viterbi_path(batch, w)
         for i, lat in enumerate(lattices):
             edges = slice(batch.edge_ptr[i], batch.edge_ptr[i + 1])
+            ids = np.arange(batch.edge_ptr[i], batch.edge_ptr[i + 1])
+            assert batch.edge_ids(batch.edge_src[ids], batch.edge_dst[ids]).tolist() == ids.tolist()
             assert scores[edges].tolist() == edge_scores(lat, w).tolist()
             alone = edge_marginals(lat, w)
             assert marg.log_partition[i] == pytest.approx(alone.log_partition[0], rel=1e-12, abs=1e-12)

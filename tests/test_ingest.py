@@ -43,10 +43,22 @@ class TestJsonl:
         with pytest.raises(DataFormatError, match="2"):
             read_jsonl(path)
 
-    def test_bad_span_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "span",
+        [
+            {"start": 1, "end": 1, "label": "NP"},
+            {"start": 0, "end": 2, "label": 5},
+            {"start": 0, "end": 2, "label": None},
+            {"start": 0.5, "end": 2, "label": "NP"},
+            {"start": 0, "end": 2.0, "label": "NP"},
+            {"start": True, "end": 2, "label": "NP"},
+        ],
+        ids=["empty-range", "int-label", "null-label", "float-start", "float-end", "bool-start"],
+    )
+    def test_bad_span_rejected(self, tmp_path, span):
         path = tmp_path / "data.jsonl"
-        write(path, json.dumps({"text": "ab", "spans": [{"start": 1, "end": 1, "label": "NP"}]}) + "\n")
-        with pytest.raises(DataFormatError):
+        write(path, json.dumps({"text": "ab", "spans": [span]}) + "\n")
+        with pytest.raises(DataFormatError, match="data.jsonl:1: "):
             read_jsonl(path)
 
 

@@ -373,7 +373,10 @@ def test_sentences_of_one_shape_share_a_topology_but_not_their_parts():
     ext = make_extractor(3)
     first = build_lattice("semi", tokenize("a b c"), NP, 3, ext)
     second = build_lattice("semi", tokenize("x y z"), NP, 3, ext)
-    assert first.topology is second.topology
+    assert first.topology is second.topology and isinstance(first, Topology)
+    assert first.forward_sweep is second.forward_sweep is first.topology.forward_sweep
+    assert first.backward_sweep is second.backward_sweep is first.topology.backward_sweep
+    assert first.edge_src is first.topology.edge_src
     assert first.part_idx.tolist() != second.part_idx.tolist()
     w = np.arange(1.0, len(ext.dictionary) + 1.0)
     assert edge_scores(first, w).tolist() != edge_scores(second, w).tolist()
