@@ -35,9 +35,7 @@ from .lattice import (
 )
 from .inference import (
     Marginals,
-    edge_marginals,
     edge_scores,
-    log_partition,
     viterbi,
     viterbi_path,
 )
@@ -50,7 +48,6 @@ from .training import (
     NumericalError,
     ObjectiveEvaluator,
     TrainConfig,
-    export_model_json,
     load_model,
     save_model,
     train,
@@ -60,10 +57,7 @@ from .evaluate import (
     BootstrapResult,
     EvalReport,
     benchmark_label_sweep,
-    bootstrap_interval,
-    gold_upper_bound,
     score_corpus,
-    score_spans,
 )
 
 __version__ = "0.1.0"

@@ -141,7 +141,10 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def _check_output(path: str | None) -> None:
-    """Fail before any work if an output path's directory is missing."""
+    """Fail before any work if an output path is a directory or its
+    directory is missing."""
+    if path and Path(path).is_dir():
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
     if path and not Path(path).parent.is_dir():
         raise FileNotFoundError(f"cannot write {path}: {Path(path).parent} is not a directory")
 
@@ -193,6 +196,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     if not args.model_file or not args.input:
         raise ValueError("predict needs a model file and an input file")
+    _check_output(args.out)
     model = load_model(args.model_file)
     items = read_jsonl(args.input)
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout

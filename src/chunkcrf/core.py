@@ -76,10 +76,6 @@ class Sentence:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def surfaces(self) -> tuple[str, ...]:
-        return tuple(tok.surface for tok in self.tokens)
-
 
 @dataclass(frozen=True)
 class CharSpan:

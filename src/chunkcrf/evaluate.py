@@ -66,12 +66,6 @@ def span_counts(gold: list[Span], predicted: list[Span]) -> tuple[int, int, int]
     return tp, len(pred_keys) - tp, len(gold_keys) - tp
 
 
-def score_spans(gold: list[Span], predicted: list[Span], level: str = "char") -> EvalReport:
-    """Exact-match precision/recall/F1 for one span list pair."""
-    tp, fp, fn = span_counts(gold, predicted)
-    return _report(level, tp, fp, fn)
-
-
 def score_corpus(gold: list[list[Span]], predicted: list[list[Span]], level: str = "char") -> EvalReport:
     """Micro-averaged exact-match scores over aligned per-message lists."""
     if len(gold) != len(predicted):

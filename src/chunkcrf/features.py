@@ -98,9 +98,6 @@ class FeatureDictionary:
         self._strings.append(feature)
         return idx
 
-    def string(self, idx: int) -> str:
-        return self._strings[idx]
-
     @property
     def strings(self) -> tuple[str, ...]:
         return tuple(self._strings)

@@ -13,6 +13,9 @@ member's results do not depend on which other lattices share its batch.
 
 An edge's score is the dot product of the weight vector with its indicator
 features, computed once per part and summed over the edge's two parts.
+:func:`edge_scores` and its transpose :func:`feature_counts`, which spreads
+per-edge weights back onto features, are the only readers of a graph's part
+table outside :mod:`~chunkcrf.lattice`, which builds and batches it.
 Arithmetic runs with numpy's floating-point warnings off; a log partition or
 a best path score that is not finite raises :class:`NumericalError` instead.
 """
@@ -42,6 +45,14 @@ def edge_scores(graph: LevelGraph, weights: np.ndarray) -> np.ndarray:
     part = np.bincount(graph.part_row, weights=w[graph.part_idx], minlength=graph.num_parts)
     with np.errstate(all="ignore"):
         return part[graph.edge_parts[:, 0]] + part[graph.edge_parts[:, 1]]
+
+
+def feature_counts(graph: LevelGraph, edge_weights: np.ndarray, dim: int) -> np.ndarray:
+    """Per-feature sums of ``edge_weights`` over the edges that carry each
+    feature, the transpose of :func:`edge_scores`: spread each edge's weight
+    onto its two parts, then each part's onto its features."""
+    part = np.bincount(graph.edge_parts.ravel(), weights=np.repeat(edge_weights, 2), minlength=graph.num_parts)
+    return np.bincount(graph.part_idx, weights=part[graph.part_row], minlength=dim)
 
 
 def _sweep(sweep: Sweep, scores: np.ndarray, x: np.ndarray, log: bool = True) -> np.ndarray:
@@ -85,12 +96,6 @@ def backward_log(graph: LevelGraph, scores: np.ndarray) -> np.ndarray:
     return beta
 
 
-def log_partition(lattice: Lattice, weights: np.ndarray) -> float:
-    """log of the sum over all root-to-leaf paths of exp(path score)."""
-    scores = edge_scores(lattice, weights)
-    return float(forward_log(lattice, scores)[lattice.leaf])
-
-
 @dataclass(frozen=True)
 class Marginals:
     """Posterior probability of each edge plus each member's log normalizer."""
@@ -107,11 +112,6 @@ def marginals_from_scores(graph: LevelGraph, scores: np.ndarray) -> Marginals:
     with np.errstate(all="ignore"):
         post = np.exp(alpha[graph.edge_src] + scores + beta[graph.edge_dst] - edge_log_z)
     return Marginals(post, log_z)
-
-
-def edge_marginals(graph: LevelGraph, weights: np.ndarray) -> Marginals:
-    """Forward-backward edge posteriors under the model distribution."""
-    return marginals_from_scores(graph, edge_scores(graph, weights))
 
 
 def viterbi_path(graph: LevelGraph, weights: np.ndarray) -> tuple[list[list[int]], np.ndarray]:

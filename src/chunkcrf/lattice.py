@@ -164,24 +164,11 @@ class LevelGraph:
     def node_levels(self) -> np.ndarray:
         return np.repeat(np.arange(self.num_levels), np.diff(self.level_ptr))
 
-    def in_edge_ids(self, v: int) -> np.ndarray:
-        """Ids of the edges into node ``v``, by source."""
-        return self.in_order[self.in_ptr[v] : self.in_ptr[v + 1]]
-
-    def out_edge_ids(self, v: int) -> np.ndarray:
-        """Ids of the edges out of node ``v``."""
-        return self.out_order[self.out_ptr[v] : self.out_ptr[v + 1]]
-
     def edge_ids(self, src: Sequence[int] | np.ndarray, dst: Sequence[int] | np.ndarray) -> np.ndarray:
         """Ids of the edges ``src[i] -> dst[i]``, -1 where there is none."""
         key = np.asarray(dst, dtype=np.int64) * self.num_nodes + src
         k = np.searchsorted(self.in_key, key).clip(max=len(self.in_key) - 1)
         return np.where(self.in_key[k] == key, self.in_order[k], -1)
-
-    def edge_id(self, src: int, dst: int) -> int | None:
-        """Id of the edge from ``src`` to ``dst``, or ``None`` if there is none."""
-        eid = int(self.edge_ids([src], [dst])[0])
-        return eid if eid >= 0 else None
 
     def local_ids(self, nodes: list[int]) -> list[int]:
         """Member-local ids of the given nodes (a lattice's are its own)."""
@@ -289,11 +276,6 @@ class Lattice(Topology):
     # Cached on first use, perhaps after this lattice was built: read from the shape.
     forward_sweep = property(lambda self: self.topology.forward_sweep)
     backward_sweep = property(lambda self: self.topology.backward_sweep)
-
-    def edge_features(self, eid: int) -> np.ndarray:
-        """Feature ids of edge ``eid``: its first part's, then its second's."""
-        bounds = np.searchsorted(self.part_row, [self.edge_parts[eid], self.edge_parts[eid] + 1])
-        return np.concatenate([self.part_idx[lo:hi] for lo, hi in bounds.T])
 
     def gold_edge_ids(self, spans: list[WordSpan]) -> list[int]:
         """Edge path realizing the given chunk structure.

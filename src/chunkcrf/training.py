@@ -5,8 +5,11 @@ The objective over a dataset is
     sum over instances [ gold-path score - log Z ]  -  lam * ||w||^2
 
 and its gradient is gold-path feature counts minus expected feature counts
-(from edge posteriors) minus ``2 * lam * w``.  Both are returned in
-maximization orientation; the optimizer loop negates them.  The dataset's
+(from edge posteriors) minus ``2 * lam * w``.  Both counts come through one
+spread of per-edge weights onto features,
+:func:`~chunkcrf.inference.feature_counts`: of a gold-edge indicator, and of
+the edge posteriors.  Objective and gradient are returned in maximization
+orientation; the optimizer loop negates them.  The dataset's
 lattices form one batch, in dataset order, and every reduction over it runs in
 a fixed order, so results are bit-reproducible.
 
@@ -44,7 +47,7 @@ from .features import (
 )
 from .ingest import AnnotatedText
 from .lattice import MODEL_KINDS, Batch, Lattice, LatticeError, build_lattice
-from .inference import NumericalError, edge_scores, marginals_from_scores, viterbi, viterbi_path
+from .inference import NumericalError, edge_scores, feature_counts, marginals_from_scores, viterbi, viterbi_path
 
 log = logging.getLogger("chunkcrf")
 
@@ -174,7 +177,7 @@ class ObjectiveEvaluator:
     lattices are joined into one :class:`Batch`; gold feature counts are
     summed once for the whole dataset.  An evaluation is then one scoring
     pass, one forward-backward over the batch, one gold-score gather and one
-    expected-count ``bincount``.  Instances whose gold structure is not
+    expected-count spread.  Instances whose gold structure is not
     representable in their lattice are detected here, logged, and skipped.
     An unfrozen ``dictionary`` grows as the lattices compile (freeze it
     afterwards); ``lam`` may be rebound between evaluations.
@@ -218,8 +221,8 @@ class ObjectiveEvaluator:
         self.batch = batch = Batch(lattices)
         self.gold_edges = np.concatenate(gold_edges)
         # Indicator counts are small integers, so these sums are exact.
-        gold_parts = np.bincount(batch.edge_parts[self.gold_edges].ravel(), minlength=batch.num_parts)
-        self.gold_counts = np.bincount(batch.part_idx, weights=gold_parts[batch.part_row], minlength=len(dictionary))
+        on_gold = np.bincount(self.gold_edges, minlength=batch.num_edges)
+        self.gold_counts = feature_counts(batch, on_gold, len(dictionary))
 
     def objective_and_gradient(self, weights: np.ndarray) -> tuple[float, np.ndarray]:
         w = np.asarray(weights, dtype=np.float64)
@@ -229,10 +232,7 @@ class ObjectiveEvaluator:
         batch = self.batch
         scores = edge_scores(batch, w)
         marg = marginals_from_scores(batch, scores)
-        part_post = np.bincount(
-            batch.edge_parts.ravel(), weights=np.repeat(marg.edge_posteriors, 2), minlength=batch.num_parts
-        )
-        expected = np.bincount(batch.part_idx, weights=part_post[batch.part_row], minlength=len(self.dictionary))
+        expected = feature_counts(batch, marg.edge_posteriors, len(self.dictionary))
         with np.errstate(all="ignore"):
             value = float(scores[self.gold_edges].sum() - marg.log_partition.sum()) - self.lam * float(w @ w)
             grad = self.gold_counts - expected - 2.0 * self.lam * w
@@ -430,7 +430,7 @@ def tune_lambda(
 
 
 # ----------------------------------------------------------------------
-# Serialization: versioned binary container, plus a JSON debug export.
+# Serialization: versioned binary container.
 # ----------------------------------------------------------------------
 
 MODEL_MAGIC = b"CKCRFMDL"
@@ -441,8 +441,8 @@ MODEL_VERSION = 1
 _PERSISTED_METADATA = ("iterations", "final_objective", "converged", "clipped_spans", "skipped_instances")
 
 
-def _model_header(model: Model) -> dict:
-    return {
+def save_model(model: Model, path: str) -> None:
+    contents = {
         "model_kind": model.model_kind,
         "chunk_labels": list(model.label_set.chunk_labels),
         "feature_config": asdict(model.feature_config),
@@ -450,10 +450,7 @@ def _model_header(model: Model) -> dict:
         "features": list(model.dictionary.strings),
         "metadata": {k: model.metadata[k] for k in _PERSISTED_METADATA if k in model.metadata},
     }
-
-
-def save_model(model: Model, path: str) -> None:
-    header = json.dumps(_model_header(model), sort_keys=True, ensure_ascii=True, separators=(",", ":")).encode()
+    header = json.dumps(contents, sort_keys=True, ensure_ascii=True, separators=(",", ":")).encode()
     weights = np.ascontiguousarray(model.weights, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
@@ -542,10 +539,3 @@ def load_model(path: str) -> Model:
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: invalid header ({exc!r})") from exc
     return model
-
-
-def export_model_json(model: Model) -> dict:
-    """Human-inspectable dump: header plus the raw weight list."""
-    header = _model_header(model)
-    header["weights"] = [float(w) for w in model.weights]
-    return header

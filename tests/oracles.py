@@ -1,8 +1,11 @@
 """Brute-force oracles, kept independent of the dynamic programs they check.
 
-Path-level oracles enumerate every root-to-leaf path by DFS over the lattice
-adjacency and reduce scores directly; labeling-level oracles enumerate BIO
-strings or segmentations without touching the lattice at all.
+Path-level oracles enumerate every root-to-leaf path by DFS over an adjacency
+built here from the lattice's edge arrays (``edge_src``/``edge_dst``), and
+score each edge from the features :func:`edge_features` reads straight out of
+the part table, so neither the lattice's CSR index nor the package's scoring
+is used.  Labeling-level oracles enumerate BIO strings or segmentations
+without touching the lattice at all.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ def synthetic_sentence(n: int) -> Sentence:
 
 def all_edge_paths(lattice: Lattice) -> list[list[int]]:
     """Every root-to-leaf path as a list of edge ids (DFS, no DP)."""
-    out_edges = [lattice.out_edge_ids(v).tolist() for v in range(lattice.num_nodes)]
+    out_edges: list[list[int]] = [[] for _ in range(lattice.num_nodes)]
+    for eid, src in enumerate(lattice.edge_src.tolist()):
+        out_edges[src].append(eid)
     edge_dst = lattice.edge_dst.tolist()
     paths: list[list[int]] = []
     stack: list[tuple[int, list[int]]] = [(lattice.root, [])]
@@ -46,9 +51,15 @@ def path_nodes(lattice: Lattice, edge_path: list[int]) -> list[int]:
     return nodes
 
 
+def edge_features(lattice: Lattice, eid: int) -> np.ndarray:
+    """Feature ids of edge ``eid``: every part-table entry of its first part,
+    then of its second, in table order."""
+    return np.concatenate([lattice.part_idx[lattice.part_row == part] for part in lattice.edge_parts[eid]])
+
+
 def edge_score(lattice: Lattice, eid: int, weights: np.ndarray) -> float:
     """In-order sum of the weights of the edge's indicator features."""
-    return float(sum(weights[f] for f in lattice.edge_features(eid)))
+    return float(sum(weights[f] for f in edge_features(lattice, eid)))
 
 
 def path_score(lattice: Lattice, edge_path: list[int], weights: np.ndarray) -> float:

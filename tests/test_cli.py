@@ -291,22 +291,34 @@ class TestTrainPredictEval:
             ["train", "--train", "DEV", "--lambda", "0.1", "--out", "MISSING/m.ckcrf"],
             ["eval", "--gold", "DEV", "--pred", "DEV", "--json-out", "MISSING/scores.json"],
             ["bench", "--labels", "2", "--out", "MISSING/bench.csv"],
+            ["predict", "--model-file", "DEV", "--input", "DEV", "--out", "MISSING/pred.jsonl"],
+            ["ingest", "DEV", "--out", "DIR"],
+            ["train", "--train", "DEV", "--lambda", "0.1", "--out", "DIR"],
+            ["eval", "--gold", "DEV", "--pred", "DEV", "--json-out", "DIR"],
+            ["bench", "--labels", "2", "--out", "DIR"],
+            ["predict", "--model-file", "DEV", "--input", "DEV", "--out", "DIR"],
         ],
-        ids=["ingest", "train", "eval", "bench"],
+        ids=["ingest", "train", "eval", "bench", "predict",
+             "ingest-to-dir", "train-to-dir", "eval-to-dir", "bench-to-dir", "predict-to-dir"],
     )
     def test_missing_output_directory_fails_before_any_work(self, corpus_files, tmp_path, capsys, monkeypatch,
                                                             argv):
+        # An output path whose directory is missing, or that is a directory.
         def never(*args, **kwargs):
             raise AssertionError("work started before the output path was checked")
 
-        for name in ("read_corpus", "read_jsonl", "train", "benchmark_label_sweep"):
+        for name in ("read_corpus", "read_jsonl", "train", "benchmark_label_sweep", "load_model"):
             monkeypatch.setattr(cli, name, never)
         _, dev = corpus_files
-        argv = [str(dev) if arg == "DEV" else arg.replace("MISSING", str(tmp_path / "nodir")) for arg in argv]
+        out_dir = tmp_path / "outdir"
+        out_dir.mkdir()
+        out_name = "outdir" if "DIR" in argv else "nodir"
+        subs = {"DEV": str(dev), "DIR": str(out_dir)}
+        argv = [subs.get(arg, arg.replace("MISSING", str(tmp_path / "nodir"))) for arg in argv]
         assert run(argv) == EXIT_DATA
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: cannot write ") and "nodir" in captured.err
+        assert captured.err.startswith("error: cannot write ") and out_name in captured.err
 
     @pytest.mark.parametrize(
         "span",

@@ -19,6 +19,10 @@ from chunkcrf.core import (
 )
 
 
+def surfaces(sentence):
+    return tuple(tok.surface for tok in sentence.tokens)
+
+
 class TestTokenize:
     def test_whitespace_separated_words(self):
         s = tokenize("Dr teh says")
@@ -29,15 +33,15 @@ class TestTokenize:
         ]
 
     def test_missing_space_splits_on_apostrophe(self):
-        assert tokenize("butshe's").surfaces == ("butshe", "'", "s")
+        assert surfaces(tokenize("butshe's")) == ("butshe", "'", "s")
 
     def test_anonymization_placeholder_kept_whole(self):
         s = tokenize("call <DECIMAL> now")
-        assert s.surfaces == ("call", "<DECIMAL>", "now")
+        assert surfaces(s) == ("call", "<DECIMAL>", "now")
 
     def test_lowercase_angle_brackets_are_not_placeholders(self):
         s = tokenize("a<b>c")
-        assert s.surfaces == ("a", "<", "b", ">", "c")
+        assert surfaces(s) == ("a", "<", "b", ">", "c")
 
     def test_empty_text(self):
         assert len(tokenize("")) == 0
@@ -71,8 +75,8 @@ def test_tokenize_offsets_are_faithful(text):
 
 @given(token_texts)
 def test_tokenize_idempotent_on_surfaces(text):
-    surfaces = tokenize(text).surfaces
-    assert tokenize(" ".join(surfaces)).surfaces == surfaces
+    words = surfaces(tokenize(text))
+    assert surfaces(tokenize(" ".join(words))) == words
 
 
 class TestCharToWord:

@@ -11,7 +11,6 @@ from chunkcrf.evaluate import (
     bootstrap_interval,
     gold_upper_bound,
     score_corpus,
-    score_spans,
     sweep_rows_to_csv,
     SweepRow,
 )
@@ -22,6 +21,11 @@ from chunkcrf.synth import chunk_label_names, inject_improper_spans, separable_c
 
 def cs(*triples):
     return [CharSpan(a, b, lab) for a, b, lab in triples]
+
+
+def score_spans(gold, predicted):
+    """Scores of one message's span lists."""
+    return score_corpus([gold], [predicted])
 
 
 class TestScoreSpans:

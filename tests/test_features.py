@@ -16,7 +16,8 @@ from chunkcrf.features import (
 
 
 def strings_of(extractor, fv):
-    return {extractor.dictionary.string(i) for i in fv}
+    strings = extractor.dictionary.strings
+    return {strings[i] for i in fv}
 
 
 def linear_strings(extractor, sentence, position, prev_tag, cur_tag):
@@ -72,7 +73,7 @@ class TestDictionary:
 
     def test_round_trip(self):
         d = FeatureDictionary.from_strings(["x", "y"])
-        assert d.string(1) == "y"
+        assert d.strings[1] == "y"
         assert d.strings == ("x", "y")
 
 

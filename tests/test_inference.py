@@ -11,10 +11,8 @@ from chunkcrf.core import LabelSet, WordSpan, tokenize
 from chunkcrf.features import FeatureConfig, FeatureDictionary, FeatureExtractor
 from chunkcrf.inference import (
     NumericalError,
-    edge_marginals,
     edge_scores,
     forward_log,
-    log_partition,
     marginals_from_scores,
     viterbi,
     viterbi_path,
@@ -26,6 +24,7 @@ from oracles import (
     brute_best_paths,
     brute_edge_marginals,
     brute_log_partition,
+    edge_features,
     edge_score,
     path_nodes,
     path_score,
@@ -38,6 +37,15 @@ NP = LabelSet(("NP",))
 
 def make_extractor(max_seg_len=6):
     return FeatureExtractor(FeatureConfig(max_seg_len=max_seg_len), FeatureDictionary())
+
+
+def log_partition(lat, w):
+    """The lattice's log partition, from the sweep training runs."""
+    return float(forward_log(lat, edge_scores(lat, w))[lat.leaf])
+
+
+def edge_marginals(graph, w):
+    return marginals_from_scores(graph, edge_scores(graph, w))
 
 
 class TestLogPartition:
@@ -99,7 +107,7 @@ class TestMarginals:
         for kind in ("linear", "semi", "weak"):
             lat, w, *_ = random_instance(rng, kind)
             marg = edge_marginals(lat, w)
-            assert marg.edge_posteriors[lat.out_edge_ids(lat.root)].sum() == pytest.approx(1.0, abs=1e-9)
+            assert marg.edge_posteriors[lat.edge_src == lat.root].sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(marg.edge_posteriors >= -1e-12)
             assert np.all(marg.edge_posteriors <= 1 + 1e-12)
 
@@ -109,8 +117,8 @@ class TestMarginals:
             lat, w, *_ = random_instance(rng, kind)
             marg = edge_marginals(lat, w)
             for v in range(1, lat.num_nodes - 1):
-                inflow = marg.edge_posteriors[lat.in_edge_ids(v)].sum()
-                outflow = marg.edge_posteriors[lat.out_edge_ids(v)].sum()
+                inflow = marg.edge_posteriors[lat.edge_dst == v].sum()
+                outflow = marg.edge_posteriors[lat.edge_src == v].sum()
                 assert inflow == pytest.approx(outflow, abs=1e-9)
 
     def test_constant_score_shift_leaves_marginals_unchanged(self):
@@ -137,7 +145,7 @@ class TestViterbi:
         gold = lat.gold_edge_ids([WordSpan(0, 1, "NP")])
         w = np.zeros(len(d))
         for eid in gold:
-            w[lat.edge_features(eid)] = 1.0
+            w[edge_features(lat, eid)] = 1.0
         spans, _ = viterbi(lat, w)
         assert [(s.first_token, s.last_token, s.label) for s in spans] == [(0, 1, "NP")]
 
@@ -225,7 +233,7 @@ class TestBatch:
         for lat, path, score in zip(lattices, paths, scores):
             expected = [lat.leaf]
             while expected[-1] != lat.root:
-                expected.append(int(lat.edge_src[lat.in_edge_ids(expected[-1])].min()))
+                expected.append(int(lat.edge_src[lat.edge_dst == expected[-1]].min()))
             assert path == expected[::-1]
             assert score == 0.0
             assert lat.path_spans(path) == []
@@ -282,12 +290,9 @@ class TestProperties:
     def test_edge_lookup_and_scores_match_the_edge_arrays(self, case):
         lat, w = case
         edges = {(int(src), int(dst)): eid for eid, (src, dst) in enumerate(zip(lat.edge_src, lat.edge_dst))}
-        for src in range(lat.num_nodes):
-            for dst in range(lat.num_nodes):
-                assert lat.edge_id(src, dst) == edges.get((src, dst))
         src, dst = np.divmod(np.arange(lat.num_nodes**2), lat.num_nodes)
         found = lat.edge_ids(src, dst)
-        assert {(int(s), int(d)): int(e) for s, d, e in zip(src, dst, found) if e >= 0} == edges
+        assert found.tolist() == [edges.get((int(s), int(d)), -1) for s, d in zip(src, dst)]
         assert edge_scores(lat, w).tolist() == [edge_score(lat, eid, w) for eid in range(lat.num_edges)]
 
     @settings(deadline=None)

@@ -31,6 +31,7 @@ from chunkcrf.lattice import (
 
 from oracles import (
     all_edge_paths,
+    edge_features,
     enumerate_bio_spansets,
     enumerate_segmentations,
     path_nodes,
@@ -47,7 +48,12 @@ def make_extractor(max_seg_len=6, **flags):
 
 
 def edge_feature_ids(lattice, eid):
-    return lattice.edge_features(eid).tolist()
+    return edge_features(lattice, eid).tolist()
+
+
+def edge_id(lattice, src, dst):
+    """Id of the edge ``src -> dst``, -1 where there is none."""
+    return int(lattice.edge_ids([src], [dst])[0])
 
 
 def spanset(lattice, edge_path):
@@ -71,7 +77,7 @@ class TestLinear:
 
     def test_no_edge_from_outside_to_inside(self):
         lat = build_lattice("linear", tokenize("a b"), NP, 1, make_extractor())
-        assert lat.edge_id(lat._node_ids[Node("tag", 0, "O")], lat._node_ids[Node("tag", 1, "I-NP")]) is None
+        assert edge_id(lat, lat._node_ids[Node("tag", 0, "O")], lat._node_ids[Node("tag", 1, "I-NP")]) == -1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_paths_biject_with_valid_bio_strings(self, n):
@@ -163,7 +169,7 @@ class TestWeak:
         ext = FeatureExtractor(FeatureConfig(max_seg_len=3), d)
         lat = build_lattice("weak", synthetic_sentence(4), NP, 3, ext)
         for eid in range(lat.num_edges):
-            names = {d.string(i) for i in edge_feature_ids(lat, eid)}
+            names = {d.strings[i] for i in edge_feature_ids(lat, eid)}
             if edge_class(lat, eid) == "segment":
                 assert not any(name.startswith(TRANSITION_PREFIXES) for name in names)
             else:
@@ -217,8 +223,8 @@ class TestEdgeFeatures:
         lat = build_lattice("semi", s, NP, 3, ext)
         dst = lat._node_ids[Node("seg", 3, "O")]
         # outside segments are single-token, so no edge skips position 2
-        assert lat.edge_id(lat._node_ids[Node("seg", 1, "NP")], dst) is None
-        eid = lat.edge_id(lat._node_ids[Node("seg", 2, "NP")], dst)
+        assert edge_id(lat, lat._node_ids[Node("seg", 1, "NP")], dst) == -1
+        eid = edge_id(lat, lat._node_ids[Node("seg", 2, "NP")], dst)
         direct = (
             ext.segment_features(s, 3, 3, "O").tolist()
             + ext.transition_features("NP", "O").tolist()
@@ -232,7 +238,7 @@ class TestEdgeFeatures:
         lat = build_lattice("linear", s, NP, 1, ext)
         src = lat._node_ids[Node("tag", 0, "B-NP")]
         dst = lat._node_ids[Node("tag", 1, "I-NP")]
-        eid = lat.edge_id(src, dst)
+        eid = edge_id(lat, src, dst)
         direct = (
             ext.token_context_features(s, 1, "I-NP").tolist()
             + ext.token_transition_features("B-NP", "I-NP").tolist()
@@ -246,10 +252,10 @@ class TestEdgeFeatures:
         # edges into the same segment from different predecessors share the
         # segment features and differ only in the transition feature
         ids = [
-            lat.edge_id(lat._node_ids[Node("seg", 0, prev)], lat._node_ids[Node("seg", 1, "NP")])
+            edge_id(lat, lat._node_ids[Node("seg", 0, prev)], lat._node_ids[Node("seg", 1, "NP")])
             for prev in ("O", "NP")
         ]
-        names = [{d.string(i) for i in edge_feature_ids(lat, e)} for e in ids]
+        names = [{d.strings[i] for i in edge_feature_ids(lat, e)} for e in ids]
         assert names[0] ^ names[1] == {"TR=O|NP", "TR=NP|NP"}
 
     def test_each_distinct_part_is_stored_once(self):
@@ -258,7 +264,7 @@ class TestEdgeFeatures:
         # the empty part, 5 NP and 3 O segments, and 8 label pairs
         # (START, NP, O -> NP, O; NP, O -> STOP)
         assert lat.num_parts == 1 + 8 + 8
-        assert len(lat.part_idx) < sum(len(lat.edge_features(e)) for e in range(lat.num_edges))
+        assert len(lat.part_idx) < sum(len(edge_features(lat, e)) for e in range(lat.num_edges))
 
 
 class TestGoldPaths:
@@ -363,9 +369,9 @@ def test_levels_group_nodes_by_position_and_every_edge_climbs(kind, levels_per_t
 def test_csr_adjacency_lists_every_edge_once_by_node():
     lat = build_lattice("weak", synthetic_sentence(4), LabelSet(("NP", "VP")), 3, make_extractor(3))
     for v in range(lat.num_nodes):
-        ins = lat.in_edge_ids(v)
+        ins = lat.in_order[lat.in_ptr[v] : lat.in_ptr[v + 1]]
         assert np.all(lat.edge_dst[ins] == v) and np.all(np.diff(lat.edge_src[ins]) > 0)
-        assert np.all(lat.edge_src[lat.out_edge_ids(v)] == v)
+        assert np.all(lat.edge_src[lat.out_order[lat.out_ptr[v] : lat.out_ptr[v + 1]]] == v)
     assert sorted(lat.in_order.tolist()) == sorted(lat.out_order.tolist()) == list(range(lat.num_edges))
 
 

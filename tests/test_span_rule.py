@@ -16,7 +16,7 @@ from chunkcrf.core import (
     word_spans_to_bio,
     word_spans_to_char_spans,
 )
-from chunkcrf.evaluate import score_spans
+from chunkcrf.evaluate import score_corpus
 from chunkcrf.ingest import AnnotatedText
 from chunkcrf.lattice import MODEL_KINDS, LatticeError, build_lattice
 from chunkcrf.training import DataItem
@@ -71,7 +71,7 @@ def test_char_span_entry_points_follow_the_rule(case):
     expected = accepts(ordered_spans, spans, len(sentence.raw_text))
     assert accepts(AnnotatedText, sentence, tuple(spans)) == expected
     assert accepts(char_spans_to_word_spans, sentence, spans) == expected
-    assert accepts(score_spans, spans, []) == accepts(ordered_spans, spans, math.inf)
+    assert accepts(score_corpus, [spans], [[]]) == accepts(ordered_spans, spans, math.inf)
 
 
 @settings(max_examples=100, deadline=None)

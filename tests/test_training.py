@@ -8,17 +8,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chunkcrf.core import LabelSet, WordSpan, tokenize
 from chunkcrf.features import (
-    SEGMENT_TRANSITION_PREFIX,
-    LINEAR_TRANSITION_PREFIX,
     WORD_CACHE_SIZE,
     FeatureConfig,
     FeatureDictionary,
     FeatureExtractor,
 )
-from chunkcrf.inference import log_partition, viterbi
+from chunkcrf.inference import edge_scores, forward_log, viterbi_path
 from chunkcrf.lattice import build_lattice
 from chunkcrf.synth import separable_corpus
 import chunkcrf.training
@@ -34,15 +33,15 @@ from chunkcrf.training import (
     ObjectiveEvaluator,
     TrainConfig,
     build_feature_space,
+    compile_split,
     derive_label_set,
-    export_model_json,
     load_model,
     save_model,
     train,
     tune_lambda,
 )
 
-from oracles import brute_edge_marginals, random_gold
+from oracles import brute_edge_marginals, edge_features, random_gold
 
 NP = LabelSet(("NP",))
 
@@ -145,9 +144,9 @@ class TestObjective:
         for item in ds.items:
             lat = build_lattice(kind, item.sentence, ev.label_set, ev.config.max_seg_len, extractor)
             for eid in lat.gold_edge_ids(list(item.word_spans)):
-                np.add.at(expected, lat.edge_features(eid), 1.0)
+                np.add.at(expected, edge_features(lat, eid), 1.0)
             for eid, post in enumerate(brute_edge_marginals(lat, w)):
-                np.add.at(expected, lat.edge_features(eid), -post)
+                np.add.at(expected, edge_features(lat, eid), -post)
         np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
@@ -509,37 +508,54 @@ class TestSerialization:
         save_model(self._trained(), str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_json_export_mirrors_the_model(self):
-        model = self._trained()
-        dump = export_model_json(model)
-        assert dump["model_kind"] == "semi"
-        assert len(dump["weights"]) == len(model.weights)
-        assert dump["features"] == list(model.dictionary.strings)
-
 
 class TestRestrictedEquivalence:
-    def test_semi_and_weak_agree_when_transitions_are_zeroed(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            n = int(rng.integers(1, 5))
-            text = " ".join(f"q{rng.integers(0, 5)}" for _ in range(n))
-            sentence = tokenize(text)
-            ds = toy_dataset([(text, random_gold(rng, n, NP, 2))])
-            cfg = TrainConfig(model_kind="semi", lam=0.1, max_seg_len=2)
-            dictionary, _ = build_feature_space(ds, NP, cfg)
-            # the split-node lattice shares every feature string, so one
-            # dictionary serves both models
-            w = rng.uniform(-2, 2, len(dictionary))
-            for i, s in enumerate(dictionary.strings):
-                if s.startswith((SEGMENT_TRANSITION_PREFIX, LINEAR_TRANSITION_PREFIX)):
-                    w[i] = 0.0
-            ext_cfg = cfg.feature_config
-            from chunkcrf.features import FeatureExtractor
+    """``semi`` and ``weak`` define one distribution over labelings for every
+    weight vector, transitions included: a ``semi`` edge's two parts are
+    those of one ``weak`` segment edge and the transition edge into it."""
 
-            ext = FeatureExtractor(ext_cfg, dictionary)
-            semi = build_lattice("semi", sentence, NP, 2, ext)
-            weak = build_lattice("weak", sentence, NP, 2, ext)
-            assert log_partition(semi, w) == pytest.approx(log_partition(weak, w), abs=1e-8)
-            semi_spans, _ = viterbi(semi, w)
-            weak_spans, _ = viterbi(weak, w)
-            assert semi_spans == weak_spans
+    @settings(deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(["q0", "q1", "Q2", "q3", "q4"]), min_size=1, max_size=4, unique=True),
+                 min_size=1, max_size=3),
+        st.integers(1, 2),
+        st.integers(1, 3),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_semi_and_weak_agree_for_every_weight_vector(self, texts, num_labels, max_seg_len, use_affix, use_shape,
+                                                          seed):
+        # Words are distinct within a sentence and weights continuous, so no
+        # two labelings tie and both families must decode the same spans.
+        rng = np.random.default_rng(seed)
+        label_set = LabelSet(tuple(f"L{i}" for i in range(num_labels)))
+        sentences = [tokenize(" ".join(words)) for words in texts]
+        ds = Dataset([DataItem(s, tuple(random_gold(rng, len(s), label_set, max_seg_len))) for s in sentences])
+        evaluators = {
+            kind: compile_split(ds, TrainConfig(kind, 0.1, max_seg_len, use_affix=use_affix, use_shape=use_shape),
+                                None, label_set)[0]
+            for kind in ("semi", "weak")
+        }
+        semi, weak = evaluators["semi"].dictionary, evaluators["weak"].dictionary
+        assert sorted(semi.strings) == sorted(weak.strings)
+        to_weak = np.array([weak.index(f) for f in semi.strings])
+        weights = {"semi": rng.uniform(-2.0, 2.0, len(semi)), "weak": np.empty(len(weak))}
+        weights["weak"][to_weak] = weights["semi"]
+
+        results = {}
+        for kind, ev in evaluators.items():
+            w = weights[kind]
+            value, grad = ev.objective_and_gradient(w)
+            log_z = forward_log(ev.batch, edge_scores(ev.batch, w))[ev.batch.leaves]
+            _, best = viterbi_path(ev.batch, w)
+            model = Model(kind, label_set, ev.config.feature_config, ev.dictionary, w)
+            results[kind] = value, grad, log_z, best, model.predict_many(sentences)
+        value, grad, log_z, best, spans = results["semi"]
+        value_weak, grad_weak, log_z_weak, best_weak, spans_weak = results["weak"]
+        assert len(log_z) == len(log_z_weak) == len(ds)
+        assert value == pytest.approx(value_weak, rel=0, abs=1e-9)
+        np.testing.assert_allclose(grad, grad_weak[to_weak], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(log_z, log_z_weak, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(best, best_weak, rtol=0, atol=1e-9)
+        assert spans == spans_weak
