@@ -6,13 +6,17 @@ flat ``key = value`` config file, whose keys are the options' destinations
 or flag names (``-`` and ``_`` alike).  Command-line flags override config
 values one-to-one and config values override the built-in defaults.  Only
 ``bench`` draws random data, from its ``seed`` option; training and
-prediction are deterministic.  Inputs and output directories are checked
-before any work starts.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical failure.  A usage error is a command line the parser rejects.
-A required value still missing once flags and the config file are merged
-(``ingest``'s input, ``train``'s ``--train``, ``predict``'s ``--model-file``
-or ``--input``, ``eval``'s ``--gold`` or ``--pred``) is a data error: the
-command line parsed, and a config file could have supplied the value.
+prediction are deterministic.  Inputs and output paths are checked before
+any work starts.  ``train --out X`` writes the model to ``X`` and its log to
+``X.log``: with a fixed lambda, the CSV header ``iter, objective, grad_norm,
+seconds`` and one row per L-BFGS iteration; with ``--lambda-grid``, one
+``lambda=...: dev char F1 ...`` line per grid point.  Exit codes: 0 success,
+1 usage error, 2 data error, 3 numerical failure.  A usage error is a
+command line the parser rejects.  A required value still missing once flags
+and the config file are merged (``ingest``'s input, ``train``'s ``--train``,
+``predict``'s ``--model-file`` or ``--input``, ``eval``'s ``--gold`` or
+``--pred``) is a data error: the command line parsed, and a config file
+could have supplied the value.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .core import char_spans_to_word_spans, word_spans_to_char_spans
@@ -164,24 +169,25 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.train:
         raise ValueError("train needs a training split")
+    log_path = args.out + ".log"
     _check_output(args.out)
+    _check_output(log_path)
     config = _train_config(args)
 
     train_set = Dataset.from_annotated(read_jsonl(args.train))
     dev_set = Dataset.from_annotated(read_jsonl(args.dev)) if args.dev else None
     brown = load_brown_clusters(args.brown) if config.use_brown else None
-    log_path = args.out + ".log"
 
     if args.lambda_grid:
         best_lam, reports, model = tune_lambda(train_set, dev_set, config, LAMBDA_GRID, brown)
-        with open(log_path, "w", encoding="utf-8") as fh:
-            for lam, report in sorted(reports.items()):
-                line = f"lambda={lam}: dev char F1 {100 * report.f1:.2f} (P {100 * report.precision:.2f} R {100 * report.recall:.2f})"
-                print(line)
-                fh.write(line + "\n")
-        print(f"selected lambda={best_lam}")
+        log_lines = [f"lambda={lam}: dev char F1 {100 * r.f1:.2f} (P {100 * r.precision:.2f} R {100 * r.recall:.2f})"
+                     for lam, r in sorted(reports.items())]
+        print(*log_lines, f"selected lambda={best_lam}", sep="\n")
     else:
-        model = train(train_set, config, brown, log_path=log_path)
+        model = train(train_set, config, brown)
+        log_lines = ["iter, objective, grad_norm, seconds",
+                     *(f"{it}, {value:.10g}, {gnorm:.6g}, {secs:.6f}" for it, value, gnorm, secs in model.metadata["trace"])]
+    Path(log_path).write_text("".join(f"{line}\n" for line in log_lines), encoding="utf-8")
 
     save_model(model, args.out)
     meta = model.metadata
@@ -244,17 +250,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for level, report in reports.items():
             print(f"{level}-level: Prec Rec F = {report.row()}")
     if args.json_out:
-        payload = {
-            level: {
-                "precision": r.precision,
-                "recall": r.recall,
-                "f1": r.f1,
-                "tp": r.tp,
-                "fp": r.fp,
-                "fn": r.fn,
-            }
-            for level, r in reports.items()
-        }
+        payload = {level: {k: v for k, v in asdict(r).items() if k != "level"} for level, r in reports.items()}
         Path(args.json_out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return EXIT_OK
 

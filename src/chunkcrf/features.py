@@ -64,6 +64,12 @@ UNSEEN = -2  # table cell not looked up in the dictionary yet
 # many it starts its caches afresh, so decoding an open-ended stream of new
 # words holds them bounded (a growing dictionary's finite data bounds them).
 WORD_CACHE_SIZE = 2048
+# Largest ``max_seg_len`` (tokens) and ``affix_max_len`` (characters): a
+# segment word row has about (5 + 2 * affix_max_len) * max_seg_len columns,
+# laid out whenever an extractor is made, so a corrupt model header must not
+# set them at will.
+MAX_SEG_LEN_LIMIT = 100
+AFFIX_MAX_LEN_LIMIT = 10
 
 
 class FeatureDictionary:
@@ -165,12 +171,12 @@ class FeatureConfig:
         for name in ("use_affix", "use_brown", "use_shape"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        for name in ("affix_max_len", "max_seg_len"):
+        for name, limit in (("affix_max_len", AFFIX_MAX_LEN_LIMIT), ("max_seg_len", MAX_SEG_LEN_LIMIT)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if not 1 <= value <= limit:
+                raise ValueError(f"{name} must be between 1 and {limit}, got {value}")
 
 
 def word_shape(surface: str) -> str:

@@ -16,6 +16,9 @@ a fixed order, so results are bit-reproducible.
 Chunks longer than the segment-length limit cannot be represented in the
 segment lattices; such spans are dropped from the gold structure (their
 tokens become outside) before training, and the dropped count is reported.
+
+A fit keeps its per-iteration trace in the model's metadata and opens no
+file: :func:`save_model` writes the only file training writes.
 """
 
 from __future__ import annotations
@@ -76,8 +79,7 @@ class TrainConfig:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if not 0 < self.lam < np.inf:
             raise ValueError("lam (the regularization strength) must be positive and finite")
-        if self.max_seg_len < 1:
-            raise ValueError("max_seg_len must be >= 1")
+        self.feature_config  # FeatureConfig checks max_seg_len
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not self.tolerance >= 0:
@@ -194,6 +196,7 @@ class ObjectiveEvaluator:
         self.label_set = label_set
         self.config = config
         self.dictionary = dictionary
+        self.brown = brown
         self.lam = config.lam
         extractor = FeatureExtractor(config.feature_config, dictionary, brown)
         lattices = []
@@ -313,9 +316,10 @@ def compile_split(dataset: Dataset, config: TrainConfig, brown: BrownClusterMap 
     return evaluator, dropped
 
 
-def _fit(evaluator: ObjectiveEvaluator, brown: BrownClusterMap | None, dropped: int,
-         log_path: str | None = None) -> Model:
-    """The fitting half of :func:`train`, at ``evaluator.lam``."""
+def _fit(evaluator: ObjectiveEvaluator, dropped: int) -> Model:
+    """The fitting half of :func:`train`, at ``evaluator.lam``.  The model's
+    ``metadata["trace"]`` holds one ``(iteration, objective, gradient norm,
+    seconds)`` row per L-BFGS iteration."""
     config = evaluator.config
     last_eval = {"value": np.nan, "grad_norm": np.nan}
 
@@ -325,15 +329,13 @@ def _fit(evaluator: ObjectiveEvaluator, brown: BrownClusterMap | None, dropped: 
         last_eval["grad_norm"] = float(np.linalg.norm(grad))
         return -value, -grad
 
-    iteration_seconds: list[float] = []
     trace: list[tuple[int, float, float, float]] = []
     clock = {"t": time.perf_counter()}
 
     def callback(_xk: np.ndarray) -> None:
         now = time.perf_counter()
-        iteration_seconds.append(now - clock["t"])
+        trace.append((len(trace) + 1, last_eval["value"], last_eval["grad_norm"], now - clock["t"]))
         clock["t"] = now
-        trace.append((len(iteration_seconds), last_eval["value"], last_eval["grad_norm"], iteration_seconds[-1]))
 
     w0 = np.zeros(len(evaluator.dictionary))
     result = minimize(
@@ -350,19 +352,13 @@ def _fit(evaluator: ObjectiveEvaluator, brown: BrownClusterMap | None, dropped: 
         },
     )
 
-    if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write("iter, objective, grad_norm, seconds\n")
-            for it, value, gnorm, secs in trace:
-                fh.write(f"{it}, {value:.10g}, {gnorm:.6g}, {secs:.6f}\n")
-
     metadata = {
         "iterations": int(result.nit),
         "final_objective": float(-result.fun),
         "converged": bool(result.success),
         "clipped_spans": dropped,
         "skipped_instances": evaluator.skipped,
-        "per_iteration_seconds": iteration_seconds,
+        "trace": trace,
     }
     return Model(
         config.model_kind,
@@ -370,7 +366,7 @@ def _fit(evaluator: ObjectiveEvaluator, brown: BrownClusterMap | None, dropped: 
         config.feature_config,
         evaluator.dictionary,
         np.asarray(result.x, dtype=np.float64).copy(),
-        brown,
+        evaluator.brown,
         metadata,
     )
 
@@ -380,13 +376,12 @@ def train(
     config: TrainConfig,
     brown: BrownClusterMap | None = None,
     label_set: LabelSet | None = None,
-    log_path: str | None = None,
 ) -> Model:
     """Compile the split once, then fit weights from zero with L-BFGS
     (history 10) until the relative objective change drops below the
     tolerance or the iteration cap."""
     evaluator, dropped = compile_split(dataset, config, brown, label_set)
-    return _fit(evaluator, brown, dropped, log_path)
+    return _fit(evaluator, dropped)
 
 
 def tune_lambda(
@@ -421,7 +416,7 @@ def tune_lambda(
     reports, models = {}, {}
     for lam in sorted(grid):
         evaluator.lam = lam
-        models[lam] = _fit(evaluator, brown, dropped)
+        models[lam] = _fit(evaluator, dropped)
         decoded = decode(lattices, models[lam].weights)
         predicted = [word_spans_to_char_spans(s, spans) for s, spans in zip(sentences, decoded)]
         reports[lam] = score_corpus(gold, predicted, level="char")

@@ -84,7 +84,12 @@ class TestTrainPredictEval:
             == EXIT_OK
         )
         assert model_path.exists()
-        assert (model_path.parent / (model_path.name + ".log")).exists()
+        # the log: its header, then one row per L-BFGS iteration
+        header, *rows = (model_path.parent / (model_path.name + ".log")).read_text().splitlines()
+        assert header == "iter, objective, grad_norm, seconds"
+        iterations = load_model(model_path).metadata["iterations"]
+        assert [int(row.split(", ")[0]) for row in rows] == list(range(1, iterations + 1))
+        assert all(len(row.split(", ")) == 4 for row in rows)
 
         pred_path = tmp_path / "pred.jsonl"
         assert run(["predict", "--model-file", model_path, "--input", dev, "--out", pred_path]) == EXIT_OK
@@ -297,23 +302,28 @@ class TestTrainPredictEval:
             ["eval", "--gold", "DEV", "--pred", "DEV", "--json-out", "DIR"],
             ["bench", "--labels", "2", "--out", "DIR"],
             ["predict", "--model-file", "DEV", "--input", "DEV", "--out", "DIR"],
+            ["train", "--train", "DEV", "--lambda", "0.1", "--out", "LOGDIR"],
+            ["train", "--train", "DEV", "--dev", "DEV", "--lambda-grid", "--out", "LOGDIR"],
         ],
         ids=["ingest", "train", "eval", "bench", "predict",
-             "ingest-to-dir", "train-to-dir", "eval-to-dir", "bench-to-dir", "predict-to-dir"],
+             "ingest-to-dir", "train-to-dir", "eval-to-dir", "bench-to-dir", "predict-to-dir",
+             "train-log-to-dir", "train-grid-log-to-dir"],
     )
     def test_missing_output_directory_fails_before_any_work(self, corpus_files, tmp_path, capsys, monkeypatch,
                                                             argv):
-        # An output path whose directory is missing, or that is a directory.
+        # An output path whose directory is missing, or that is a directory;
+        # LOGDIR is a model path whose training log path is a directory.
         def never(*args, **kwargs):
             raise AssertionError("work started before the output path was checked")
 
-        for name in ("read_corpus", "read_jsonl", "train", "benchmark_label_sweep", "load_model"):
+        for name in ("read_corpus", "read_jsonl", "train", "tune_lambda", "benchmark_label_sweep", "load_model"):
             monkeypatch.setattr(cli, name, never)
         _, dev = corpus_files
         out_dir = tmp_path / "outdir"
         out_dir.mkdir()
-        out_name = "outdir" if "DIR" in argv else "nodir"
-        subs = {"DEV": str(dev), "DIR": str(out_dir)}
+        (out_dir / "m.ckcrf.log").mkdir()
+        out_name = "m.ckcrf.log" if "LOGDIR" in argv else "outdir" if "DIR" in argv else "nodir"
+        subs = {"DEV": str(dev), "DIR": str(out_dir), "LOGDIR": str(out_dir / "m.ckcrf")}
         argv = [subs.get(arg, arg.replace("MISSING", str(tmp_path / "nodir"))) for arg in argv]
         assert run(argv) == EXIT_DATA
         captured = capsys.readouterr()

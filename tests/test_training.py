@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from chunkcrf.core import LabelSet, WordSpan, tokenize
 from chunkcrf.features import (
+    AFFIX_MAX_LEN_LIMIT,
+    MAX_SEG_LEN_LIMIT,
     WORD_CACHE_SIZE,
     FeatureConfig,
     FeatureDictionary,
@@ -233,12 +235,10 @@ class TestTrain:
         assert model.metadata["iterations"] == 1
         assert np.any(model.weights != 0)
 
-    def test_objective_is_monotone_over_iterations(self, tmp_path):
+    def test_objective_is_monotone_over_iterations(self):
         ds = Dataset.from_annotated(separable_corpus(30, seed=7))
-        log_path = tmp_path / "train.log"
-        train(ds, TrainConfig(model_kind="semi", lam=0.1, max_iterations=40), log_path=str(log_path))
-        lines = log_path.read_text().strip().splitlines()[1:]
-        values = [float(line.split(",")[1]) for line in lines]
+        model = train(ds, TrainConfig(model_kind="semi", lam=0.1, max_iterations=40))
+        values = [value for _, value, _, _ in model.metadata["trace"]]
         assert len(values) >= 2
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
@@ -257,7 +257,7 @@ class TestTrain:
     @pytest.mark.parametrize(
         "field, value",
         [("tolerance", -1.0), ("tolerance", math.nan), ("max_iterations", 0), ("max_iterations", -2),
-         ("lam", math.inf), ("max_seg_len", 0)],
+         ("lam", math.inf), ("max_seg_len", 0), ("max_seg_len", MAX_SEG_LEN_LIMIT + 1)],
     )
     def test_invalid_stopping_rule_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -479,11 +479,14 @@ class TestSerialization:
             lambda h: h["feature_config"].update(max_seg_len=True),
             lambda h: h["feature_config"].update(use_case=False),
             lambda h: h.update(features=["TR=O|NP"]),
+            lambda h: h["feature_config"].update(max_seg_len=100000),
+            lambda h: h["feature_config"].update(affix_max_len=AFFIX_MAX_LEN_LIMIT + 1),
         ],
         ids=[
             "missing-field", "extra-field", "wrong-type", "non-string-feature", "unknown-kind",
             "bad-label", "missing-config-field", "bad-config-value", "clusters-without-map",
             "string-config-flag", "bool-config-limit", "unknown-config-key", "feature-count",
+            "oversized-max-seg-len", "oversized-affix-max-len",
         ],
     )
     def test_invalid_header_rejected(self, tmp_path, mutate):
