@@ -169,6 +169,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.train:
         raise ValueError("train needs a training split")
+    if not args.out:
+        raise ValueError("train needs a model output path (--out)")
     log_path = args.out + ".log"
     _check_output(args.out)
     _check_output(log_path)

@@ -33,10 +33,14 @@ A :class:`TemplateLayout` lays each word's attributes out in a fixed-width
 than the word, an affix of a sentinel).  The extractor builds each word
 type's row once and keeps a dense ``int32`` table from (attribute, label) to
 feature id, filled lazily through the dictionary, with -1 for a feature the
-frozen dictionary lacks.  A sentence's whole part table is then two gathers:
-its word rows through an :class:`AttributePattern` (compiled once per lattice
-shape and layout, see ``lattice.py``), then the resulting (attribute, label)
-pairs through the table, followed by a ``>= 0`` mask.
+frozen dictionary lacks.  An :class:`AttributePattern`, compiled once per
+lattice shape and layout (see ``lattice.py``), names the shape's *cells*:
+the distinct (source position, label) pairs its parts read, where a source
+position is a word-row column or a transition attribute.  A sentence's
+features are then two gathers, :meth:`FeatureExtractor.part_table`: its word
+rows at the cells' positions, then the resulting (attribute, label) pairs
+through the table, one feature id per cell.  Which parts hold which cells is
+the pattern's sparse matrix ``P``, the same for every sentence of the shape.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .core import OUTSIDE, Sentence
 
@@ -292,14 +297,16 @@ class TemplateLayout:
 
 @dataclass(frozen=True)
 class AttributePattern:
-    """Where a lattice shape's part table comes from, for one layout.
+    """Where a lattice shape's features come from, for one layout.
 
     A sentence of ``n`` tokens lays out a source vector: the ``kind`` rows
     of its words at positions -1 (``<BOS>``) to ``n`` (``<EOS>``), flattened,
-    then the attribute ids of ``transitions``.  Entry ``i`` of the part
-    table is attribute ``source[attr_pos[i]]`` conjoined with label
-    ``labels[label_pos[i]]``, and belongs to part ``entry_part[i]``; the
-    entries run part by part, each part's in template order.
+    then the attribute ids of ``transitions``.  Cell ``c`` is attribute
+    ``source[attr_pos[c]]`` conjoined with label ``labels[label_pos[c]]``;
+    cells are distinct (source position, label) pairs, numbered in the order
+    the parts first use them.  ``P`` (parts x cells, CSR, read-only) holds a
+    1.0 for every (part, cell) entry: row ``p`` lists part ``p``'s cells in
+    template order.
     """
 
     kind: str
@@ -307,7 +314,7 @@ class AttributePattern:
     transitions: tuple[str, ...]
     attr_pos: np.ndarray
     label_pos: np.ndarray
-    entry_part: np.ndarray
+    P: csr_matrix
 
 
 class FeatureExtractor:
@@ -390,13 +397,14 @@ class FeatureExtractor:
             table = self._tables[labels] = grown
         return table
 
-    def part_table(self, sentence: Sentence, pattern: AttributePattern) -> tuple[np.ndarray, np.ndarray]:
-        """The feature ids of every part of ``sentence``'s lattice, part by
-        part, and the part of each: two gathers and a mask.
+    def part_table(self, sentence: Sentence, pattern: AttributePattern) -> np.ndarray:
+        """The feature id of every cell of ``sentence``'s lattice, -1 where
+        the cell has none (a padded role, or a feature a frozen dictionary
+        lacks): two gathers.
 
-        Table cells met for the first time are looked up in entry order, so
-        an unfrozen dictionary registers new strings in the order the
-        per-part methods would.
+        Table cells met for the first time are looked up in cell order, which
+        is first-use order, so an unfrozen dictionary registers new strings
+        in the order the per-part methods would.
         """
         kind = pattern.kind
         if self.dictionary.frozen and len(self._row_ids[kind]) > WORD_CACHE_SIZE:
@@ -418,8 +426,7 @@ class FeatureExtractor:
                     idx = self.dictionary.index(f"{self._attributes[a]}|{labels[lab]}")
                     cell = table[a, lab] = -1 if idx is None else idx
                 ids[k] = cell
-        keep = ids >= 0
-        return ids[keep], pattern.entry_part[keep]
+        return ids
 
     def _word(self, sentence: Sentence, i: int) -> str:
         if i < 0:

@@ -1,8 +1,8 @@
 """Exact log-space dynamic programming over labeling lattices.
 
 Every program runs on a :class:`~chunkcrf.lattice.LevelGraph`: one lattice
-(its shared topology's levels, edges and sweeps with the sentence's part
-table), or a :class:`~chunkcrf.lattice.Batch` holding several lattices of one
+(its shared topology's levels, edges and sweeps with the sentence's cell
+ids), or a :class:`~chunkcrf.lattice.Batch` holding several lattices of one
 family whose nodes are numbered level by level.  One level sweep serves
 forward and Viterbi (bottom-up) and backward (top-down): each level is a
 handful of numpy reductions over the contiguous run of that level's edges, a
@@ -12,12 +12,16 @@ Python work per node.  One call covers every member of a batch, and a
 member's results do not depend on which other lattices share its batch.
 
 An edge's score is the dot product of the weight vector with its indicator
-features, computed once per part and summed over the edge's two parts.
+features, computed once per part and summed over the edge's two parts.  A
+part's score is one row of the graph's sparse parts x cells matrix ``P``
+times the weights of the cells' features (``cell_ids``, where -1 stands for
+a zero weight), so a weight read by many parts is gathered once.
 :func:`edge_scores` and its transpose :func:`feature_counts`, which spreads
-per-edge weights back onto features, are the only readers of a graph's part
-table outside :mod:`~chunkcrf.lattice`, which builds and batches it.
-Arithmetic runs with numpy's floating-point warnings off; a log partition or
-a best path score that is not finite raises :class:`NumericalError` instead.
+per-edge weights back onto features through ``P``'s transpose, are the only
+readers of ``P`` and ``cell_ids`` outside :mod:`~chunkcrf.lattice`, which
+builds and batches them.  Arithmetic runs with numpy's floating-point
+warnings off; a log partition or a best path score that is not finite raises
+:class:`NumericalError` instead.
 """
 
 from __future__ import annotations
@@ -37,12 +41,18 @@ class NumericalError(RuntimeError):
 def edge_scores(graph: LevelGraph, weights: np.ndarray) -> np.ndarray:
     """Per-edge linear scores w . f(e).
 
-    Each part's weights are summed from zero in feature order, and an edge's
-    second part is at most one transition feature, so every score equals the
-    in-order sum over the edge's features bit for bit.
+    Each part's weights are summed from zero in feature order (a cell
+    without a feature adds an exact ``+0.0``), and an edge's second part is
+    at most one transition feature, so every score equals the in-order sum
+    over the edge's features bit for bit.
     """
     w = np.asarray(weights, dtype=np.float64)
-    part = np.bincount(graph.part_row, weights=w[graph.part_idx], minlength=graph.num_parts)
+    ids = graph.cell_ids
+    # take is twice as fast as w[ids] on int32 ids; zeroing the cells without
+    # a feature (id -1) costs a pass over the cells, not a copy of w
+    cells = w.take(ids) if len(w) else np.zeros(len(ids))
+    cells[ids < 0] = 0.0
+    part = graph.P @ cells
     with np.errstate(all="ignore"):
         return part[graph.edge_parts[:, 0]] + part[graph.edge_parts[:, 1]]
 
@@ -50,9 +60,10 @@ def edge_scores(graph: LevelGraph, weights: np.ndarray) -> np.ndarray:
 def feature_counts(graph: LevelGraph, edge_weights: np.ndarray, dim: int) -> np.ndarray:
     """Per-feature sums of ``edge_weights`` over the edges that carry each
     feature, the transpose of :func:`edge_scores`: spread each edge's weight
-    onto its two parts, then each part's onto its features."""
+    onto its two parts, each part's onto its cells, then each cell's onto
+    its feature (bin 0 of the shifted ids collects the cells without one)."""
     part = np.bincount(graph.edge_parts.ravel(), weights=np.repeat(edge_weights, 2), minlength=graph.num_parts)
-    return np.bincount(graph.part_idx, weights=part[graph.part_row], minlength=dim)
+    return np.bincount(graph.cell_ids + 1, weights=graph.P_T @ part, minlength=dim + 1)[1:]
 
 
 def _sweep(sweep: Sweep, scores: np.ndarray, x: np.ndarray, log: bool = True) -> np.ndarray:

@@ -30,31 +30,35 @@ climbs from a lower level to a higher one, and every node is reachable from
 the root and co-reachable from the leaf.  The dynamic programs run level by
 level, over one lattice or over a :class:`Batch` of lattices of one family.
 
-A lattice is its shape plus a part table.  The shape, a :class:`Topology`
-(nodes, levels, edges, adjacency and sweeps), depends only on the family,
-the sentence length, the label set and the segment-length limit (outside
-segments are always one token long), so it is built once per shape, cached,
-and its arrays and sweeps shared by reference by every lattice of it.  It
-names each edge's features by two *slots*: template keys such as
+A lattice is its shape plus a sentence's cell ids.  The shape, a
+:class:`Topology` (nodes, levels, edges, adjacency and sweeps), depends only
+on the family, the sentence length, the label set and the segment-length
+limit (outside segments are always one token long), so it is built once per
+shape, cached, and its arrays and sweeps shared by reference by every lattice
+of it.  It names each edge's features by two *slots*: template keys such as
 ``("segment", first, last, label)`` or ``("transition", prev, label)``, with
-slot 0 the empty part that pads an edge with one.  The sentence's part table
-then holds the feature ids of each slot, so an edge's score is the sum of two
-part scores and many edges share each part: in a ``semi`` lattice all
+slot 0 the empty part that pads an edge with one.  An edge's score is the sum
+of two part scores and many edges share each part: in a ``semi`` lattice all
 ``|labels|`` edges into one segment share its segment part, and all edges
 between one label pair share its transition part.
 
-The part table is compiled for the whole sentence at once.  Every slot's
-features are label-free attributes conjoined with the slot's label (see
-``features.py``), so a topology compiles, once per template layout, an
-:class:`~chunkcrf.features.AttributePattern`: for every (slot, template)
-entry, which word row and column, or which transition attribute, it reads,
-and which label it takes.  A sentence then gathers its word rows through the
-pattern and the resulting (attribute, label) pairs through the extractor's
-feature-id table.  :class:`_FeatureMemo`, one extractor call per slot, is the
-reference the compiled table equals bit for bit.  A built lattice is
-immutable and safe to share read-only.  Training compiles each sentence of
-its split once, while the objective evaluator is built, and every evaluation
-reuses those lattices.
+Parts in turn share features.  Every slot's features are label-free
+attributes conjoined with the slot's label (see ``features.py``), so a
+topology compiles, once per template layout, an
+:class:`~chunkcrf.features.AttributePattern`: the shape's *cells*, each a
+distinct (source position, label) pair, where a source position is a word-row
+column or a transition attribute, and the read-only sparse matrix ``P``
+(parts x cells) saying which cells each part holds.  A word's ``WS[0]`` cell
+is read by every segment that starts at it, so a ``semi`` pattern has about
+three times as many (part, cell) entries as cells; a ``linear`` one has as
+many.  A sentence then gathers only its cells' feature ids (``cell_ids``, -1
+for a cell without one), and a part's score is ``P`` times the weights of its
+cells: the sentence-dependent data is one ``int32`` per cell, and ``P`` is
+shared by every lattice of the shape.  :class:`_FeatureMemo`, one extractor
+call per slot, is the reference the compiled features equal bit for bit.  A
+built lattice is immutable and safe to share read-only.  Training compiles
+each sentence of its split once, while the objective evaluator is built, and
+every evaluation reuses those lattices.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .core import (
     OUTSIDE, BioSequence, LabelSet, Sentence, SpanError, WordSpan, bio_follows, bio_to_word_spans, ordered_spans,
@@ -86,8 +91,8 @@ MODEL_KINDS = ("linear", "semi", "weak")
 # Topologies :func:`topology` keeps: every sentence length of a corpus, per family.
 TOPOLOGY_CACHE_SIZE = 128
 EMPTY_SLOT = ("empty",)  # slot 0 of every topology
-EMPTY_PART = np.zeros(0, dtype=np.int32)  # its feature ids
-EMPTY_PART.flags.writeable = False
+NO_IDS = np.zeros(0, dtype=np.int32)  # no cell ids, or no feature ids
+NO_IDS.flags.writeable = False
 
 
 class LatticeError(ValueError):
@@ -122,7 +127,7 @@ class Sweep:
 
 
 class LevelGraph:
-    """Level-ordered DAG with a part table: what the dynamic programs run on.
+    """Level-ordered DAG with part scores: what the dynamic programs run on.
 
     Level ``l`` is the node range ``level_ptr[l]:level_ptr[l + 1]``.  Level 0
     holds the roots, every edge climbs to a higher level, and within a level
@@ -139,10 +144,10 @@ class LevelGraph:
     :meth:`edge_ids` looks up many node pairs in one ``searchsorted``.
 
     Edge ``e``'s features are those of parts ``edge_parts[e, 0]`` and
-    ``edge_parts[e, 1]``, in that order.  The part table lists every part's
-    feature ids once, part by part: ``part_idx`` holds the ids and
-    ``part_row`` the part of each entry (sorted, so part ``p`` is one
-    contiguous run).
+    ``edge_parts[e, 1]``, in that order.  Part ``p``'s features are those of
+    the cells in row ``p`` of the sparse matrix ``P`` (parts x cells), in
+    row order, and cell ``c``'s feature is ``cell_ids[c]``, or none where
+    that is -1.
     """
 
     def _index(self, in_order: np.ndarray, out_order: np.ndarray) -> None:
@@ -156,6 +161,16 @@ class LevelGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edge_src)
+
+    @property
+    def num_parts(self) -> int:
+        return self.P.shape[0]
+
+    @cached_property
+    def P_T(self) -> csc_matrix:
+        """``P`` transposed, kept: scipy's transpose costs more than a
+        product with a small ``P``."""
+        return self.P.T
 
     @property
     def num_levels(self) -> int:
@@ -245,6 +260,14 @@ class Topology(LevelGraph):
         if not (ends_ok and in_deg[1:].all() and out_deg[:-1].all()):
             raise AssertionError("lattice has unreachable or dead-end nodes")
 
+    @cached_property
+    def no_cells(self) -> csr_matrix:
+        """``P`` of a lattice without features: every part empty."""
+        P = csr_matrix((len(self.slots), 0))
+        for array in (P.data, P.indices, P.indptr):
+            array.flags.writeable = False
+        return P
+
     def pattern(self, layout: TemplateLayout) -> AttributePattern:
         """Where each slot's features come from under ``layout``, compiled on
         first use per feature configuration."""
@@ -256,8 +279,8 @@ class Topology(LevelGraph):
 
 class Lattice(Topology):
     """Immutable compiled lattice of one sentence: its shape's
-    :class:`Topology` plus the sentence's part table, whose part ``s`` holds
-    the features of slot ``s``.
+    :class:`Topology`, the shape's cell matrix ``P``, whose part ``s`` holds
+    the cells of slot ``s``, and the sentence's ``cell_ids``.
 
     It takes the topology's attributes by reference, so its nodes, levels,
     edge arrays, ``edge_parts``, adjacency and sweeps are the shape's own.
@@ -265,13 +288,12 @@ class Lattice(Topology):
     and back through one segmentation.
     """
 
-    def __init__(self, topology: Topology, sentence: Sentence, part_idx: np.ndarray, part_row: np.ndarray) -> None:
+    def __init__(self, topology: Topology, sentence: Sentence, cell_ids: np.ndarray, P: csr_matrix) -> None:
         vars(self).update(vars(topology))
         self.topology = topology
         self.sentence = sentence
-        self.num_parts = len(topology.slots)
-        self.part_idx = part_idx
-        self.part_row = part_row
+        self.cell_ids = cell_ids
+        self.P = P
 
     # Cached on first use, perhaps after this lattice was built: read from the shape.
     forward_sweep = property(lambda self: self.topology.forward_sweep)
@@ -340,13 +362,13 @@ class Batch(LevelGraph):
     runs once over all of them.
 
     Member ``i``'s edges are batch edges ``edge_ptr[i]:edge_ptr[i + 1]`` in
-    the member's own order, and its parts one block of the concatenated part
-    table.  Nodes are renumbered by level, then leaves last (a short member's
-    leaf shares a level with interior nodes of longer members, and a level's
-    out-edge run must not hold an empty segment, which ``reduceat`` cannot
-    take), then by member and member node id, which keeps each member's
-    source order for tie-breaking.  ``local_node`` maps a batch node to its
-    id in its member.
+    the member's own order, and its parts and cells one block of the
+    block-diagonal ``P`` and of the concatenated ``cell_ids``.  Nodes are
+    renumbered by level, then leaves last (a short member's leaf shares a
+    level with interior nodes of longer members, and a level's out-edge run
+    must not hold an empty segment, which ``reduceat`` cannot take), then by
+    member and member node id, which keeps each member's source order for
+    tie-breaking.  ``local_node`` maps a batch node to its id in its member.
 
     Since renumbering keeps each member's node order, the adjacency is each
     member's own, offset and stably sorted by batch node: the same arrays as
@@ -375,10 +397,9 @@ class Batch(LevelGraph):
         self.edge_src = new_id[np.concatenate([lat.edge_src + off for lat, off in zip(lattices, node_off)])]
         self.edge_dst = new_id[np.concatenate([lat.edge_dst + off for lat, off in zip(lattices, node_off)])]
         part_off = np.concatenate(([0], np.cumsum([lat.num_parts for lat in lattices])))
-        self.num_parts = int(part_off[-1])
         self.edge_parts = np.concatenate([lat.edge_parts + off for lat, off in zip(lattices, part_off)])
-        self.part_idx = np.concatenate([lat.part_idx for lat in lattices])
-        self.part_row = np.concatenate([lat.part_row + off for lat, off in zip(lattices, part_off)])
+        self.cell_ids = np.concatenate([lat.cell_ids for lat in lattices])
+        self.P = _block_diagonal([lat.P for lat in lattices])
         in_order = np.concatenate([lat.in_order + off for lat, off in zip(lattices, self.edge_ptr)])
         out_order = np.concatenate([lat.out_order + off for lat, off in zip(lattices, self.edge_ptr)])
         self._index(in_order[np.argsort(self.edge_dst[in_order], kind="stable")],
@@ -386,6 +407,18 @@ class Batch(LevelGraph):
 
     def local_ids(self, nodes: list[int]) -> list[int]:
         return self.local_node[nodes].tolist()
+
+
+def _block_diagonal(blocks: Sequence[csr_matrix]) -> csr_matrix:
+    """The CSR matrix with ``blocks`` down its diagonal, each row's entries
+    in its block's order."""
+    rows = sum(block.shape[0] for block in blocks)
+    col_off = np.cumsum([0] + [block.shape[1] for block in blocks])
+    nnz_off = np.cumsum([0] + [block.nnz for block in blocks])
+    indptr = np.concatenate([block.indptr[:-1] + off for block, off in zip(blocks, nnz_off)] + [nnz_off[-1:]])
+    indices = np.concatenate([block.indices + off for block, off in zip(blocks, col_off)])
+    data = np.concatenate([block.data for block in blocks])
+    return csr_matrix((data, indices, indptr), shape=(rows, int(col_off[-1])))
 
 
 class _Builder:
@@ -432,12 +465,12 @@ class _Builder:
 
 
 class _FeatureMemo:
-    """Reference part table: one extractor call per slot, the part's
+    """Reference features: one extractor call per slot, the part's
     features by the template methods themselves.
 
     A slot key is a method name and its arguments.  :func:`build_lattice`
-    compiles the same table through an attribute pattern instead; the tests
-    hold the two equal.  Without an extractor every part is empty.  The
+    compiles the same features through an attribute pattern instead; the
+    tests hold the two equal.  Without an extractor every part is empty.  The
     benchmark's tracer still wraps the four methods by name
     (``perfbench/tracing.py``), so its ``features.extract`` spans stay empty.
     """
@@ -448,7 +481,7 @@ class _FeatureMemo:
 
     def part(self, slot: tuple) -> np.ndarray:
         if self.extractor is None or slot == EMPTY_SLOT:
-            return EMPTY_PART
+            return NO_IDS
         method, *args = slot
         return getattr(self, method)(*args)
 
@@ -568,7 +601,8 @@ def _weak_topology(n: int, label_set: LabelSet, max_seg_len: int) -> Topology:
 
 def _compile_pattern(shape: Topology, layout: TemplateLayout) -> AttributePattern:
     """Lay every slot's template entries out over a sentence's source
-    vector (see :class:`~chunkcrf.features.AttributePattern`)."""
+    vector, then merge the entries that read one (source position, label)
+    cell (see :class:`~chunkcrf.features.AttributePattern`)."""
     kind = "token" if shape.model_kind == "linear" else "segment"
     width = layout.width(kind)
     n = shape.nodes[shape.leaf].position
@@ -577,7 +611,7 @@ def _compile_pattern(shape: Topology, layout: TemplateLayout) -> AttributePatter
     transitions: dict[str, int] = {}
     attr_pos: list[int] = []
     label_pos: list[int] = []
-    entry_part: list[int] = []
+    part_size = np.zeros(len(shape.slots), dtype=np.int32)
     for sid, (method, *args) in enumerate(shape.slots):
         if method == "empty":
             continue
@@ -591,11 +625,19 @@ def _compile_pattern(shape: Topology, layout: TemplateLayout) -> AttributePatter
             pos = [(p + 1) * width + col for p, col in cells]
         attr_pos += pos
         label_pos += [label_col[label]] * len(pos)
-        entry_part += [sid] * len(pos)
-    arrays = [np.asarray(a, dtype=np.int32) for a in (attr_pos, label_pos, entry_part)]
-    for array in arrays:
+        part_size[sid] = len(pos)
+    key = np.asarray(attr_pos, dtype=np.int64) * len(labels) + label_pos
+    _, first, entry_key = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # cells in first-use order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    indptr = np.concatenate(([0], np.cumsum(part_size)))
+    P = csr_matrix((np.ones(len(key)), rank[entry_key], indptr), shape=(len(shape.slots), len(order)))
+    cell_attr_pos = np.asarray(attr_pos, dtype=np.int32)[first[order]]
+    cell_label_pos = np.asarray(label_pos, dtype=np.int32)[first[order]]
+    for array in (cell_attr_pos, cell_label_pos, P.data, P.indices, P.indptr):
         array.flags.writeable = False
-    return AttributePattern(kind, labels, tuple(transitions), *arrays)
+    return AttributePattern(kind, labels, tuple(transitions), cell_attr_pos, cell_label_pos, P)
 
 
 @lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)
@@ -623,9 +665,10 @@ def build_lattice(
     extractor: FeatureExtractor | None,
 ) -> Lattice:
     """Compile ``sentence``'s lattice: the cached topology of its shape plus
-    the feature ids of each slot."""
+    the feature id of each of the shape's cells (no cells without an
+    extractor)."""
     shape = topology(model_kind, len(sentence), label_set, max_seg_len)
     if extractor is None:
-        return Lattice(shape, sentence, EMPTY_PART, EMPTY_PART)
-    part_idx, part_row = extractor.part_table(sentence, shape.pattern(extractor.layout))
-    return Lattice(shape, sentence, part_idx, part_row)
+        return Lattice(shape, sentence, NO_IDS, shape.no_cells)
+    pattern = shape.pattern(extractor.layout)
+    return Lattice(shape, sentence, extractor.part_table(sentence, pattern), pattern.P)

@@ -2,10 +2,10 @@
 
 Path-level oracles enumerate every root-to-leaf path by DFS over an adjacency
 built here from the lattice's edge arrays (``edge_src``/``edge_dst``), and
-score each edge from the features :func:`edge_features` reads straight out of
-the part table, so neither the lattice's CSR index nor the package's scoring
-is used.  Labeling-level oracles enumerate BIO strings or segmentations
-without touching the lattice at all.
+score each edge from the features :func:`edge_features` reads out of the
+expanded part table (:func:`part_table`), so neither the lattice's CSR index
+nor the package's scoring is used.  Labeling-level oracles enumerate BIO
+strings or segmentations without touching the lattice at all.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from chunkcrf.core import OUTSIDE, LabelSet, Sentence, WordSpan, tokenize
 from chunkcrf.features import FeatureDictionary, FeatureExtractor
-from chunkcrf.lattice import Lattice, build_lattice
+from chunkcrf.lattice import Lattice, LevelGraph, build_lattice
 from chunkcrf.training import TrainConfig
 
 
@@ -51,10 +51,38 @@ def path_nodes(lattice: Lattice, edge_path: list[int]) -> list[int]:
     return nodes
 
 
+def part_table(graph: LevelGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The expanded part table of a lattice or batch, read from its cells:
+    the feature id of every (part, cell) entry of ``P`` that has one, part
+    by part in row order, and the part of each entry."""
+    P = graph.P
+    ids = graph.cell_ids[P.indices]
+    part = np.repeat(np.arange(P.shape[0], dtype=np.int32), np.diff(P.indptr))
+    keep = ids >= 0
+    return ids[keep], part[keep]
+
+
+def table_edge_scores(graph: LevelGraph, weights: np.ndarray) -> np.ndarray:
+    """Edge scores from the expanded part table: each part's weights summed
+    from zero in entry order, then the edge's two parts added."""
+    ids, part = part_table(graph)
+    scores = np.bincount(part, weights=weights[ids], minlength=graph.num_parts)
+    return scores[graph.edge_parts[:, 0]] + scores[graph.edge_parts[:, 1]]
+
+
+def table_feature_counts(graph: LevelGraph, edge_weights: np.ndarray, dim: int) -> np.ndarray:
+    """Per-feature sums of ``edge_weights`` through the expanded part table:
+    each edge's weight onto its parts, each part's onto its entries."""
+    ids, part = part_table(graph)
+    per_part = np.bincount(graph.edge_parts.ravel(), weights=np.repeat(edge_weights, 2), minlength=graph.num_parts)
+    return np.bincount(ids, weights=per_part[part], minlength=dim)
+
+
 def edge_features(lattice: Lattice, eid: int) -> np.ndarray:
     """Feature ids of edge ``eid``: every part-table entry of its first part,
     then of its second, in table order."""
-    return np.concatenate([lattice.part_idx[lattice.part_row == part] for part in lattice.edge_parts[eid]])
+    ids, part = part_table(lattice)
+    return np.concatenate([ids[part == p] for p in lattice.edge_parts[eid]])
 
 
 def edge_score(lattice: Lattice, eid: int, weights: np.ndarray) -> float:

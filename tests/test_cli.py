@@ -330,6 +330,21 @@ class TestTrainPredictEval:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write ") and out_name in captured.err
 
+    @pytest.mark.parametrize("mode", [["--lambda", "0.1"], ["--dev", "DEV", "--lambda-grid"]], ids=["fixed", "grid"])
+    def test_empty_model_path_fails_before_any_work(self, corpus_files, tmp_path, capsys, monkeypatch, mode):
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        for name in ("read_jsonl", "train", "tune_lambda"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.chdir(tmp_path)
+        _, dev = corpus_files
+        argv = ["train", "--train", str(dev), *(str(dev) if arg == "DEV" else arg for arg in mode), "--out", ""]
+        assert run(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: train needs a model output path")
+        assert not (tmp_path / ".log").exists() and list(tmp_path.glob("*.log")) == []
+
     @pytest.mark.parametrize(
         "span",
         [{"start": 0, "end": 6, "label": 5}, {"start": 0.5, "end": 6, "label": "NP"},

@@ -138,6 +138,15 @@ class TestViterbi:
             assert spans == []
             assert score == 0.0
 
+    def test_an_empty_feature_space_decodes_all_outside(self):
+        # a model file may hold no features; every cell then misses the dictionary
+        dictionary = FeatureDictionary.from_strings([])
+        for kind in ("linear", "semi", "weak"):
+            extractor = FeatureExtractor(FeatureConfig(max_seg_len=2), dictionary)
+            lat = build_lattice(kind, tokenize("a b c"), NP, 2, extractor)
+            assert len(lat.cell_ids) and np.all(lat.cell_ids == -1)
+            assert viterbi(lat, np.zeros(0)) == ([], 0.0)
+
     def test_boosted_path_wins(self):
         d = FeatureDictionary()
         ext = FeatureExtractor(FeatureConfig(max_seg_len=2), d)

@@ -16,10 +16,11 @@ from chunkcrf.features import (
     TRANSITION_PREFIXES,
     WORD_CACHE_SIZE,
 )
-from chunkcrf.inference import edge_scores
+from chunkcrf.inference import edge_scores, feature_counts
 from chunkcrf.lattice import (
     EMPTY_SLOT,
     MODEL_KINDS,
+    Batch,
     LatticeError,
     Node,
     Topology,
@@ -34,9 +35,12 @@ from oracles import (
     edge_features,
     enumerate_bio_spansets,
     enumerate_segmentations,
+    part_table,
     path_nodes,
     segmentation_spanset,
     synthetic_sentence,
+    table_edge_scores,
+    table_feature_counts,
 )
 
 NP = LabelSet(("NP",))
@@ -264,7 +268,9 @@ class TestEdgeFeatures:
         # the empty part, 5 NP and 3 O segments, and 8 label pairs
         # (START, NP, O -> NP, O; NP, O -> STOP)
         assert lat.num_parts == 1 + 8 + 8
-        assert len(lat.part_idx) < sum(len(edge_features(lat, e)) for e in range(lat.num_edges))
+        assert len(part_table(lat)[0]) < sum(len(edge_features(lat, e)) for e in range(lat.num_edges))
+        # and each (position, label) cell once, though several segments read it
+        assert len(lat.cell_ids) < lat.P.nnz
 
 
 class TestGoldPaths:
@@ -383,7 +389,7 @@ def test_sentences_of_one_shape_share_a_topology_but_not_their_parts():
     assert first.forward_sweep is second.forward_sweep is first.topology.forward_sweep
     assert first.backward_sweep is second.backward_sweep is first.topology.backward_sweep
     assert first.edge_src is first.topology.edge_src
-    assert first.part_idx.tolist() != second.part_idx.tolist()
+    assert first.P is second.P and first.cell_ids.tolist() != second.cell_ids.tolist()
     w = np.arange(1.0, len(ext.dictionary) + 1.0)
     assert edge_scores(first, w).tolist() != edge_scores(second, w).tolist()
     with pytest.raises(ValueError):
@@ -462,9 +468,10 @@ def assert_compiles_like_the_reference(kind, sentences, label_set, config, froze
     for sentence in sentences:
         lat = build_lattice(kind, sentence, label_set, config.max_seg_len, compiled)
         idx, row = reference_part_table(kind, sentence, label_set, config.max_seg_len, reference)
-        assert lat.part_idx.dtype == idx.dtype and lat.part_row.dtype == row.dtype
-        assert lat.part_idx.tobytes() == idx.tobytes()
-        assert lat.part_row.tobytes() == row.tobytes()
+        lat_idx, lat_row = part_table(lat)
+        assert lat_idx.dtype == idx.dtype and lat_row.dtype == row.dtype
+        assert lat_idx.tobytes() == idx.tobytes()
+        assert lat_row.tobytes() == row.tobytes()
         assert compiled_dict.strings == reference_dict.strings
 
 
@@ -503,6 +510,34 @@ def test_compiled_part_tables_equal_the_per_slot_reference(case):
                                            frozen_on=sentences[0] if frozen else None)
 
 
+@settings(max_examples=100, deadline=None)
+@given(compile_cases(), st.integers(0, 2**32 - 1))
+def test_cell_scoring_equals_the_expanded_part_table(case, seed):
+    # scores through P and the cell ids equal the expanded table's bincount
+    # bit for bit, on a batch and on each member alone; expected counts sum
+    # in another grouping, indicator counts are exact
+    kind, sentences, label_set, config, frozen, _ = case
+    dictionary = FeatureDictionary()
+    if frozen:
+        build_lattice(kind, sentences[0], label_set, config.max_seg_len, FeatureExtractor(config, dictionary, CLUSTERS))
+        dictionary.freeze()
+    extractor = FeatureExtractor(config, dictionary, CLUSTERS)
+    lattices = [build_lattice(kind, s, label_set, config.max_seg_len, extractor) for s in sentences]
+    dim = len(dictionary)
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=dim)
+    for graph in (Batch(lattices), *lattices):
+        assert edge_scores(graph, w).tobytes() == table_edge_scores(graph, w).tobytes()
+        posteriors = rng.random(graph.num_edges)
+        np.testing.assert_allclose(feature_counts(graph, posteriors, dim),
+                                   table_feature_counts(graph, posteriors, dim), rtol=1e-12, atol=0)
+        indicator = rng.integers(0, 2, graph.num_edges).astype(np.float64)
+        assert feature_counts(graph, indicator, dim).tobytes() == table_feature_counts(graph, indicator, dim).tobytes()
+    for lat in lattices:  # one read-only P per shape
+        assert lat.P is lat.topology.pattern(extractor.layout).P
+        assert not any(a.flags.writeable for a in (lat.P.data, lat.P.indices, lat.P.indptr))
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_an_unfrozen_extractor_builds_each_word_row_once(kind, monkeypatch):
     # a growing dictionary compiles finite training data, so the word cache
@@ -520,6 +555,6 @@ def test_an_unfrozen_extractor_builds_each_word_row_once(kind, monkeypatch):
     lattices = [build_lattice(kind, s, NP, 3, ext) for s in sentences]
     assert sorted(added) == sorted({"<BOS>", "<EOS>", *(t.surface for s in sentences for t in s.tokens)})
     for lat, ref in zip(lattices, reference):
-        assert lat.part_idx.tobytes() == ref.part_idx.tobytes()
-        assert lat.part_row.tobytes() == ref.part_row.tobytes()
+        for mine, theirs in zip(part_table(lat), part_table(ref)):
+            assert mine.tobytes() == theirs.tobytes()
     assert ext.dictionary.strings == reference_ext.dictionary.strings

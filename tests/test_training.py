@@ -1,5 +1,6 @@
 """Objective/gradient correctness, the optimizer loop, and serialization."""
 
+import functools
 import json
 import math
 import struct
@@ -206,8 +207,8 @@ class TestObjective:
         grown.freeze()
         assert ev.skipped == reference.skipped == 2
         assert grown.strings == frozen.strings
-        for name in ("edge_src", "edge_dst", "edge_parts", "part_idx", "part_row", "level_ptr"):
-            mine, theirs = getattr(ev.batch, name), getattr(reference.batch, name)
+        for name in ("edge_src", "edge_dst", "edge_parts", "cell_ids", "level_ptr", "P.indptr", "P.indices", "P.data"):
+            mine, theirs = (functools.reduce(getattr, name.split("."), b) for b in (ev.batch, reference.batch))
             assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
         assert ev.gold_edges.tobytes() == reference.gold_edges.tobytes()
         assert ev.gold_counts.tobytes() == reference.gold_counts.tobytes()
