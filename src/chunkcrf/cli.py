@@ -313,11 +313,11 @@ def build_parser() -> _Parser:
         "--lambda-grid", dest="lambda_grid", action="store_true",
         help=f"tune over the grid {LAMBDA_GRID} on the dev split",
     )
-    p_train.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=6)
+    p_train.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=TrainConfig.max_seg_len)
     p_train.add_argument("--brown", help="cluster file (tab-separated)")
     p_train.add_argument("--out", default="model.ckcrf", help="model output path")
-    p_train.add_argument("--max-iterations", dest="max_iterations", type=int, default=500)
-    p_train.add_argument("--tolerance", type=float, default=1e-6)
+    p_train.add_argument("--max-iterations", dest="max_iterations", type=int, default=TrainConfig.max_iterations)
+    p_train.add_argument("--tolerance", type=float, default=TrainConfig.tolerance)
     add_common(p_train)
     p_train.set_defaults(func=cmd_train)
 
@@ -343,7 +343,7 @@ def build_parser() -> _Parser:
         "--labels", default="2,4,8,16",
         help="comma list of label-alphabet sizes; each counts the outside label and must be >= 2",
     )
-    p_bench.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=6)
+    p_bench.add_argument("--max-seg-len", dest="max_seg_len", type=int, default=TrainConfig.max_seg_len)
     p_bench.add_argument("--iterations", type=int, default=3)
     p_bench.add_argument("--warmup", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED)

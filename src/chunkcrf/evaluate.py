@@ -173,7 +173,7 @@ def benchmark_label_sweep(
     num_label_values: tuple[int, ...] = (2, 4, 8, 16),
     sentences: int = 250,
     sentence_len: int = 10,
-    max_seg_len: int = 6,
+    max_seg_len: int = TrainConfig.max_seg_len,
     iterations: int = 3,
     warmup: int = 1,
     seed: int = 13,

@@ -33,18 +33,26 @@ A :class:`TemplateLayout` lays each word's attributes out in a fixed-width
 than the word, an affix of a sentinel).  The extractor builds each word
 type's row once and keeps a dense ``int32`` table from (attribute, label) to
 feature id, filled lazily through the dictionary, with -1 for a feature the
-frozen dictionary lacks.  An :class:`AttributePattern`, compiled once per
-lattice shape and layout (see ``lattice.py``), names the shape's *cells*:
-the distinct (source position, label) pairs its parts read, where a source
-position is a word-row column or a transition attribute.  A sentence's
-features are then two gathers, :meth:`FeatureExtractor.part_table`: its word
-rows at the cells' positions, then the resulting (attribute, label) pairs
-through the table, one feature id per cell.  Which parts hold which cells is
-the pattern's sparse matrix ``P``, the same for every sentence of the shape.
+frozen dictionary lacks.
+
+:meth:`TemplateLayout.pattern` compiles the slots of a lattice shape
+(``lattice.py`` names them) into an :class:`AttributePattern`.  It decides
+where every slot's features come from: the layout of a sentence's source
+vector (token slots read token rows, every other slot segment rows, and the
+transition attributes follow the rows), the transition attribute strings,
+and the shape's *cells*, the distinct (source position, label) pairs its
+parts read.  A word's ``WS[0]`` cell is read by every segment that starts at
+it, so a ``semi`` pattern has about three times as many (part, cell) entries
+as cells; a ``linear`` one has as many.  A sentence's features are then two
+gathers, :meth:`FeatureExtractor.part_table`: its word rows at the cells'
+positions, then the resulting (attribute, label) pairs through the table,
+one feature id per cell.  Which parts hold which cells is the pattern's
+sparse matrix ``P``, the same for every sentence of the shape.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,6 +70,7 @@ UNKNOWN_CLUSTER = "<UNK>"
 LINEAR_TRANSITION_PREFIX = "T="
 SEGMENT_TRANSITION_PREFIX = "TR="
 TRANSITION_PREFIXES = (LINEAR_TRANSITION_PREFIX, SEGMENT_TRANSITION_PREFIX)
+_TRANSITION_PREFIX = {"token_transition": LINEAR_TRANSITION_PREFIX, "transition": SEGMENT_TRANSITION_PREFIX}
 
 PAD_ATTRIBUTE = 0  # attribute id of a role a word has no value for; its table row is all -1
 UNSEEN = -2  # table cell not looked up in the dictionary yet
@@ -220,15 +229,15 @@ def _shape_of(word: str) -> str:
 
 class TemplateLayout:
     """The label-free templates of one :class:`FeatureConfig`, as the
-    columns of a word row.
+    columns of a word row, and the attribute patterns they compile to.
 
     There are two row kinds: ``"token"`` rows hold the linear trellis's
     token-context roles, ``"segment"`` rows the segment roles.  A role is an
-    attribute name and the word value it takes (``("SS[2]", "shape")``).
-    ``token_cells``/``segment_cells`` list one part's attributes in template
-    order, as (word position, column) pairs; positions -1 and ``n`` are the
-    sentinels.  A kind's roles are the cells of its widest part, so every
-    part's cells fit its rows.
+    attribute name and the word value it takes (``("SS[2]", "shape")``).  A
+    part's template lists its attributes in template order, each with the
+    word position it reads (-1 and ``n`` are the sentinels); a kind's roles
+    are those of its widest part, so every part's attributes fit its rows.
+    :meth:`pattern` lays a lattice shape's slots out over those rows.
     """
 
     def __init__(self, config: FeatureConfig) -> None:
@@ -237,10 +246,6 @@ class TemplateLayout:
             "token": [(name, value) for _, name, value in self._token_template(0)],
             "segment": [(name, value) for _, name, value in self._segment_template(0, config.max_seg_len - 1)],
         }
-        self._columns = {kind: {name: c for c, (name, _) in enumerate(roles)} for kind, roles in self.roles.items()}
-
-    def width(self, kind: str) -> int:
-        return len(self.roles[kind])
 
     def _token_template(self, position: int) -> list[tuple[int, str, str]]:
         config = self.config
@@ -275,24 +280,48 @@ class TemplateLayout:
             cells += [(first - 1, "S[before]", "boundary_shape"), (last + 1, "S[after]", "boundary_shape")]
         return cells
 
-    def _cells(self, kind: str, template: list[tuple[int, str, str]]) -> list[tuple[int, int]]:
-        columns = self._columns[kind]
-        return [(p, columns[name]) for p, name, _ in template]
+    def pattern(self, n: int, slots: Sequence[tuple]) -> AttributePattern:
+        """Lay the templates of ``slots`` (slot keys of an ``n``-token
+        lattice shape, slot 0 the empty part) out over a sentence's source
+        vector, then merge the entries that read one (source position, label)
+        cell.  Token slots read token rows, every other slot segment rows.
 
-    def token_cells(self, position: int) -> list[tuple[int, int]]:
-        """Cells of :meth:`FeatureExtractor.token_context_features`."""
-        return self._cells("token", self._token_template(position))
-
-    def segment_cells(self, first: int, last: int, label: str) -> list[tuple[int, int]]:
-        """Cells of :meth:`FeatureExtractor.segment_features`, which rejects
-        the same segments."""
-        length = last - first + 1
-        if label == OUTSIDE:
-            if length != 1:
-                raise ValueError(f"outside segments must have length 1, got {length}")
-        elif length > self.config.max_seg_len:
-            raise ValueError(f"segment length {length} exceeds limit {self.config.max_seg_len}")
-        return self._cells("segment", self._segment_template(first, last))
+        Rejects a segment longer than the configuration allows, as
+        :meth:`FeatureExtractor.segment_features` does.
+        """
+        kind = "token" if any(method == "token_context" for method, *_ in slots) else "segment"
+        width = len(self.roles[kind])
+        columns = {name: c for c, (name, _) in enumerate(self.roles[kind])}
+        labels = tuple(sorted({slot[-1] for slot in slots[1:]}))
+        label_col = {label: i for i, label in enumerate(labels)}
+        transitions: dict[str, int] = {}
+        attr_pos: list[int] = []
+        label_pos: list[int] = []
+        part_size = np.zeros(len(slots), dtype=np.int32)
+        for sid, (method, *args) in enumerate(slots[1:], start=1):
+            if method == "segment" and args[1] - args[0] >= self.config.max_seg_len:
+                raise ValueError(f"segment length {args[1] - args[0] + 1} exceeds limit {self.config.max_seg_len}")
+            if method in _TRANSITION_PREFIX:
+                t = transitions.setdefault(_TRANSITION_PREFIX[method] + args[0], len(transitions))
+                pos = [(n + 2) * width + t]
+            else:
+                template = self._segment_template(*args[:2]) if method == "segment" else self._token_template(args[0])
+                pos = [(p + 1) * width + columns[name] for p, name, _ in template]
+            attr_pos += pos
+            label_pos += [label_col[args[-1]]] * len(pos)
+            part_size[sid] = len(pos)
+        key = np.asarray(attr_pos, dtype=np.int64) * len(labels) + label_pos
+        _, first_use, entry_key = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first_use)  # cells in first-use order
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        indptr = np.concatenate(([0], np.cumsum(part_size)))
+        P = csr_matrix((np.ones(len(key)), rank[entry_key], indptr), shape=(len(slots), len(order)))
+        cell_attr_pos = np.asarray(attr_pos, dtype=np.int32)[first_use[order]]
+        cell_label_pos = np.asarray(label_pos, dtype=np.int32)[first_use[order]]
+        for array in (cell_attr_pos, cell_label_pos, P.data, P.indices, P.indptr):
+            array.flags.writeable = False
+        return AttributePattern(kind, labels, tuple(transitions), cell_attr_pos, cell_label_pos, P)
 
 
 @dataclass(frozen=True)
@@ -344,7 +373,7 @@ class FeatureExtractor:
         self._attribute_ids: dict[str, int] = {}
         self._attributes: list[str | None] = [None]  # PAD_ATTRIBUTE has no string
         self._row_ids: dict[str, dict[str, int]] = {kind: {} for kind in self.layout.roles}
-        self._rows = {kind: np.empty((64, self.layout.width(kind)), dtype=np.int32) for kind in self.layout.roles}
+        self._rows = {kind: np.empty((64, len(roles)), dtype=np.int32) for kind, roles in self.layout.roles.items()}
         self._tables: dict[tuple[str, ...], np.ndarray] = {}
 
     def _attribute(self, attribute: str) -> int:

@@ -42,23 +42,18 @@ of two part scores and many edges share each part: in a ``semi`` lattice all
 ``|labels|`` edges into one segment share its segment part, and all edges
 between one label pair share its transition part.
 
-Parts in turn share features.  Every slot's features are label-free
-attributes conjoined with the slot's label (see ``features.py``), so a
-topology compiles, once per template layout, an
-:class:`~chunkcrf.features.AttributePattern`: the shape's *cells*, each a
-distinct (source position, label) pair, where a source position is a word-row
-column or a transition attribute, and the read-only sparse matrix ``P``
-(parts x cells) saying which cells each part holds.  A word's ``WS[0]`` cell
-is read by every segment that starts at it, so a ``semi`` pattern has about
-three times as many (part, cell) entries as cells; a ``linear`` one has as
-many.  A sentence then gathers only its cells' feature ids (``cell_ids``, -1
-for a cell without one), and a part's score is ``P`` times the weights of its
-cells: the sentence-dependent data is one ``int32`` per cell, and ``P`` is
-shared by every lattice of the shape.  :class:`_FeatureMemo`, one extractor
-call per slot, is the reference the compiled features equal bit for bit.  A
-built lattice is immutable and safe to share read-only.  Training compiles
-each sentence of its split once, while the objective evaluator is built, and
-every evaluation reuses those lattices.
+Parts in turn share features, and ``features.py`` decides where they come
+from.  A topology keeps one :class:`~chunkcrf.features.AttributePattern` per
+feature configuration, compiled from its slots by
+:meth:`~chunkcrf.features.TemplateLayout.pattern` on first use, so every
+extractor of that configuration shares it.  A sentence then gathers only its
+cells' feature ids (``cell_ids``, -1 for a cell without one), and a part's
+score is ``P`` times the weights of its cells: the sentence-dependent data is
+one ``int32`` per cell, and ``P`` is shared by every lattice of the shape.
+:class:`_FeatureMemo`, one extractor call per slot, is the reference the
+compiled features equal bit for bit.  A built lattice is immutable and safe to
+share read-only.  Training compiles each sentence of its split once, while the
+objective evaluator is built, and every evaluation reuses those lattices.
 """
 
 from __future__ import annotations
@@ -75,16 +70,7 @@ from .core import (
     OUTSIDE, BioSequence, LabelSet, Sentence, SpanError, WordSpan, bio_follows, bio_to_word_spans, ordered_spans,
     word_spans_to_bio,
 )
-from .features import (
-    LINEAR_TRANSITION_PREFIX,
-    SEGMENT_TRANSITION_PREFIX,
-    START_LABEL,
-    STOP_LABEL,
-    AttributePattern,
-    FeatureConfig,
-    FeatureExtractor,
-    TemplateLayout,
-)
+from .features import START_LABEL, STOP_LABEL, AttributePattern, FeatureConfig, FeatureExtractor, TemplateLayout
 
 MODEL_KINDS = ("linear", "semi", "weak")
 
@@ -273,7 +259,7 @@ class Topology(LevelGraph):
         first use per feature configuration."""
         pattern = self._patterns.get(layout.config)
         if pattern is None:
-            pattern = self._patterns[layout.config] = _compile_pattern(self, layout)
+            pattern = self._patterns[layout.config] = layout.pattern(self.nodes[self.leaf].position, self.slots)
         return pattern
 
 
@@ -597,47 +583,6 @@ def _weak_topology(n: int, label_set: LabelSet, max_seg_len: int) -> Topology:
     for label in alphabet:
         b.add_edge(b.node_ids[Node("end", n - 1, label)], leaf, ("transition", label, STOP_LABEL))
     return Topology(b)
-
-
-def _compile_pattern(shape: Topology, layout: TemplateLayout) -> AttributePattern:
-    """Lay every slot's template entries out over a sentence's source
-    vector, then merge the entries that read one (source position, label)
-    cell (see :class:`~chunkcrf.features.AttributePattern`)."""
-    kind = "token" if shape.model_kind == "linear" else "segment"
-    width = layout.width(kind)
-    n = shape.nodes[shape.leaf].position
-    labels = tuple(sorted({slot[-1] for slot in shape.slots[1:]}))
-    label_col = {label: i for i, label in enumerate(labels)}
-    transitions: dict[str, int] = {}
-    attr_pos: list[int] = []
-    label_pos: list[int] = []
-    part_size = np.zeros(len(shape.slots), dtype=np.int32)
-    for sid, (method, *args) in enumerate(shape.slots):
-        if method == "empty":
-            continue
-        label = args[-1]
-        if method in ("transition", "token_transition"):
-            prefix = SEGMENT_TRANSITION_PREFIX if method == "transition" else LINEAR_TRANSITION_PREFIX
-            t = transitions.setdefault(prefix + args[0], len(transitions))
-            pos = [(n + 2) * width + t]
-        else:
-            cells = layout.segment_cells(*args) if method == "segment" else layout.token_cells(args[0])
-            pos = [(p + 1) * width + col for p, col in cells]
-        attr_pos += pos
-        label_pos += [label_col[label]] * len(pos)
-        part_size[sid] = len(pos)
-    key = np.asarray(attr_pos, dtype=np.int64) * len(labels) + label_pos
-    _, first, entry_key = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # cells in first-use order
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    indptr = np.concatenate(([0], np.cumsum(part_size)))
-    P = csr_matrix((np.ones(len(key)), rank[entry_key], indptr), shape=(len(shape.slots), len(order)))
-    cell_attr_pos = np.asarray(attr_pos, dtype=np.int32)[first[order]]
-    cell_label_pos = np.asarray(label_pos, dtype=np.int32)[first[order]]
-    for array in (cell_attr_pos, cell_label_pos, P.data, P.indices, P.indptr):
-        array.flags.writeable = False
-    return AttributePattern(kind, labels, tuple(transitions), cell_attr_pos, cell_label_pos, P)
 
 
 @lru_cache(maxsize=TOPOLOGY_CACHE_SIZE)

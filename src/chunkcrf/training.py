@@ -67,7 +67,7 @@ class ModelFormatError(ValueError):
 class TrainConfig:
     model_kind: str
     lam: float
-    max_seg_len: int = 6
+    max_seg_len: int = FeatureConfig.max_seg_len
     use_affix: bool = False
     use_brown: bool = False
     use_shape: bool = False
@@ -143,7 +143,7 @@ def derive_label_set(dataset: Dataset, label_set: LabelSet | None = None) -> Lab
         return label_set
     labels = dataset.chunk_labels()
     if not labels:
-        raise ValueError("dataset has no chunk spans; pass an explicit label set")
+        raise ValueError("dataset has no chunk spans, so there is no chunk label to learn")
     return LabelSet(labels)
 
 
@@ -182,7 +182,9 @@ class ObjectiveEvaluator:
     expected-count spread.  Instances whose gold structure is not
     representable in their lattice are detected here, logged, and skipped.
     An unfrozen ``dictionary`` grows as the lattices compile (freeze it
-    afterwards); ``lam`` may be rebound between evaluations.
+    afterwards); ``lam`` may be rebound between evaluations.  ``extractor``,
+    the one that compiled them, can compile more sentences over the same
+    dictionary.
     """
 
     def __init__(
@@ -196,9 +198,8 @@ class ObjectiveEvaluator:
         self.label_set = label_set
         self.config = config
         self.dictionary = dictionary
-        self.brown = brown
         self.lam = config.lam
-        extractor = FeatureExtractor(config.feature_config, dictionary, brown)
+        self.extractor = extractor = FeatureExtractor(config.feature_config, dictionary, brown)
         lattices = []
         gold_edges: list[np.ndarray] = []  # batch edge ids, per instance
         edge_offset = 0
@@ -366,7 +367,7 @@ def _fit(evaluator: ObjectiveEvaluator, dropped: int) -> Model:
         config.feature_config,
         evaluator.dictionary,
         np.asarray(result.x, dtype=np.float64).copy(),
-        evaluator.brown,
+        evaluator.extractor.brown,
         metadata,
     )
 
@@ -396,7 +397,8 @@ def tune_lambda(
     character-level dev F1.
 
     The dictionary is frozen once train is compiled, so dev is compiled once
-    too and decoded in one :func:`decode` call per grid point.  Ties go to
+    too, through the evaluator's extractor, and decoded in one
+    :func:`decode` call per grid point.  Ties go to
     the larger regularization strength.  Returns the chosen value, a
     per-grid-point report dict and the model :func:`train` gives there.
     """
@@ -412,7 +414,7 @@ def tune_lambda(
     ]
     sentences = [item.sentence for item in dev_split.items]
     lattices = _compile_sentences(sentences, config.model_kind, evaluator.label_set, config.max_seg_len,
-                                  FeatureExtractor(config.feature_config, evaluator.dictionary, brown))
+                                  evaluator.extractor)
     reports, models = {}, {}
     for lam in sorted(grid):
         evaluator.lam = lam

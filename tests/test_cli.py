@@ -15,7 +15,7 @@ from chunkcrf.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_par
 from chunkcrf.core import CharSpan
 from chunkcrf.ingest import AnnotatedText, annotate, read_jsonl, write_jsonl
 from chunkcrf.synth import separable_corpus
-from chunkcrf.training import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
+from chunkcrf.training import MODEL_MAGIC, MODEL_VERSION, TrainConfig, load_model, save_model
 
 
 @pytest.fixture
@@ -404,6 +404,67 @@ class TestTrainPredictEval:
         assert run(args + ["--out", a]) == EXIT_OK
         assert run(args + ["--out", b]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_train_defaults_are_the_train_config_defaults(self, corpus_files):
+        train, _ = corpus_files
+        args = build_parser().parse_args(["train", "--train", str(train), "--lambda", "1"])
+        assert cli._train_config(args) == TrainConfig(args.model, lam=1.0)
+        assert build_parser().commands["bench"].get_default("max_seg_len") == TrainConfig.max_seg_len
+
+
+def _jsonl(path, *records):
+    path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    return path
+
+
+def _brat(path, text, ann):
+    path.mkdir()
+    (path / "m.txt").write_text(text, encoding="utf-8")
+    (path / "m.ann").write_text(ann, encoding="utf-8")
+    return path
+
+
+# argv(directory, 60-message training file) and the message after "error: "
+DATA_ERRORS = {
+    "eval-message-counts": (
+        lambda d, train: ["eval", "--gold", train, "--pred", _jsonl(d / "pred.jsonl", {"text": "a b", "spans": []})],
+        "gold has 60 messages but predictions have 1"),
+    "brat-empty-span": (
+        lambda d, train: ["ingest", _brat(d / "brat", "Dr teh", "T1\tNP 3 3\t\n"), "--format", "brat"],
+        "m.ann:1: char span must satisfy start < end, got [3, 3)"),
+    "brat-overlapping-spans": (
+        lambda d, train: ["ingest", _brat(d / "brat", "Dr teh says", "T1\tNP 0 6\tDr teh\nT2\tNP 3 11\tteh says\n"),
+                          "--format", "brat"],
+        "m.ann: spans overlap at 3"),
+    "no-chunk-spans": (
+        lambda d, train: ["train", "--train", _jsonl(d / "t.jsonl", {"text": "a b", "spans": []}), "--lambda", "1",
+                          "--out", d / "m.ckcrf"],
+        "dataset has no chunk spans, so there is no chunk label to learn"),
+    "empty-dev": (
+        lambda d, train: ["train", "--train", train, "--dev", _jsonl(d / "dev.jsonl"), "--lambda-grid",
+                          "--out", d / "m.ckcrf"],
+        "tuning needs non-empty train and dev splits"),
+    "rejected-label": (
+        lambda d, train: ["train", "--train", _jsonl(d / "t.jsonl", {"text": "a b", "spans": [{"start": 0, "end": 1,
+                                                                                              "label": "N P"}]}),
+                          "--lambda", "1", "--out", d / "m.ckcrf"],
+        "invalid chunk label 'N P'"),
+    "missing-train": (
+        lambda d, train: ["train", "--train", d / "missing.jsonl", "--lambda", "1", "--out", d / "m.ckcrf"],
+        "training data not found: "),
+}
+
+
+@pytest.mark.parametrize("case", DATA_ERRORS)
+def test_data_errors_exit_2_with_their_message(case, corpus_files, tmp_path, capsys):
+    argv, message = DATA_ERRORS[case]
+    work = tmp_path / "work"
+    work.mkdir()
+    assert run(argv(work, corpus_files[0])) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert not (work / "m.ckcrf").exists()
 
 
 class TestBench:

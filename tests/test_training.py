@@ -313,7 +313,7 @@ class TestModel:
         ext = model.extractor()
         word_types = sum(len(rows) for rows in ext._row_ids.values())
         assert word_types <= WORD_CACHE_SIZE + length + 2
-        widest = max(ext.layout.width(kind) for kind in ext.layout.roles)
+        widest = max(len(roles) for roles in ext.layout.roles.values())
         attributes = 1 + (WORD_CACHE_SIZE + length + 2) * widest + len(model.label_set.alphabet) + 1
         assert len(ext._attributes) <= attributes
         assert all(len(table) <= 2 * attributes for table in ext._tables.values())
@@ -361,6 +361,15 @@ class TestTuneLambda:
         save_model(model, str(tmp_path / "tuned.ckcrf"))
         save_model(retrained[best], str(tmp_path / "trained.ckcrf"))
         assert (tmp_path / "tuned.ckcrf").read_bytes() == (tmp_path / "trained.ckcrf").read_bytes()
+
+    def test_compiles_dev_through_the_evaluator_extractor(self, monkeypatch):
+        made = []
+        extractor = chunkcrf.training.FeatureExtractor
+        monkeypatch.setattr(chunkcrf.training, "FeatureExtractor", lambda *args: made.append(args) or extractor(*args))
+        train_ds = Dataset.from_annotated(separable_corpus(30, seed=8))
+        dev_ds = Dataset.from_annotated(separable_corpus(10, seed=9))
+        tune_lambda(train_ds, dev_ds, TrainConfig(model_kind="weak", lam=1.0, max_iterations=10), grid=(0.5, 1.0))
+        assert len(made) == 1
 
     def test_empty_dev_messages_decode_to_nothing(self):
         from chunkcrf.evaluate import score_corpus
