@@ -127,6 +127,8 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
         raise ValueError("need either a fixed lambda or --lambda-grid")
     if args.lambda_grid and args.dev is None:
         raise ValueError("lambda tuning needs a dev split (--dev)")
+    if args.lambda_grid and args.lam is not None:
+        raise ValueError("--lambda and --lambda-grid exclude each other: fix lambda or tune it, not both")
     if not Path(args.train).exists():
         raise FileNotFoundError(f"training data not found: {args.train}")
     if args.dev is not None and not Path(args.dev).exists():

@@ -4,10 +4,12 @@ Every program runs on a :class:`~chunkcrf.lattice.LevelGraph`: one lattice
 (its shared topology's levels, edges and sweeps with the sentence's cell
 ids), or a :class:`~chunkcrf.lattice.Batch` holding several lattices of one
 family whose nodes are numbered level by level.  One level sweep serves
-forward and Viterbi (bottom-up) and backward (top-down): each level is a
-handful of numpy reductions over the contiguous run of that level's edges, a
-``maximum.reduceat`` and then, outside Viterbi's max-plus semiring, an
-``add.reduceat`` log-sum-exp.  The cost is per level and per edge, with no
+forward and Viterbi (bottom-up) and backward (top-down).  A level step
+adds the values its edges read to their scores, gathered through the step's
+own views of the sweep's index arrays, then writes a ``maximum.reduceat``
+over the contiguous run of the level's edges straight into the level's node
+values and, outside Viterbi's max-plus semiring, adds an ``add.reduceat``
+log-sum-exp to them in place.  The cost is per level and per edge, with no
 Python work per node.  One call covers every member of a batch, and a
 member's results do not depend on which other lattices share its batch.
 
@@ -72,15 +74,16 @@ def _sweep(sweep: Sweep, scores: np.ndarray, x: np.ndarray, log: bool = True) ->
     ``log`` is false (the max-plus semiring, for Viterbi).  Returns those
     per-edge sums, in ``sweep.order``."""
     sums = scores[sweep.order]
-    for a, b, lo, hi, starts in sweep.steps:
+    for a, b, lo, hi, read, write, starts in sweep.steps:
         vals = sums[lo:hi]
-        vals += x[sweep.read[lo:hi]]
-        x[a:b] = np.maximum.reduceat(vals, starts)
+        vals += x[read]
+        np.maximum.reduceat(vals, starts, out=x[a:b])
         if log:
-            shifted = x[sweep.write[lo:hi]]
+            shifted = x[write]
             np.subtract(vals, shifted, out=shifted)
             np.exp(shifted, out=shifted)
-            x[a:b] += np.log(np.add.reduceat(shifted, starts))
+            total = np.add.reduceat(shifted, starts)
+            x[a:b] += np.log(total, out=total)
     return sums
 
 

@@ -50,6 +50,10 @@ extractor of that configuration shares it.  A sentence then gathers only its
 cells' feature ids (``cell_ids``, -1 for a cell without one), and a part's
 score is ``P`` times the weights of its cells: the sentence-dependent data is
 one ``int32`` per cell, and ``P`` is shared by every lattice of the shape.
+Edge, adjacency and sweep index arrays are ``intp``, because numpy gathers
+through ``intp`` ids without casting them first, and the dynamic programs
+gather through them at every level; cell ids are feature ids, and stay
+``int32`` like the extractor's tables.
 :class:`_FeatureMemo`, one extractor call per slot, is the reference the
 compiled features equal bit for bit.  A built lattice is immutable and safe to
 share read-only.  Training compiles each sentence of its split once, while the
@@ -100,16 +104,18 @@ class Node(NamedTuple):
 class Sweep:
     """One direction of a level schedule.
 
-    Each step computes the node range ``a:b`` from the edge run ``lo:hi`` of
-    ``order``: the edge at run position ``i`` reads node ``read[i]`` and
-    feeds node ``write[i]``, and ``starts`` holds the offset of each node's
-    first edge within the run (no node's run is empty).
+    The edge at position ``i`` of ``order`` reads node ``read[i]`` and feeds
+    node ``write[i]``.  Each step ``(a, b, lo, hi, read, write, starts)``
+    computes the node range ``a:b`` from the edge run ``lo:hi`` of
+    ``order``: its ``read`` and ``write`` are views of that run of the full
+    arrays, and ``starts`` holds the offset of each node's first edge within
+    the run (no node's run is empty).
     """
 
     order: np.ndarray
     read: np.ndarray
     write: np.ndarray
-    steps: list[tuple[int, int, int, int, np.ndarray]]
+    steps: list[tuple[int, int, int, int, np.ndarray, np.ndarray, np.ndarray]]
 
 
 class LevelGraph:
@@ -138,10 +144,10 @@ class LevelGraph:
 
     def _index(self, in_order: np.ndarray, out_order: np.ndarray) -> None:
         n = self.num_nodes
-        self.in_order = in_order.astype(np.int32)
+        self.in_order = in_order.astype(np.intp, copy=False)
         self.in_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_dst, minlength=n))))
         self.in_key = self.edge_dst[self.in_order] * np.int64(n) + self.edge_src[self.in_order]
-        self.out_order = out_order.astype(np.int32)
+        self.out_order = out_order.astype(np.intp, copy=False)
         self.out_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_src, minlength=n))))
 
     @property
@@ -192,8 +198,13 @@ class LevelGraph:
 
 
 def _sweep(order, ptr, read, write, ranges) -> Sweep:
-    steps = [(a, b, int(ptr[a]), int(ptr[b]), ptr[a:b] - ptr[a]) for a, b in ranges if b > a]
-    return Sweep(order, read[order], write[order], steps)
+    read, write = read[order], write[order]
+    steps = []
+    for a, b in ranges:
+        if b > a:
+            lo, hi = int(ptr[a]), int(ptr[b])
+            steps.append((a, b, lo, hi, read[lo:hi], write[lo:hi], ptr[a:b] - lo))
+    return Sweep(order, read, write, steps)
 
 
 class Topology(LevelGraph):
@@ -219,10 +230,10 @@ class Topology(LevelGraph):
         self.leaves = np.array([self.leaf])
         self.level_ptr = np.asarray(b.level_ptr + [self.num_nodes], dtype=np.int64)
 
-        self.edge_src = np.asarray(b.edge_src, dtype=np.int32)
-        self.edge_dst = np.asarray(b.edge_dst, dtype=np.int32)
+        self.edge_src = np.asarray(b.edge_src, dtype=np.intp)
+        self.edge_dst = np.asarray(b.edge_dst, dtype=np.intp)
         self.edge_ptr = np.array([0, len(b.edge_src)])
-        self.edge_parts = np.asarray(b.edge_parts, dtype=np.int32).reshape(-1, 2)
+        self.edge_parts = np.asarray(b.edge_parts, dtype=np.intp).reshape(-1, 2)
         self.slots = b.slots
         self._patterns: dict[FeatureConfig, AttributePattern] = {}
 
@@ -373,8 +384,8 @@ class Batch(LevelGraph):
         is_leaf = np.zeros(self.num_nodes, dtype=np.int64)
         is_leaf[node_off[1:] - 1] = 1
         order = np.argsort(2 * level + is_leaf, kind="stable")
-        new_id = np.empty(self.num_nodes, dtype=np.int32)
-        new_id[order] = np.arange(self.num_nodes, dtype=np.int32)
+        new_id = np.empty(self.num_nodes, dtype=np.intp)
+        new_id[order] = np.arange(self.num_nodes)
         self.local_node = (np.arange(self.num_nodes) - np.repeat(node_off[:-1], sizes))[order]
         self.level_ptr = np.concatenate(([0], np.cumsum(np.bincount(level))))
         self.leaves = new_id[node_off[1:] - 1]

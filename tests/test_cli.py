@@ -417,10 +417,15 @@ def _jsonl(path, *records):
     return path
 
 
+def _text(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def _brat(path, text, ann):
     path.mkdir()
-    (path / "m.txt").write_text(text, encoding="utf-8")
-    (path / "m.ann").write_text(ann, encoding="utf-8")
+    _text(path / "m.txt", text)
+    _text(path / "m.ann", ann)
     return path
 
 
@@ -452,6 +457,14 @@ DATA_ERRORS = {
     "missing-train": (
         lambda d, train: ["train", "--train", d / "missing.jsonl", "--lambda", "1", "--out", d / "m.ckcrf"],
         "training data not found: "),
+    "lambda-with-grid": (
+        lambda d, train: ["train", "--train", train, "--dev", train, "--lambda", "0.3", "--lambda-grid",
+                          "--out", d / "m.ckcrf"],
+        "--lambda and --lambda-grid exclude each other"),
+    "config-lambda-with-grid": (
+        lambda d, train: ["train", "--config", _text(d / "run.cfg", "lambda = 0.3\n"), "--train", train,
+                          "--dev", train, "--lambda-grid", "--out", d / "m.ckcrf"],
+        "--lambda and --lambda-grid exclude each other"),
 }
 
 

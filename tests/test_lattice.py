@@ -396,6 +396,25 @@ def test_sentences_of_one_shape_share_a_topology_but_not_their_parts():
         first.edge_src[0] = 1  # the shared structure is read-only
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_dp_indices_are_intp_and_step_runs_are_views(kind):
+    """numpy gathers through ``intp`` ids without a cast, so every DP index
+    array is ``intp``, and each sweep step reads its runs in place; cell ids
+    are feature ids and stay ``int32``."""
+    ext = make_extractor(3)
+    lattices = [build_lattice(kind, synthetic_sentence(n), LabelSet(("NP", "VP")), 3, ext) for n in (4, 1, 6)]
+    batch = Batch(lattices)
+    for graph in (lattices[0].topology, lattices[0], batch):
+        for name in ("edge_src", "edge_dst", "edge_parts", "in_order", "out_order"):
+            assert getattr(graph, name).dtype == np.intp, name
+        for sweep in (graph.forward_sweep, graph.backward_sweep):
+            assert sweep.order.dtype == sweep.read.dtype == sweep.write.dtype == np.intp
+            for _, _, lo, hi, read, write, _ in sweep.steps:
+                assert np.shares_memory(read, sweep.read) and np.shares_memory(write, sweep.write)
+                assert np.array_equal(read, sweep.read[lo:hi]) and np.array_equal(write, sweep.write[lo:hi])
+    assert lattices[0].cell_ids.dtype == batch.cell_ids.dtype == np.int32
+
+
 def _two_node_level_builder():
     """Root, one level holding two segment nodes, leaf; no edges yet."""
     b = _Builder("semi")
