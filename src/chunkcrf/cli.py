@@ -7,9 +7,10 @@ or flag names (``-`` and ``_`` alike).  Command-line flags override config
 values one-to-one and config values override the built-in defaults.  Only
 ``bench`` draws random data, from its ``seed`` option; training and
 prediction are deterministic.  Inputs and output paths are checked before
-any work starts.  ``train --out X`` writes the model to ``X`` and its log to
-``X.log``: with a fixed lambda, the CSV header ``iter, objective, grad_norm,
-seconds`` and one row per L-BFGS iteration; with ``--lambda-grid``, one
+any work starts, and no output may be one of the command's inputs.
+``train --out X`` writes the model to ``X`` and its log to ``X.log``: with a
+fixed lambda, the CSV header ``iter, objective, grad_norm, seconds`` and one
+row per L-BFGS iteration; with ``--lambda-grid``, one
 ``lambda=...: dev char F1 ...`` line per grid point.  Exit codes: 0 success,
 1 usage error, 2 data error, 3 numerical failure.  A usage error is a
 command line the parser rejects.  A required value still missing once flags
@@ -147,19 +148,21 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
-def _check_output(path: str | None) -> None:
-    """Fail before any work if an output path is a directory or its
-    directory is missing."""
+def _check_output(path: str | None, *inputs: str | None) -> None:
+    """Fail before any work if an output path is a directory, its directory
+    is missing, or it is the same file as one of the command's ``inputs``."""
     if path and Path(path).is_dir():
         raise IsADirectoryError(f"cannot write {path}: it is a directory")
     if path and not Path(path).parent.is_dir():
         raise FileNotFoundError(f"cannot write {path}: {Path(path).parent} is not a directory")
+    if path and Path(path).exists() and any(src and Path(src).exists() and Path(path).samefile(src) for src in inputs):
+        raise ValueError(f"cannot write {path}: it is an input of this command")
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     if not args.input:
         raise ValueError("ingest needs an input path")
-    _check_output(args.out)
+    _check_output(args.out, args.input, args.config)
     items = read_corpus(args.input, args.format)
     if args.out:
         write_jsonl(args.out, items)
@@ -174,8 +177,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not args.out:
         raise ValueError("train needs a model output path (--out)")
     log_path = args.out + ".log"
-    _check_output(args.out)
-    _check_output(log_path)
+    for path in (args.out, log_path):
+        _check_output(path, args.train, args.dev, args.brown, args.config)
     config = _train_config(args)
 
     train_set = Dataset.from_annotated(read_jsonl(args.train))
@@ -206,7 +209,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     if not args.model_file or not args.input:
         raise ValueError("predict needs a model file and an input file")
-    _check_output(args.out)
+    _check_output(args.out, args.input, args.model_file, args.config)
     model = load_model(args.model_file)
     items = read_jsonl(args.input)
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
@@ -224,7 +227,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if not args.gold or not args.pred:
         raise ValueError("eval needs gold and predicted files")
-    _check_output(args.json_out)
+    _check_output(args.json_out, args.gold, args.pred, args.config)
     gold_items = read_jsonl(args.gold)
     pred_items = read_jsonl(args.pred)
     if len(gold_items) != len(pred_items):
@@ -260,7 +263,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    _check_output(args.out)
+    _check_output(args.out, args.config)
     label_values = []
     for item in filter(None, (x.strip() for x in args.labels.split(","))):
         try:

@@ -195,6 +195,8 @@ def benchmark_label_sweep(
     for num_labels in num_label_values:
         if num_labels < 2:
             raise ValueError(f"label-alphabet sizes count the outside label and must be >= 2, got {num_labels}")
+    if len(set(num_label_values)) < len(num_label_values):
+        raise ValueError(f"label-alphabet sizes must not repeat, got {', '.join(map(str, num_label_values))}")
     for name, value, least in (("sentences", sentences, 1), ("sentence length", sentence_len, 1),
                                ("max_seg_len", max_seg_len, 1), ("iterations", iterations, 1),
                                ("warmup", warmup, 0)):

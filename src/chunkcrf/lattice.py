@@ -28,19 +28,21 @@ decoding tie-breaks rely on that): the root, then one level per position (two
 in ``weak``: its Begin nodes, then its End nodes), then the leaf.  Every edge
 climbs from a lower level to a higher one, and every node is reachable from
 the root and co-reachable from the leaf.  The dynamic programs run level by
-level, over one lattice or over a :class:`Batch` of lattices of one family.
+level, over one lattice or over a :class:`Batch` of lattices of one family,
+which keeps that layout: roots alone in its first level, leaves in its last.
 
 A lattice is its shape plus a sentence's cell ids.  The shape, a
-:class:`Topology` (nodes, levels, edges, adjacency and sweeps), depends only
-on the family, the sentence length, the label set and the segment-length
-limit (outside segments are always one token long), so it is built once per
-shape, cached, and its arrays and sweeps shared by reference by every lattice
-of it.  It names each edge's features by two *slots*: template keys such as
-``("segment", first, last, label)`` or ``("transition", prev, label)``, with
-slot 0 the empty part that pads an edge with one.  An edge's score is the sum
-of two part scores and many edges share each part: in a ``semi`` lattice all
-``|labels|`` edges into one segment share its segment part, and all edges
-between one label pair share its transition part.
+:class:`Topology` (nodes, levels, edges, adjacency, sweeps and edge lookup),
+depends only on the family, the sentence length, the label set and the
+segment-length limit (outside segments are always one token long), so it is
+built once per shape, cached, and its arrays and sweeps shared by reference
+by every lattice of it.  It names each edge's features by two *slots*:
+template keys such as ``("segment", first, last, label)`` or
+``("transition", prev, label)``, with slot 0 the empty part that pads an edge
+with one.  An edge's score is the sum of two part scores and many edges share
+each part: in a ``semi`` lattice all ``|labels|`` edges into one segment share
+its segment part, and all edges between one label pair share its transition
+part.
 
 Parts in turn share features, and ``features.py`` decides where they come
 from.  A topology keeps one :class:`~chunkcrf.features.AttributePattern` per
@@ -122,8 +124,8 @@ class LevelGraph:
     """Level-ordered DAG with part scores: what the dynamic programs run on.
 
     Level ``l`` is the node range ``level_ptr[l]:level_ptr[l + 1]``.  Level 0
-    holds the roots, every edge climbs to a higher level, and within a level
-    the nodes with no out-edges (the leaves, one per member) come last.  A
+    holds the roots, the last level the leaves (one per member) alone, every
+    edge climbs to a higher level, and every other node has an out-edge.  A
     :class:`Lattice` is such a graph with one member; a :class:`Batch` is the
     disjoint union of several.  Member ``i`` owns edges
     ``edge_ptr[i]:edge_ptr[i + 1]`` and ends in node ``leaves[i]``.
@@ -132,8 +134,8 @@ class LevelGraph:
     ``in_order[in_ptr[v]:in_ptr[v + 1]]``, sorted by source, so each level's
     in-edges form one run and the lowest source comes first (decoding breaks
     ties toward it); ``out_order``/``out_ptr`` list out-edges by source.
-    ``in_key`` keys each in-edge ``dst * num_nodes + src`` in that order, so
-    :meth:`edge_ids` looks up many node pairs in one ``searchsorted``.
+    ``forward_sweep`` runs the levels above the roots bottom-up, each node
+    from its in-edges; ``backward_sweep`` the others top-down, by out-edges.
 
     Edge ``e``'s features are those of parts ``edge_parts[e, 0]`` and
     ``edge_parts[e, 1]``, in that order.  Part ``p``'s features are those of
@@ -146,7 +148,6 @@ class LevelGraph:
         n = self.num_nodes
         self.in_order = in_order.astype(np.intp, copy=False)
         self.in_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_dst, minlength=n))))
-        self.in_key = self.edge_dst[self.in_order] * np.int64(n) + self.edge_src[self.in_order]
         self.out_order = out_order.astype(np.intp, copy=False)
         self.out_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_src, minlength=n))))
 
@@ -171,53 +172,42 @@ class LevelGraph:
     def node_levels(self) -> np.ndarray:
         return np.repeat(np.arange(self.num_levels), np.diff(self.level_ptr))
 
-    def edge_ids(self, src: Sequence[int] | np.ndarray, dst: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Ids of the edges ``src[i] -> dst[i]``, -1 where there is none."""
-        key = np.asarray(dst, dtype=np.int64) * self.num_nodes + src
-        k = np.searchsorted(self.in_key, key).clip(max=len(self.in_key) - 1)
-        return np.where(self.in_key[k] == key, self.in_order[k], -1)
-
     def local_ids(self, nodes: list[int]) -> list[int]:
         """Member-local ids of the given nodes (a lattice's are its own)."""
         return nodes
 
     @cached_property
     def forward_sweep(self) -> Sweep:
-        """Levels bottom-up, each node from its in-edges."""
         bounds = self.level_ptr.tolist()
         return _sweep(self.in_order, self.in_ptr, self.edge_src, self.edge_dst, zip(bounds[1:-1], bounds[2:]))
 
     @cached_property
     def backward_sweep(self) -> Sweep:
-        """Levels top-down, each node with out-edges from them; those are
-        the level's first nodes, up to the first leaf."""
-        ptr = self.out_ptr
         bounds = self.level_ptr.tolist()
-        ranges = [(a, max(a, int(np.searchsorted(ptr, ptr[b])))) for a, b in zip(bounds[-2::-1], bounds[:0:-1])]
-        return _sweep(self.out_order, ptr, self.edge_dst, self.edge_src, ranges)
+        return _sweep(self.out_order, self.out_ptr, self.edge_dst, self.edge_src, zip(bounds[-3::-1], bounds[-2:0:-1]))
 
 
-def _sweep(order, ptr, read, write, ranges) -> Sweep:
+def _sweep(order, ptr, read, write, levels) -> Sweep:
     read, write = read[order], write[order]
     steps = []
-    for a, b in ranges:
-        if b > a:
-            lo, hi = int(ptr[a]), int(ptr[b])
-            steps.append((a, b, lo, hi, read[lo:hi], write[lo:hi], ptr[a:b] - lo))
+    for a, b in levels:
+        lo, hi = int(ptr[a]), int(ptr[b])
+        steps.append((a, b, lo, hi, read[lo:hi], write[lo:hi], ptr[a:b] - lo))
     return Sweep(order, read, write, steps)
 
 
 class Topology(LevelGraph):
     """Structure shared by every lattice of one shape: nodes, levels, edge
-    arrays, adjacency and sweeps, with one root (node 0) and one leaf (the
-    last node), compiled from a :class:`_Builder`.
+    arrays, adjacency, sweeps and edge lookup, with one root (node 0) and one
+    leaf (the last node), compiled from a :class:`_Builder`.
 
     ``nodes[v]`` is node ``v``'s :class:`Node`, which is also its key:
-    ``_node_ids`` maps it back to ``v``.  ``edge_parts[e]`` holds the slots
-    of edge ``e``'s two parts, numbered in first-use order; ``slots[s]`` is
-    slot ``s``'s template key, and slot 0 is the empty part.
-    :func:`topology` caches topologies, so their arrays are read-only; each
-    also keeps the attribute patterns compiled for it.
+    ``_node_ids`` maps it back to ``v``.  ``in_key`` keys each in-edge
+    ``dst * num_nodes + src`` in ``in_order``, for :meth:`edge_ids`.
+    ``edge_parts[e]`` holds the slots of edge ``e``'s two parts, numbered in
+    first-use order; ``slots[s]`` is slot ``s``'s template key, and slot 0 is
+    the empty part.  :func:`topology` caches topologies, so their arrays are
+    read-only; each also keeps the attribute patterns compiled for it.
     """
 
     def __init__(self, b: _Builder) -> None:
@@ -238,7 +228,10 @@ class Topology(LevelGraph):
         self._patterns: dict[FeatureConfig, AttributePattern] = {}
 
         self._index(np.lexsort((self.edge_src, self.edge_dst)), np.argsort(self.edge_src, kind="stable"))
+        self.in_key = self.edge_dst[self.in_order] * np.int64(self.num_nodes) + self.edge_src[self.in_order]
         self._check_connected()
+        # Built now, so every lattice of the shape copies them; a batch builds each on first use.
+        vars(self).update(forward_sweep=self.forward_sweep, backward_sweep=self.backward_sweep)
         for array in (self.leaves, self.level_ptr, self.edge_src, self.edge_dst, self.edge_ptr, self.edge_parts,
                       self.in_order, self.in_ptr, self.in_key, self.out_order, self.out_ptr):
             array.flags.writeable = False
@@ -256,6 +249,12 @@ class Topology(LevelGraph):
         ends_ok = self.level_ptr[1] == 1 and self.level_ptr[-2] == self.leaf
         if not (ends_ok and in_deg[1:].all() and out_deg[:-1].all()):
             raise AssertionError("lattice has unreachable or dead-end nodes")
+
+    def edge_ids(self, src: Sequence[int] | np.ndarray, dst: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Ids of the edges ``src[i] -> dst[i]``, -1 where there is none."""
+        key = np.asarray(dst, dtype=np.int64) * self.num_nodes + src
+        k = np.searchsorted(self.in_key, key).clip(max=len(self.in_key) - 1)
+        return np.where(self.in_key[k] == key, self.in_order[k], -1)
 
     @cached_property
     def no_cells(self) -> csr_matrix:
@@ -292,10 +291,6 @@ class Lattice(Topology):
         self.cell_ids = cell_ids
         self.P = P
 
-    # Cached on first use, perhaps after this lattice was built: read from the shape.
-    forward_sweep = property(lambda self: self.topology.forward_sweep)
-    backward_sweep = property(lambda self: self.topology.backward_sweep)
-
     def gold_edge_ids(self, spans: list[WordSpan]) -> list[int]:
         """Edge path realizing the given chunk structure.
 
@@ -325,8 +320,8 @@ class Lattice(Topology):
         return edges.tolist()
 
     def path_spans(self, node_path: list[int]) -> list[WordSpan]:
-        """Chunk spans encoded by a full root-to-leaf node path; the inverse
-        of :meth:`gold_edge_ids`."""
+        """Chunk spans encoded by a full root-to-leaf node path: the nodes
+        along :meth:`gold_edge_ids`'s edge path for some spans decode to them."""
         nodes = [self.nodes[v] for v in node_path[:-1]]
         if self.model_kind == "linear":
             return bio_to_word_spans(BioSequence(tuple(node.label for node in nodes[1:])))
@@ -360,12 +355,12 @@ class Batch(LevelGraph):
 
     Member ``i``'s edges are batch edges ``edge_ptr[i]:edge_ptr[i + 1]`` in
     the member's own order, and its parts and cells one block of the
-    block-diagonal ``P`` and of the concatenated ``cell_ids``.  Nodes are
-    renumbered by level, then leaves last (a short member's leaf shares a
-    level with interior nodes of longer members, and a level's out-edge run
-    must not hold an empty segment, which ``reduceat`` cannot take), then by
-    member and member node id, which keeps each member's source order for
-    tie-breaking.  ``local_node`` maps a batch node to its id in its member.
+    block-diagonal ``P`` and of the concatenated ``cell_ids``.  Every
+    member's leaf is lifted to the batch's top level, so the batch keeps a
+    lattice's layout (the leaves alone in the last level, in member order),
+    and nodes are renumbered by level, then by member and member node id,
+    which keeps each member's source order for tie-breaking.  ``local_node``
+    maps a batch node to its id in its member.
 
     Since renumbering keeps each member's node order, the adjacency is each
     member's own, offset and stably sorted by batch node: the same arrays as
@@ -381,9 +376,8 @@ class Batch(LevelGraph):
         node_off = np.concatenate(([0], np.cumsum(sizes)))
         self.num_nodes = int(node_off[-1])
         level = np.concatenate([lat.node_levels() for lat in lattices])
-        is_leaf = np.zeros(self.num_nodes, dtype=np.int64)
-        is_leaf[node_off[1:] - 1] = 1
-        order = np.argsort(2 * level + is_leaf, kind="stable")
+        level[node_off[1:] - 1] = level.max()
+        order = np.argsort(level, kind="stable")
         new_id = np.empty(self.num_nodes, dtype=np.intp)
         new_id[order] = np.arange(self.num_nodes)
         self.local_node = (np.arange(self.num_nodes) - np.repeat(node_off[:-1], sizes))[order]

@@ -6,16 +6,18 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from shutil import copyfile
 
 import numpy as np
 import pytest
 
 from chunkcrf import cli
 from chunkcrf.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, load_config_file, main
-from chunkcrf.core import CharSpan
+from chunkcrf.core import CharSpan, LabelSet
+from chunkcrf.features import FeatureConfig, FeatureDictionary
 from chunkcrf.ingest import AnnotatedText, annotate, read_jsonl, write_jsonl
 from chunkcrf.synth import separable_corpus
-from chunkcrf.training import MODEL_MAGIC, MODEL_VERSION, TrainConfig, load_model, save_model
+from chunkcrf.training import MODEL_MAGIC, MODEL_VERSION, Model, TrainConfig, load_model, save_model
 
 
 @pytest.fixture
@@ -405,6 +407,22 @@ class TestTrainPredictEval:
         assert run(args + ["--out", b]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_model_bytes_do_not_depend_on_the_string_hash_seed(self, corpus_files, tmp_path):
+        train, _ = corpus_files
+        src = Path(__file__).resolve().parents[1] / "src"
+        models = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}.ckcrf"
+            proc = subprocess.run(
+                [sys.executable, "-m", "chunkcrf.cli", "train", "--train", str(train), "--model", "semi",
+                 "--features", "a,s", "--lambda", "0.1", "--max-iterations", "15", "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+
     def test_train_defaults_are_the_train_config_defaults(self, corpus_files):
         train, _ = corpus_files
         args = build_parser().parse_args(["train", "--train", str(train), "--lambda", "1"])
@@ -426,6 +444,12 @@ def _brat(path, text, ann):
     path.mkdir()
     _text(path / "m.txt", text)
     _text(path / "m.ann", ann)
+    return path
+
+
+def _model(path):
+    """A valid, featureless model file."""
+    save_model(Model("linear", LabelSet(("NP",)), FeatureConfig(), FeatureDictionary(), np.zeros(0)), str(path))
     return path
 
 
@@ -465,6 +489,32 @@ DATA_ERRORS = {
         lambda d, train: ["train", "--config", _text(d / "run.cfg", "lambda = 0.3\n"), "--train", train,
                           "--dev", train, "--lambda-grid", "--out", d / "m.ckcrf"],
         "--lambda and --lambda-grid exclude each other"),
+    # an output path that names one of the command's inputs
+    "train-out-is-train": (
+        lambda d, train: ["train", "--train", copyfile(train, d / "c.jsonl"), "--lambda", "1", "--out", d / "c.jsonl"],
+        "it is an input of this command"),
+    "train-log-is-dev": (
+        lambda d, train: ["train", "--train", train, "--dev", copyfile(train, d / "m.ckcrf.log"), "--lambda", "1",
+                          "--out", d / "m.ckcrf"],
+        "it is an input of this command"),
+    "train-out-is-config": (
+        lambda d, train: ["train", "--config", _text(d / "run.cfg", "lambda = 1\n"), "--train", train,
+                          "--out", d / "run.cfg"],
+        "it is an input of this command"),
+    "predict-out-is-input": (
+        lambda d, train: ["predict", "--model-file", _model(d / "model"), "--input", copyfile(train, d / "d.jsonl"),
+                          "--out", d / "d.jsonl"],
+        "it is an input of this command"),
+    "predict-out-is-model-file": (
+        lambda d, train: ["predict", "--model-file", _model(d / "model"), "--input", train, "--out", d / "model"],
+        "it is an input of this command"),
+    "ingest-out-is-input": (
+        lambda d, train: ["ingest", copyfile(train, d / "c.jsonl"), "--out", d / "c.jsonl"],
+        "it is an input of this command"),
+    "eval-json-out-is-gold": (
+        lambda d, train: ["eval", "--gold", copyfile(train, d / "g.jsonl"), "--pred", train,
+                          "--json-out", d / "g.jsonl"],
+        "it is an input of this command"),
 }
 
 
@@ -473,11 +523,14 @@ def test_data_errors_exit_2_with_their_message(case, corpus_files, tmp_path, cap
     argv, message = DATA_ERRORS[case]
     work = tmp_path / "work"
     work.mkdir()
-    assert run(argv(work, corpus_files[0])) == EXIT_DATA
+    args = argv(work, corpus_files[0])
+    inputs = {path: path.read_bytes() for path in work.rglob("*") if path.is_file()}
+    assert run(args) == EXIT_DATA
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert "Traceback" not in captured.err
     assert not (work / "m.ckcrf").exists()
+    assert {path: path.read_bytes() for path in work.rglob("*") if path.is_file()} == inputs
 
 
 class TestBench:
@@ -499,8 +552,9 @@ class TestBench:
             ("2,1", "label-alphabet sizes count the outside label"),
             ("2,x", "label-alphabet sizes must be integers, got 'x'"),
             (",", "need at least one label-alphabet size"),
+            ("2,4,2", "label-alphabet sizes must not repeat, got 2, 4, 2"),
         ],
-        ids=["too-small", "not-an-integer", "empty"],
+        ids=["too-small", "not-an-integer", "empty", "repeated"],
     )
     def test_bad_label_size_is_a_plain_data_error(self, tmp_path, capsys, labels, message):
         out = tmp_path / "bench.csv"

@@ -170,8 +170,9 @@ class TestBenchmark:
             ({"sentence_len": 0}, "sentence length must be >= 1, got 0"),
             ({"max_seg_len": 0}, "max_seg_len must be >= 1, got 0"),
             ({"num_label_values": ()}, "need at least one label-alphabet size"),
+            ({"num_label_values": (2, 2)}, "label-alphabet sizes must not repeat, got 2, 2"),
         ],
-        ids=["labels", "iterations", "warmup", "sentences", "length", "max-seg-len", "no-labels"],
+        ids=["labels", "iterations", "warmup", "sentences", "length", "max-seg-len", "no-labels", "repeated-labels"],
     )
     def test_sweep_rejects_bad_arguments_before_any_work(self, monkeypatch, kwargs, message):
         def no_work(*args, **kwargs):
