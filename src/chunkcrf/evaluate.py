@@ -11,10 +11,10 @@ The benchmark is one function, :func:`benchmark_label_sweep`.  For each
 requested label-alphabet size it builds exactly that alphabet and a
 synthetic corpus over it, compiles the corpus once per model family, and
 times complete objective-plus-gradient evaluations over those lattices, as
-in training (edge scoring, forward-backward and gradient accumulation, no
-lattice construction), on one execution lane: the unit an optimizer
-iteration is built from.  Each row also reports the edge count of the real
-lattices it timed.
+in training (edge scoring, the forward sweep and its reverse pass for edge
+posteriors, and gradient accumulation, no lattice construction), on one
+execution lane: the unit an optimizer iteration is built from.  Each row
+also reports the edge count of the real lattices it timed.
 """
 
 from __future__ import annotations

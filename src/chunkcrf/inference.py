@@ -1,4 +1,4 @@
-"""Exact log-space dynamic programming over labeling lattices.
+"""Exact dynamic programming over labeling lattices.
 
 Every program runs on a :class:`~chunkcrf.lattice.LevelGraph`: one lattice
 (its shared topology's levels, edges and sweeps with the sentence's cell
@@ -12,6 +12,13 @@ values and, outside Viterbi's max-plus semiring, adds an ``add.reduceat``
 log-sum-exp to them in place.  The cost is per level and per edge, with no
 Python work per node.  One call covers every member of a batch, and a
 member's results do not depend on which other lattices share its batch.
+
+Edge posteriors are the gradient of the log partition with respect to the
+edge scores, so :func:`marginals_from_scores` takes them from the forward
+sweep alone: one reverse pass walks the backward sweep's levels top-down in
+probability space, each level a gather, a product and an ``add.reduceat``
+with no exp or log.  :func:`backward_log` runs the log-space backward sweep
+the reverse pass replaced; nothing in the package calls it.
 
 An edge's score is the dot product of the weight vector with its indicator
 features, computed once per part and summed over the edge's two parts.  A
@@ -102,7 +109,11 @@ def forward_log(graph: LevelGraph, scores: np.ndarray) -> np.ndarray:
 
 
 def backward_log(graph: LevelGraph, scores: np.ndarray) -> np.ndarray:
-    """Log-sums of path suffixes starting at each node (leaves = 0)."""
+    """Log-sums of path suffixes starting at each node (leaves = 0).
+
+    Nothing in the package calls it: :func:`marginals_from_scores` replaced
+    it with a reverse pass, whose posteriors the tests hold equal to
+    ``exp(alpha + s + beta - log Z)``."""
     beta = np.zeros(graph.num_nodes)
     with np.errstate(all="ignore"):
         _sweep(graph.backward_sweep, scores, beta)
@@ -119,13 +130,35 @@ class Marginals:
 
 
 def marginals_from_scores(graph: LevelGraph, scores: np.ndarray) -> Marginals:
+    """Edge posteriors and log partitions from one forward sweep and one
+    reverse pass over its result.
+
+    An edge's posterior is ``exp(alpha[src] + s + beta[dst] - log Z)``, the
+    derivative of ``log Z`` with respect to its score, so it is found by
+    backpropagating through the forward sweep instead of running a second
+    log-space one.  Edge ``e``'s share of its head node's inflow,
+    ``exp(s + alpha[src] - alpha[dst])``, is computed once over all edges.
+    Then the backward sweep's steps run top-down in probability space: a
+    node's posterior is 1 at the leaves and, below, the sum of its out-edges'
+    posteriors, each its share times its head's posterior.  Each level is a
+    gather, a product and an ``add.reduceat``, with no exp or log.
+
+    With a finite log partition every forward value is finite (forward_log
+    raises otherwise), so shares and posteriors lie in [0, 1]; an edge
+    scored -inf gets posterior 0.
+    """
     alpha = forward_log(graph, scores)
-    beta = backward_log(graph, scores)
-    log_z = alpha[graph.leaves]
-    edge_log_z = np.repeat(log_z, np.diff(graph.edge_ptr))
+    sweep = graph.backward_sweep
+    gamma = np.ones(graph.num_nodes)  # the leaves keep 1; each step sets one level
     with np.errstate(all="ignore"):
-        post = np.exp(alpha[graph.edge_src] + scores + beta[graph.edge_dst] - edge_log_z)
-    return Marginals(post, log_z)
+        mu = np.exp(scores[sweep.order] + alpha[sweep.write] - alpha[sweep.read])
+        for a, b, lo, hi, read, _, starts in sweep.steps:
+            run = mu[lo:hi]
+            run *= gamma[read]
+            np.add.reduceat(run, starts, out=gamma[a:b])
+    post = np.empty(len(mu))
+    post[sweep.order] = mu
+    return Marginals(post, alpha[graph.leaves])
 
 
 def viterbi_path(graph: LevelGraph, weights: np.ndarray) -> tuple[list[list[int]], np.ndarray]:

@@ -57,9 +57,12 @@ through ``intp`` ids without casting them first, and the dynamic programs
 gather through them at every level; cell ids are feature ids, and stay
 ``int32`` like the extractor's tables.
 :class:`_FeatureMemo`, one extractor call per slot, is the reference the
-compiled features equal bit for bit.  A built lattice is immutable and safe to
-share read-only.  Training compiles each sentence of its split once, while the
-objective evaluator is built, and every evaluation reuses those lattices.
+compiled features equal bit for bit.  The arrays a lattice shares with its
+shape (the topology's arrays, its sweeps' edge arrays and ``P``) are
+read-only, except each sweep step's ``starts`` (see :class:`Sweep`); its own
+``cell_ids`` is writable.  Training compiles each sentence of its split once,
+while the objective evaluator is built, and every evaluation reuses those
+lattices.
 """
 
 from __future__ import annotations
@@ -111,7 +114,10 @@ class Sweep:
     computes the node range ``a:b`` from the edge run ``lo:hi`` of
     ``order``: its ``read`` and ``write`` are views of that run of the full
     arrays, and ``starts`` holds the offset of each node's first edge within
-    the run (no node's run is empty).
+    the run (no node's run is empty).  ``order``, ``read`` and ``write``
+    are read-only; ``starts`` is not, because numpy's ``reduceat`` copies a
+    read-only index array on every call, and the dynamic programs make one
+    or two such calls per level.
     """
 
     order: np.ndarray
@@ -135,7 +141,9 @@ class LevelGraph:
     in-edges form one run and the lowest source comes first (decoding breaks
     ties toward it); ``out_order``/``out_ptr`` list out-edges by source.
     ``forward_sweep`` runs the levels above the roots bottom-up, each node
-    from its in-edges; ``backward_sweep`` the others top-down, by out-edges.
+    from its in-edges: the forward pass and Viterbi.  ``backward_sweep`` runs
+    the others top-down, each node from its out-edges: the reverse pass that
+    turns the forward result into edge posteriors.
 
     Edge ``e``'s features are those of parts ``edge_parts[e, 0]`` and
     ``edge_parts[e, 1]``, in that order.  Part ``p``'s features are those of
@@ -188,7 +196,12 @@ class LevelGraph:
 
 
 def _sweep(order, ptr, read, write, levels) -> Sweep:
+    """The sweep over ``levels``.  Every lattice of a shape shares its
+    topology's sweeps, so the edge arrays are read-only, and marked so
+    before the step views are cut (a view inherits the flag)."""
     read, write = read[order], write[order]
+    for array in (order, read, write):
+        array.flags.writeable = False
     steps = []
     for a, b in levels:
         lo, hi = int(ptr[a]), int(ptr[b])
@@ -274,7 +287,7 @@ class Topology(LevelGraph):
 
 
 class Lattice(Topology):
-    """Immutable compiled lattice of one sentence: its shape's
+    """Compiled lattice of one sentence: its shape's
     :class:`Topology`, the shape's cell matrix ``P``, whose part ``s`` holds
     the cells of slot ``s``, and the sentence's ``cell_ids``.
 

@@ -178,7 +178,8 @@ class ObjectiveEvaluator:
     Every lattice is compiled once, here, with its gold edge path, and the
     lattices are joined into one :class:`Batch`; gold feature counts are
     summed once for the whole dataset.  An evaluation is then one scoring
-    pass, one forward-backward over the batch, one gold-score gather and one
+    pass, one forward sweep over the batch with one reverse pass over its
+    result for the edge posteriors, one gold-score gather and one
     expected-count spread.  Instances whose gold structure is not
     representable in their lattice are detected here, logged, and skipped.
     An unfrozen ``dictionary`` grows as the lattices compile (freeze it

@@ -11,6 +11,7 @@ from chunkcrf.core import LabelSet, WordSpan, tokenize
 from chunkcrf.features import FeatureConfig, FeatureDictionary, FeatureExtractor
 from chunkcrf.inference import (
     NumericalError,
+    backward_log,
     edge_scores,
     forward_log,
     marginals_from_scores,
@@ -120,6 +121,20 @@ class TestMarginals:
                 inflow = marg.edge_posteriors[lat.edge_dst == v].sum()
                 outflow = marg.edge_posteriors[lat.edge_src == v].sum()
                 assert inflow == pytest.approx(outflow, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    def test_an_edge_scored_minus_infinity_gets_posterior_zero(self, kind):
+        lat = build_lattice(kind, tokenize("a b c"), LabelSet(("NP", "VP")), 2, make_extractor(2))
+        scores = np.random.default_rng(13).normal(size=lat.num_edges)
+        in_degree = np.diff(lat.in_ptr)
+        edge = int(np.flatnonzero(in_degree[lat.edge_dst] > 1)[0])  # its head has finite in-edges too
+        scores[edge] = -np.inf
+        for graph, graph_scores in ((lat, scores), (Batch([lat, lat]), np.tile(scores, 2))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                marg = marginals_from_scores(graph, graph_scores)
+            assert np.all(marg.edge_posteriors[graph.edge_ptr[:-1] + edge] == 0.0)  # in each member
+            assert np.all(np.isfinite(marg.edge_posteriors)) and np.all(np.isfinite(marg.log_partition))
 
     def test_constant_score_shift_leaves_marginals_unchanged(self):
         rng = np.random.default_rng(5)
@@ -293,6 +308,25 @@ class TestProperties:
         best_paths, best_score = brute_best_paths(lat, w, tol=1e-9)
         assert score == pytest.approx(best_score, abs=1e-9)
         assert node_path in [path_nodes(lat, p) for p in best_paths]
+
+    @settings(deadline=None)
+    @given(st.one_of(lattices_with_weights(), batches_with_weights()))
+    def test_reverse_pass_equals_forward_times_backward(self, case):
+        """The posteriors the reverse pass finds are the log-space
+        ``exp(alpha + s + beta - log Z)`` of a forward and a backward sweep."""
+        graph, w = case
+        if isinstance(graph, list):
+            graph = Batch(graph)
+        scores = edge_scores(graph, w)
+        alpha = forward_log(graph, scores)
+        beta = backward_log(graph, scores)
+        log_z = alpha[graph.leaves]
+        np.testing.assert_allclose(beta[: graph.level_ptr[1]], log_z, rtol=1e-12, atol=1e-12)
+        expected = np.exp(alpha[graph.edge_src] + scores + beta[graph.edge_dst]
+                          - np.repeat(log_z, np.diff(graph.edge_ptr)))
+        marg = marginals_from_scores(graph, scores)
+        assert marg.log_partition.tobytes() == log_z.tobytes()
+        np.testing.assert_allclose(marg.edge_posteriors, expected, rtol=0, atol=1e-12)
 
     @settings(deadline=None)
     @given(lattices_with_weights())

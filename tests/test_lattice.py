@@ -415,6 +415,24 @@ def test_dp_indices_are_intp_and_step_runs_are_views(kind):
     assert lattices[0].cell_ids.dtype == batch.cell_ids.dtype == np.int32
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_sweep_edge_arrays_are_read_only(kind):
+    """Every lattice of a shape shares its topology's sweeps, so no sweep
+    edge array or step view of one can be written, in a batch's own sweeps
+    either.  (Step offsets stay writable: ``reduceat`` copies read-only ones.)"""
+    ext = make_extractor(3)
+    lattices = [build_lattice(kind, synthetic_sentence(n), LabelSet(("NP", "VP")), 3, ext) for n in (4, 1, 6)]
+    for graph in (lattices[0], Batch(lattices)):
+        for sweep in (graph.forward_sweep, graph.backward_sweep):
+            assert sweep.steps
+            arrays = [sweep.order, sweep.read, sweep.write]
+            for _, _, _, _, read, write, _ in sweep.steps:
+                arrays += [read, write]
+            assert not any(array.flags.writeable for array in arrays)
+            with pytest.raises(ValueError):
+                sweep.read[0] = 0
+
+
 def _two_node_level_builder():
     """Root, one level holding two segment nodes, leaf; no edges yet."""
     b = _Builder("semi")
