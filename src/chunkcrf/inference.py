@@ -25,11 +25,13 @@ features, computed once per part and summed over the edge's two parts.  A
 part's score is one row of the graph's sparse parts x cells matrix ``P``
 times the weights of the cells' features (``cell_ids``, where -1 stands for
 a zero weight), so a weight read by many parts is gathered once.
-:func:`edge_scores` and its transpose :func:`feature_counts`, which spreads
-per-edge weights back onto features through ``P``'s transpose, are the only
-readers of ``P`` and ``cell_ids`` outside :mod:`~chunkcrf.lattice`, which
-builds and batches them.  Arithmetic runs with numpy's floating-point
-warnings off; a log partition or a best path score that is not finite raises
+:func:`edge_scores` and its transpose :func:`feature_counts` are the only
+readers of ``P``, ``part_edges`` and ``cell_ids`` outside
+:mod:`~chunkcrf.lattice`, which builds and batches them.  Counts spread
+per-edge weights onto parts with one product with the sparse parts x edges
+matrix ``part_edges``, built once per shape, then onto features through
+``P``'s transpose.  Arithmetic runs with numpy's floating-point warnings
+off; a log partition or a best path score that is not finite raises
 :class:`NumericalError` instead.
 """
 
@@ -70,8 +72,13 @@ def feature_counts(graph: LevelGraph, edge_weights: np.ndarray, dim: int) -> np.
     """Per-feature sums of ``edge_weights`` over the edges that carry each
     feature, the transpose of :func:`edge_scores`: spread each edge's weight
     onto its two parts, each part's onto its cells, then each cell's onto
-    its feature (bin 0 of the shifted ids collects the cells without one)."""
-    part = np.bincount(graph.edge_parts.ravel(), weights=np.repeat(edge_weights, 2), minlength=graph.num_parts)
+    its feature (bin 0 of the shifted ids collects the cells without one).
+
+    The first spread is ``part_edges @ edge_weights``: each part's row sums
+    its edges' weights from +0.0 in edge order, as a weighted bincount over
+    the edges' parts would, so counts are the same bit for bit.  The empty
+    part's row is left empty; it has no cells, so nothing reads its sum."""
+    part = graph.part_edges @ edge_weights
     return np.bincount(graph.cell_ids + 1, weights=graph.P_T @ part, minlength=dim + 1)[1:]
 
 
@@ -182,7 +189,7 @@ def viterbi_path(graph: LevelGraph, weights: np.ndarray) -> tuple[list[list[int]
     _check_finite(best, "best path score")
     num_roots = int(graph.level_ptr[1])
     edge_ids = np.where(sums == delta[sweep.write], np.arange(len(sums)), len(sums) - 1)
-    back = sweep.read[np.minimum.reduceat(edge_ids, graph.in_ptr[num_roots:-1])].tolist()
+    back = sweep.read[np.minimum.reduceat(edge_ids, sweep.node_starts)].tolist()
     paths = []
     for leaf in graph.leaves.tolist():
         path = [leaf]

@@ -58,11 +58,11 @@ gather through them at every level; cell ids are feature ids, and stay
 ``int32`` like the extractor's tables.
 :class:`_FeatureMemo`, one extractor call per slot, is the reference the
 compiled features equal bit for bit.  The arrays a lattice shares with its
-shape (the topology's arrays, its sweeps' edge arrays and ``P``) are
-read-only, except each sweep step's ``starts`` (see :class:`Sweep`); its own
-``cell_ids`` is writable.  Training compiles each sentence of its split once,
-while the objective evaluator is built, and every evaluation reuses those
-lattices.
+shape (the topology's arrays, ``part_edges``, its sweeps' edge arrays and
+``P``) are read-only, except the sweeps' ``reduceat`` offsets (see
+:class:`Sweep`); its own ``cell_ids`` is writable.  Training compiles each
+sentence of its split once, while the objective evaluator is built, and
+every evaluation reuses those lattices.
 """
 
 from __future__ import annotations
@@ -114,16 +114,19 @@ class Sweep:
     computes the node range ``a:b`` from the edge run ``lo:hi`` of
     ``order``: its ``read`` and ``write`` are views of that run of the full
     arrays, and ``starts`` holds the offset of each node's first edge within
-    the run (no node's run is empty).  ``order``, ``read`` and ``write``
-    are read-only; ``starts`` is not, because numpy's ``reduceat`` copies a
-    read-only index array on every call, and the dynamic programs make one
-    or two such calls per level.
+    the run (no node's run is empty).  ``node_starts`` holds the offset in
+    ``order`` of each swept node's first edge, in node order, for one
+    ``reduceat`` over the whole sweep (Viterbi's back-pointers).  ``order``,
+    ``read`` and ``write`` are read-only; the offsets are not, because
+    numpy's ``reduceat`` copies a read-only index array on every call, and
+    the dynamic programs make one or two such calls per level.
     """
 
     order: np.ndarray
     read: np.ndarray
     write: np.ndarray
     steps: list[tuple[int, int, int, int, np.ndarray, np.ndarray, np.ndarray]]
+    node_starts: np.ndarray
 
 
 class LevelGraph:
@@ -149,7 +152,10 @@ class LevelGraph:
     ``edge_parts[e, 1]``, in that order.  Part ``p``'s features are those of
     the cells in row ``p`` of the sparse matrix ``P`` (parts x cells), in
     row order, and cell ``c``'s feature is ``cell_ids[c]``, or none where
-    that is -1.
+    that is -1.  ``part_edges`` (parts x edges, CSR) is the transpose of
+    ``edge_parts``: row ``p`` lists, in edge order, the edges that carry part
+    ``p``, each with a 1.0, except that the empty part (slot 0 of each
+    member) has no entries.  Only expected counts read it.
     """
 
     def _index(self, in_order: np.ndarray, out_order: np.ndarray) -> None:
@@ -206,7 +212,8 @@ def _sweep(order, ptr, read, write, levels) -> Sweep:
     for a, b in levels:
         lo, hi = int(ptr[a]), int(ptr[b])
         steps.append((a, b, lo, hi, read[lo:hi], write[lo:hi], ptr[a:b] - lo))
-    return Sweep(order, read, write, steps)
+    first, last = min(step[0] for step in steps), max(step[1] for step in steps)
+    return Sweep(order, read, write, steps, ptr[first:last].copy())
 
 
 class Topology(LevelGraph):
@@ -219,8 +226,11 @@ class Topology(LevelGraph):
     ``dst * num_nodes + src`` in ``in_order``, for :meth:`edge_ids`.
     ``edge_parts[e]`` holds the slots of edge ``e``'s two parts, numbered in
     first-use order; ``slots[s]`` is slot ``s``'s template key, and slot 0 is
-    the empty part.  :func:`topology` caches topologies, so their arrays are
-    read-only; each also keeps the attribute patterns compiled for it.
+    the empty part.  ``part_edges`` is built here with the sweeps, so every
+    lattice of the shape shares it; it leaves slot 0 out, which in ``weak``,
+    where slot 0 is every edge's second part, halves its entries.
+    :func:`topology` caches topologies, so their arrays are read-only; each
+    also keeps the attribute patterns compiled for it.
     """
 
     def __init__(self, b: _Builder) -> None:
@@ -245,8 +255,10 @@ class Topology(LevelGraph):
         self._check_connected()
         # Built now, so every lattice of the shape copies them; a batch builds each on first use.
         vars(self).update(forward_sweep=self.forward_sweep, backward_sweep=self.backward_sweep)
+        self.part_edges = _part_edges(self.edge_parts, len(self.slots))
         for array in (self.leaves, self.level_ptr, self.edge_src, self.edge_dst, self.edge_ptr, self.edge_parts,
-                      self.in_order, self.in_ptr, self.in_key, self.out_order, self.out_ptr):
+                      self.in_order, self.in_ptr, self.in_key, self.out_order, self.out_ptr,
+                      self.part_edges.data, self.part_edges.indices, self.part_edges.indptr):
             array.flags.writeable = False
 
     def _check_connected(self) -> None:
@@ -286,13 +298,25 @@ class Topology(LevelGraph):
         return pattern
 
 
+def _part_edges(edge_parts: np.ndarray, num_parts: int) -> csr_matrix:
+    """The parts x edges matrix with a 1.0 wherever an edge carries a part,
+    each row's edges in edge order; slot 0, the empty part, keeps no row
+    entries (in ``weak`` it is every edge's second part)."""
+    parts = edge_parts.ravel()
+    pairs = np.flatnonzero(parts)
+    pairs = pairs[np.argsort(parts[pairs], kind="stable")]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(parts[pairs], minlength=num_parts))))
+    return csr_matrix((np.ones(len(pairs)), pairs // 2, indptr), shape=(num_parts, len(edge_parts)))
+
+
 class Lattice(Topology):
     """Compiled lattice of one sentence: its shape's
     :class:`Topology`, the shape's cell matrix ``P``, whose part ``s`` holds
     the cells of slot ``s``, and the sentence's ``cell_ids``.
 
     It takes the topology's attributes by reference, so its nodes, levels,
-    edge arrays, ``edge_parts``, adjacency and sweeps are the shape's own.
+    edge arrays, ``edge_parts``, ``part_edges``, adjacency and sweeps are
+    the shape's own.
     :meth:`gold_edge_ids` and :meth:`path_spans` map chunk spans to a path
     and back through one segmentation.
     """
@@ -368,7 +392,10 @@ class Batch(LevelGraph):
 
     Member ``i``'s edges are batch edges ``edge_ptr[i]:edge_ptr[i + 1]`` in
     the member's own order, and its parts and cells one block of the
-    block-diagonal ``P`` and of the concatenated ``cell_ids``.  Every
+    block-diagonal ``P`` and of the concatenated ``cell_ids``.  The batch
+    keeps its members' ``topologies`` (not the lattices) and joins their
+    ``part_edges`` the same way as ``P``, on first use: the evaluator's
+    batch builds it once, for the gold counts, and a decoded batch never.  Every
     member's leaf is lifted to the batch's top level, so the batch keeps a
     lattice's layout (the leaves alone in the last level, in member order),
     and nodes are renumbered by level, then by member and member node id,
@@ -404,6 +431,7 @@ class Batch(LevelGraph):
         self.edge_parts = np.concatenate([lat.edge_parts + off for lat, off in zip(lattices, part_off)])
         self.cell_ids = np.concatenate([lat.cell_ids for lat in lattices])
         self.P = _block_diagonal([lat.P for lat in lattices])
+        self.topologies = [lat.topology for lat in lattices]
         in_order = np.concatenate([lat.in_order + off for lat, off in zip(lattices, self.edge_ptr)])
         out_order = np.concatenate([lat.out_order + off for lat, off in zip(lattices, self.edge_ptr)])
         self._index(in_order[np.argsort(self.edge_dst[in_order], kind="stable")],
@@ -411,6 +439,12 @@ class Batch(LevelGraph):
 
     def local_ids(self, nodes: list[int]) -> list[int]:
         return self.local_node[nodes].tolist()
+
+    @cached_property
+    def part_edges(self) -> csr_matrix:
+        """The members' ``part_edges`` down the diagonal, joined on first use
+        (only expected counts read it, so decoding never builds it)."""
+        return _block_diagonal([shape.part_edges for shape in self.topologies])
 
 
 def _block_diagonal(blocks: Sequence[csr_matrix]) -> csr_matrix:

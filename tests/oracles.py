@@ -78,6 +78,15 @@ def table_feature_counts(graph: LevelGraph, edge_weights: np.ndarray, dim: int) 
     return np.bincount(ids, weights=per_part[part], minlength=dim)
 
 
+def bincount_feature_counts(graph: LevelGraph, edge_weights: np.ndarray, dim: int) -> np.ndarray:
+    """The exact reference of :func:`~chunkcrf.inference.feature_counts`:
+    each edge's weight spread onto its two parts by a weighted bincount over
+    the edge order, then each part's onto its cells through ``P``'s
+    transpose, then each cell's onto its feature."""
+    part = np.bincount(graph.edge_parts.ravel(), weights=np.repeat(edge_weights, 2), minlength=graph.num_parts)
+    return np.bincount(graph.cell_ids + 1, weights=graph.P_T @ part, minlength=dim + 1)[1:]
+
+
 def edge_features(lattice: Lattice, eid: int) -> np.ndarray:
     """Feature ids of edge ``eid``: every part-table entry of its first part,
     then of its second, in table order."""

@@ -1,5 +1,6 @@
 """Inference against brute-force path enumeration."""
 
+import dataclasses
 import math
 import warnings
 
@@ -327,6 +328,23 @@ class TestProperties:
         marg = marginals_from_scores(graph, scores)
         assert marg.log_partition.tobytes() == log_z.tobytes()
         np.testing.assert_allclose(marg.edge_posteriors, expected, rtol=0, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(st.one_of(lattices_with_weights(), batches_with_weights()))
+    def test_viterbi_reads_back_pointers_through_writable_node_starts(self, case):
+        """The forward sweep's ``node_starts`` are the in-edge run offsets of
+        every node above the roots, writable (``reduceat`` would copy a
+        read-only array), and decode exactly as those runs of ``in_ptr`` do."""
+        graph, w = case
+        if isinstance(graph, list):
+            graph = Batch(graph)
+        sweep = graph.forward_sweep
+        assert sweep.node_starts.flags.writeable and not sweep.order.flags.writeable
+        assert sweep.node_starts.tolist() == graph.in_ptr[graph.level_ptr[1]:-1].tolist()
+        paths, best = viterbi_path(graph, w)
+        vars(graph)["forward_sweep"] = dataclasses.replace(sweep, node_starts=graph.in_ptr[graph.level_ptr[1]:-1])
+        in_ptr_paths, in_ptr_best = viterbi_path(graph, w)
+        assert paths == in_ptr_paths and best.tobytes() == in_ptr_best.tobytes()
 
     @settings(deadline=None)
     @given(lattices_with_weights())

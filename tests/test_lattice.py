@@ -32,6 +32,7 @@ from chunkcrf.lattice import (
 
 from oracles import (
     all_edge_paths,
+    bincount_feature_counts,
     edge_features,
     enumerate_bio_spansets,
     enumerate_segmentations,
@@ -547,20 +548,26 @@ def test_compiled_part_tables_equal_the_per_slot_reference(case):
                                            frozen_on=sentences[0] if frozen else None)
 
 
-@settings(max_examples=100, deadline=None)
-@given(compile_cases(), st.integers(0, 2**32 - 1))
-def test_cell_scoring_equals_the_expanded_part_table(case, seed):
-    # scores through P and the cell ids equal the expanded table's bincount
-    # bit for bit, on a batch and on each member alone; expected counts sum
-    # in another grouping, indicator counts are exact
+def compile_case_lattices(case):
+    """The case's sentences compiled through one extractor, whose dictionary
+    is frozen on the first sentence's features when the case asks for it."""
     kind, sentences, label_set, config, frozen, _ = case
     dictionary = FeatureDictionary()
     if frozen:
         build_lattice(kind, sentences[0], label_set, config.max_seg_len, FeatureExtractor(config, dictionary, CLUSTERS))
         dictionary.freeze()
     extractor = FeatureExtractor(config, dictionary, CLUSTERS)
-    lattices = [build_lattice(kind, s, label_set, config.max_seg_len, extractor) for s in sentences]
-    dim = len(dictionary)
+    return [build_lattice(kind, s, label_set, config.max_seg_len, extractor) for s in sentences], extractor
+
+
+@settings(max_examples=100, deadline=None)
+@given(compile_cases(), st.integers(0, 2**32 - 1))
+def test_cell_scoring_equals_the_expanded_part_table(case, seed):
+    # scores through P and the cell ids equal the expanded table's bincount
+    # bit for bit, on a batch and on each member alone; expected counts sum
+    # in another grouping, indicator counts are exact
+    lattices, extractor = compile_case_lattices(case)
+    dim = len(extractor.dictionary)
     rng = np.random.default_rng(seed)
     w = rng.normal(size=dim)
     for graph in (Batch(lattices), *lattices):
@@ -573,6 +580,47 @@ def test_cell_scoring_equals_the_expanded_part_table(case, seed):
     for lat in lattices:  # one read-only P per shape
         assert lat.P is lat.topology.pattern(extractor.layout).P
         assert not any(a.flags.writeable for a in (lat.P.data, lat.P.indices, lat.P.indptr))
+
+
+@settings(max_examples=100, deadline=None)
+@given(compile_cases(), st.integers(0, 2**32 - 1))
+def test_counts_equal_the_bincount_reference_bit_for_bit(case, seed):
+    # a part_edges row sums its edges from +0.0 in edge order, as the
+    # weighted bincount does, and the slot-0 sums it leaves out feed no cell
+    lattices, extractor = compile_case_lattices(case)
+    dim = len(extractor.dictionary)
+    rng = np.random.default_rng(seed)
+    for graph in (Batch(lattices), *lattices):
+        assert graph.part_edges.shape == (graph.num_parts, graph.num_edges)
+        indicator = rng.integers(0, 2, graph.num_edges)
+        for edge_weights in (rng.random(graph.num_edges), indicator, indicator.astype(np.float64)):
+            counts = feature_counts(graph, edge_weights, dim)
+            assert counts.tobytes() == bincount_feature_counts(graph, edge_weights, dim).tobytes()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_featureless_counts_are_empty(kind):
+    lattices = [build_lattice(kind, synthetic_sentence(n), NP, 3, None) for n in (3, 1)]
+    for graph in (Batch(lattices), *lattices):
+        counts = feature_counts(graph, np.ones(graph.num_edges), 0)
+        assert counts.shape == (0,)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_part_edges_skip_the_empty_part_and_are_read_only(kind):
+    shape = topology(kind, 4, LabelSet(("NP", "VP")), 3)
+    M = shape.part_edges
+    assert M.shape == (len(shape.slots), shape.num_edges) and M.indptr[1] == 0  # slot 0 has no entries
+    carried = np.count_nonzero(shape.edge_parts)
+    assert M.nnz == carried and np.all(M.data == 1.0)
+    if kind == "weak":  # every weak edge's second part is the empty one
+        assert M.nnz == shape.num_edges
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    for s in range(1, M.shape[0]):  # row s: the edges carrying slot s, in edge order
+        assert M.indices[rows == s].tolist() == np.flatnonzero((shape.edge_parts == s).any(axis=1)).tolist()
+    assert not any(a.flags.writeable for a in (M.data, M.indices, M.indptr))
+    lat = build_lattice(kind, synthetic_sentence(4), LabelSet(("NP", "VP")), 3, make_extractor(3))
+    assert lat.part_edges is M
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

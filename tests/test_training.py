@@ -21,7 +21,7 @@ from chunkcrf.features import (
     FeatureExtractor,
 )
 from chunkcrf.inference import edge_scores, forward_log, viterbi_path
-from chunkcrf.lattice import build_lattice
+from chunkcrf.lattice import Batch, build_lattice
 from chunkcrf.synth import separable_corpus
 import chunkcrf.training
 from chunkcrf.training import (
@@ -164,6 +164,22 @@ class TestObjective:
         fresh = make_evaluator(ds, kind)[0].objective_and_gradient(w2)
         assert first[0] == third[0] and first[1].tobytes() == third[1].tobytes()
         assert second[0] == fresh[0] and second[1].tobytes() == fresh[1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    def test_the_batch_joins_its_part_edges_once(self, kind):
+        # the gold counts join them while the evaluator is built; decoding a
+        # batch never does
+        ds = Dataset.from_annotated(separable_corpus(6, seed=9))
+        ev, d = make_evaluator(ds, kind)
+        joined = vars(ev.batch)["part_edges"]
+        for w in np.random.default_rng(2).normal(size=(2, len(d))):
+            ev.objective_and_gradient(w)
+            assert ev.batch.part_edges is joined
+        assert joined.shape == (ev.batch.num_parts, ev.batch.num_edges)
+        lattices = [build_lattice(kind, item.sentence, ev.label_set, 3, None) for item in ds.items]
+        batch = Batch(lattices)
+        viterbi_path(batch, np.zeros(0))
+        assert "part_edges" not in vars(batch)
 
     @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
     def test_objective_is_concave(self, kind):
