@@ -11,13 +11,14 @@ any work starts, and no output may be one of the command's inputs.
 ``train --out X`` writes the model to ``X`` and its log to ``X.log``: with a
 fixed lambda, the CSV header ``iter, objective, grad_norm, seconds`` and one
 row per L-BFGS iteration; with ``--lambda-grid``, one
-``lambda=...: dev char F1 ...`` line per grid point.  Exit codes: 0 success,
-1 usage error, 2 data error, 3 numerical failure.  A usage error is a
-command line the parser rejects.  A required value still missing once flags
-and the config file are merged (``ingest``'s input, ``train``'s ``--train``,
-``predict``'s ``--model-file`` or ``--input``, ``eval``'s ``--gold`` or
-``--pred``) is a data error: the command line parsed, and a config file
-could have supplied the value.
+``lambda=...: dev char F1 ...`` line per grid point.  ``predict --out X``
+writes ``X`` once every message is decoded, so a failed run leaves it as
+it was.  Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical
+failure.  A usage error is a command line the parser rejects.  A required
+value still missing once flags and the config file are merged (``ingest``'s
+input, ``train``'s ``--train``, ``predict``'s ``--model-file`` or
+``--input``, ``eval``'s ``--gold`` or ``--pred``) is a data error: the
+command line parsed, and a config file could have supplied the value.
 """
 
 from __future__ import annotations
@@ -212,15 +213,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _check_output(args.out, args.input, args.model_file, args.config)
     model = load_model(args.model_file)
     items = read_jsonl(args.input)
-    out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for lo in range(0, len(items), PREDICT_CHUNK):
-            sentences = [item.sentence for item in items[lo : lo + PREDICT_CHUNK]]
-            for sentence, word_spans in zip(sentences, model.predict_many(sentences)):
-                out_fh.write(jsonl_line(sentence.raw_text, word_spans_to_char_spans(sentence, word_spans)))
-    finally:
-        if args.out:
-            out_fh.close()
+    lines = []
+    for lo in range(0, len(items), PREDICT_CHUNK):
+        sentences = [item.sentence for item in items[lo : lo + PREDICT_CHUNK]]
+        for sentence, word_spans in zip(sentences, model.predict_many(sentences)):
+            lines.append(jsonl_line(sentence.raw_text, word_spans_to_char_spans(sentence, word_spans)))
+    text = "".join(lines)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 

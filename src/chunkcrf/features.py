@@ -281,10 +281,11 @@ class TemplateLayout:
         return cells
 
     def pattern(self, n: int, slots: Sequence[tuple]) -> AttributePattern:
-        """Lay the templates of ``slots`` (slot keys of an ``n``-token
-        lattice shape, slot 0 the empty part) out over a sentence's source
-        vector, then merge the entries that read one (source position, label)
-        cell.  Token slots read token rows, every other slot segment rows.
+        """Lay the templates of ``slots`` (the slot keys of an ``n``-token
+        lattice shape; row ``s`` of ``P`` is slot ``s``'s part) out over a
+        sentence's source vector, then merge the entries that read one (source
+        position, label) cell.  Token slots read token rows, every other slot
+        segment rows.
 
         Rejects a segment longer than the configuration allows, as
         :meth:`FeatureExtractor.segment_features` does.
@@ -292,13 +293,13 @@ class TemplateLayout:
         kind = "token" if any(method == "token_context" for method, *_ in slots) else "segment"
         width = len(self.roles[kind])
         columns = {name: c for c, (name, _) in enumerate(self.roles[kind])}
-        labels = tuple(sorted({slot[-1] for slot in slots[1:]}))
+        labels = tuple(sorted({slot[-1] for slot in slots}))
         label_col = {label: i for i, label in enumerate(labels)}
         transitions: dict[str, int] = {}
         attr_pos: list[int] = []
         label_pos: list[int] = []
         part_size = np.zeros(len(slots), dtype=np.int32)
-        for sid, (method, *args) in enumerate(slots[1:], start=1):
+        for sid, (method, *args) in enumerate(slots):
             if method == "segment" and args[1] - args[0] >= self.config.max_seg_len:
                 raise ValueError(f"segment length {args[1] - args[0] + 1} exceeds limit {self.config.max_seg_len}")
             if method in _TRANSITION_PREFIX:

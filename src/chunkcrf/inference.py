@@ -21,18 +21,20 @@ with no exp or log.  :func:`backward_log` runs the log-space backward sweep
 the reverse pass replaced; nothing in the package calls it.
 
 An edge's score is the dot product of the weight vector with its indicator
-features, computed once per part and summed over the edge's two parts.  A
-part's score is one row of the graph's sparse parts x cells matrix ``P``
-times the weights of the cells' features (``cell_ids``, where -1 stands for
-a zero weight), so a weight read by many parts is gathered once.
-:func:`edge_scores` and its transpose :func:`feature_counts` are the only
+features, computed once per part and summed over the parts the edge
+carries.  A part's score is one row of the graph's sparse parts x cells
+matrix ``P`` times the weights of the cells' features (``cell_ids``, where
+-1 stands for a zero weight), so a weight read by many parts is gathered
+once.  Which edge carries which part is the sparse parts x edges matrix
+``part_edges``, built once per shape.  Scoring is two products, cells onto
+parts through ``P`` and parts onto edges through ``part_edges``'s
+transpose; :func:`feature_counts` is its transpose, edges onto parts
+through ``part_edges`` and parts onto cells through ``P``'s transpose, as
+the gradient of a linear map is its transpose.  The two are the only
 readers of ``P``, ``part_edges`` and ``cell_ids`` outside
-:mod:`~chunkcrf.lattice`, which builds and batches them.  Counts spread
-per-edge weights onto parts with one product with the sparse parts x edges
-matrix ``part_edges``, built once per shape, then onto features through
-``P``'s transpose.  Arithmetic runs with numpy's floating-point warnings
-off; a log partition or a best path score that is not finite raises
-:class:`NumericalError` instead.
+:mod:`~chunkcrf.lattice`, which builds and batches them.  Arithmetic runs
+with numpy's floating-point warnings off; a log partition or a best path
+score that is not finite raises :class:`NumericalError` instead.
 """
 
 from __future__ import annotations
@@ -50,12 +52,14 @@ class NumericalError(RuntimeError):
 
 
 def edge_scores(graph: LevelGraph, weights: np.ndarray) -> np.ndarray:
-    """Per-edge linear scores w . f(e).
+    """Per-edge linear scores w . f(e): ``part_edges.T @ (P @ cells)``.
 
-    Each part's weights are summed from zero in feature order (a cell
-    without a feature adds an exact ``+0.0``), and an edge's second part is
-    at most one transition feature, so every score equals the in-order sum
-    over the edge's features bit for bit.
+    Each part's weights are summed from +0.0 in feature order (a cell
+    without a feature adds an exact ``+0.0``), so no part scores -0.0.  Each
+    edge then sums its parts from +0.0: at most two, and two-term addition
+    commutes, so the order of the parts does not matter.  An edge's
+    transition part holds at most one feature, so every score equals the
+    in-order sum over the edge's features, template part first, bit for bit.
     """
     w = np.asarray(weights, dtype=np.float64)
     ids = graph.cell_ids
@@ -63,21 +67,18 @@ def edge_scores(graph: LevelGraph, weights: np.ndarray) -> np.ndarray:
     # a feature (id -1) costs a pass over the cells, not a copy of w
     cells = w.take(ids) if len(w) else np.zeros(len(ids))
     cells[ids < 0] = 0.0
-    part = graph.P @ cells
-    with np.errstate(all="ignore"):
-        return part[graph.edge_parts[:, 0]] + part[graph.edge_parts[:, 1]]
+    return graph.part_edges_T @ (graph.P @ cells)
 
 
 def feature_counts(graph: LevelGraph, edge_weights: np.ndarray, dim: int) -> np.ndarray:
     """Per-feature sums of ``edge_weights`` over the edges that carry each
     feature, the transpose of :func:`edge_scores`: spread each edge's weight
-    onto its two parts, each part's onto its cells, then each cell's onto
-    its feature (bin 0 of the shifted ids collects the cells without one).
+    onto its parts, each part's onto its cells, then each cell's onto its
+    feature (bin 0 of the shifted ids collects the cells without one).
 
     The first spread is ``part_edges @ edge_weights``: each part's row sums
     its edges' weights from +0.0 in edge order, as a weighted bincount over
-    the edges' parts would, so counts are the same bit for bit.  The empty
-    part's row is left empty; it has no cells, so nothing reads its sum."""
+    the edges' parts would, so counts are the same bit for bit."""
     part = graph.part_edges @ edge_weights
     return np.bincount(graph.cell_ids + 1, weights=graph.P_T @ part, minlength=dim + 1)[1:]
 

@@ -36,13 +36,14 @@ A lattice is its shape plus a sentence's cell ids.  The shape, a
 depends only on the family, the sentence length, the label set and the
 segment-length limit (outside segments are always one token long), so it is
 built once per shape, cached, and its arrays and sweeps shared by reference
-by every lattice of it.  It names each edge's features by two *slots*:
-template keys such as ``("segment", first, last, label)`` or
-``("transition", prev, label)``, with slot 0 the empty part that pads an edge
-with one.  An edge's score is the sum of two part scores and many edges share
-each part: in a ``semi`` lattice all ``|labels|`` edges into one segment share
-its segment part, and all edges between one label pair share its transition
-part.
+by every lattice of it.  It names the *parts* whose features an edge
+carries by *slots*, template keys such as ``("segment", first, last,
+label)`` or ``("transition", prev, label)``: two per edge in ``linear`` and
+``semi``, one in ``weak``.  One sparse matrix, ``part_edges`` (parts x
+edges), records which edge carries which part; an edge's score is the sum
+of its parts' scores, and many edges share each part: in a ``semi`` lattice
+all ``|labels|`` edges into one segment share its segment part, and all
+edges between one label pair share its transition part.
 
 Parts in turn share features, and ``features.py`` decides where they come
 from.  A topology keeps one :class:`~chunkcrf.features.AttributePattern` per
@@ -85,7 +86,6 @@ MODEL_KINDS = ("linear", "semi", "weak")
 
 # Topologies :func:`topology` keeps: every sentence length of a corpus, per family.
 TOPOLOGY_CACHE_SIZE = 128
-EMPTY_SLOT = ("empty",)  # slot 0 of every topology
 NO_IDS = np.zeros(0, dtype=np.int32)  # no cell ids, or no feature ids
 NO_IDS.flags.writeable = False
 
@@ -148,14 +148,14 @@ class LevelGraph:
     the others top-down, each node from its out-edges: the reverse pass that
     turns the forward result into edge posteriors.
 
-    Edge ``e``'s features are those of parts ``edge_parts[e, 0]`` and
-    ``edge_parts[e, 1]``, in that order.  Part ``p``'s features are those of
-    the cells in row ``p`` of the sparse matrix ``P`` (parts x cells), in
-    row order, and cell ``c``'s feature is ``cell_ids[c]``, or none where
-    that is -1.  ``part_edges`` (parts x edges, CSR) is the transpose of
-    ``edge_parts``: row ``p`` lists, in edge order, the edges that carry part
-    ``p``, each with a 1.0, except that the empty part (slot 0 of each
-    member) has no entries.  Only expected counts read it.
+    Edge ``e``'s features are those of the parts in column ``e`` of the
+    sparse matrix ``part_edges`` (parts x edges, CSR): row ``p`` lists, in
+    edge order, the edges that carry part ``p``, each with a 1.0.  Part
+    ``p``'s features are those of the cells in row ``p`` of the sparse matrix
+    ``P`` (parts x cells), in row order, and cell ``c``'s feature is
+    ``cell_ids[c]``, or none where that is -1.  Scoring multiplies cell
+    weights by ``P``, then by ``part_edges_T``; expected counts multiply edge
+    weights by ``part_edges``, then by ``P_T``.
     """
 
     def _index(self, in_order: np.ndarray, out_order: np.ndarray) -> None:
@@ -178,6 +178,11 @@ class LevelGraph:
         """``P`` transposed, kept: scipy's transpose costs more than a
         product with a small ``P``."""
         return self.P.T
+
+    @cached_property
+    def part_edges_T(self) -> csc_matrix:
+        """``part_edges`` transposed (edges x parts), kept like ``P_T``."""
+        return self.part_edges.T
 
     @property
     def num_levels(self) -> int:
@@ -224,13 +229,12 @@ class Topology(LevelGraph):
     ``nodes[v]`` is node ``v``'s :class:`Node`, which is also its key:
     ``_node_ids`` maps it back to ``v``.  ``in_key`` keys each in-edge
     ``dst * num_nodes + src`` in ``in_order``, for :meth:`edge_ids`.
-    ``edge_parts[e]`` holds the slots of edge ``e``'s two parts, numbered in
-    first-use order; ``slots[s]`` is slot ``s``'s template key, and slot 0 is
-    the empty part.  ``part_edges`` is built here with the sweeps, so every
-    lattice of the shape shares it; it leaves slot 0 out, which in ``weak``,
-    where slot 0 is every edge's second part, halves its entries.
-    :func:`topology` caches topologies, so their arrays are read-only; each
-    also keeps the attribute patterns compiled for it.
+    Slots are numbered in first-use order, ``slots[s]`` being slot ``s``'s
+    template key, and part ``s`` of a lattice is slot ``s``.  ``part_edges``
+    is built here from the edges' slots, with its transpose and the sweeps,
+    so every lattice of the shape shares them.  :func:`topology` caches
+    topologies, so their arrays are read-only; each also keeps the attribute
+    patterns compiled for it.
     """
 
     def __init__(self, b: _Builder) -> None:
@@ -246,17 +250,21 @@ class Topology(LevelGraph):
         self.edge_src = np.asarray(b.edge_src, dtype=np.intp)
         self.edge_dst = np.asarray(b.edge_dst, dtype=np.intp)
         self.edge_ptr = np.array([0, len(b.edge_src)])
-        self.edge_parts = np.asarray(b.edge_parts, dtype=np.intp).reshape(-1, 2)
         self.slots = b.slots
         self._patterns: dict[FeatureConfig, AttributePattern] = {}
 
         self._index(np.lexsort((self.edge_src, self.edge_dst)), np.argsort(self.edge_src, kind="stable"))
         self.in_key = self.edge_dst[self.in_order] * np.int64(self.num_nodes) + self.edge_src[self.in_order]
         self._check_connected()
+        parts = np.asarray(b.entry_part, dtype=np.intp)
+        order = np.argsort(parts, kind="stable")  # each part's edges stay in edge order
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(parts, minlength=len(self.slots)))))
+        self.part_edges = csr_matrix((np.ones(len(parts)), np.asarray(b.entry_edge)[order], indptr),
+                                     shape=(len(self.slots), self.num_edges))
         # Built now, so every lattice of the shape copies them; a batch builds each on first use.
-        vars(self).update(forward_sweep=self.forward_sweep, backward_sweep=self.backward_sweep)
-        self.part_edges = _part_edges(self.edge_parts, len(self.slots))
-        for array in (self.leaves, self.level_ptr, self.edge_src, self.edge_dst, self.edge_ptr, self.edge_parts,
+        vars(self).update(forward_sweep=self.forward_sweep, backward_sweep=self.backward_sweep,
+                          part_edges_T=self.part_edges_T)
+        for array in (self.leaves, self.level_ptr, self.edge_src, self.edge_dst, self.edge_ptr,
                       self.in_order, self.in_ptr, self.in_key, self.out_order, self.out_ptr,
                       self.part_edges.data, self.part_edges.indices, self.part_edges.indptr):
             array.flags.writeable = False
@@ -298,25 +306,13 @@ class Topology(LevelGraph):
         return pattern
 
 
-def _part_edges(edge_parts: np.ndarray, num_parts: int) -> csr_matrix:
-    """The parts x edges matrix with a 1.0 wherever an edge carries a part,
-    each row's edges in edge order; slot 0, the empty part, keeps no row
-    entries (in ``weak`` it is every edge's second part)."""
-    parts = edge_parts.ravel()
-    pairs = np.flatnonzero(parts)
-    pairs = pairs[np.argsort(parts[pairs], kind="stable")]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(parts[pairs], minlength=num_parts))))
-    return csr_matrix((np.ones(len(pairs)), pairs // 2, indptr), shape=(num_parts, len(edge_parts)))
-
-
 class Lattice(Topology):
     """Compiled lattice of one sentence: its shape's
     :class:`Topology`, the shape's cell matrix ``P``, whose part ``s`` holds
     the cells of slot ``s``, and the sentence's ``cell_ids``.
 
     It takes the topology's attributes by reference, so its nodes, levels,
-    edge arrays, ``edge_parts``, ``part_edges``, adjacency and sweeps are
-    the shape's own.
+    edge arrays, ``part_edges``, adjacency and sweeps are the shape's own.
     :meth:`gold_edge_ids` and :meth:`path_spans` map chunk spans to a path
     and back through one segmentation.
     """
@@ -392,10 +388,8 @@ class Batch(LevelGraph):
 
     Member ``i``'s edges are batch edges ``edge_ptr[i]:edge_ptr[i + 1]`` in
     the member's own order, and its parts and cells one block of the
-    block-diagonal ``P`` and of the concatenated ``cell_ids``.  The batch
-    keeps its members' ``topologies`` (not the lattices) and joins their
-    ``part_edges`` the same way as ``P``, on first use: the evaluator's
-    batch builds it once, for the gold counts, and a decoded batch never.  Every
+    block-diagonal ``P`` and ``part_edges`` and of the concatenated
+    ``cell_ids``: the batch joins both matrices alike, when it is built.  Every
     member's leaf is lifted to the batch's top level, so the batch keeps a
     lattice's layout (the leaves alone in the last level, in member order),
     and nodes are renumbered by level, then by member and member node id,
@@ -427,11 +421,9 @@ class Batch(LevelGraph):
         self.edge_ptr = np.concatenate(([0], np.cumsum([lat.num_edges for lat in lattices])))
         self.edge_src = new_id[np.concatenate([lat.edge_src + off for lat, off in zip(lattices, node_off)])]
         self.edge_dst = new_id[np.concatenate([lat.edge_dst + off for lat, off in zip(lattices, node_off)])]
-        part_off = np.concatenate(([0], np.cumsum([lat.num_parts for lat in lattices])))
-        self.edge_parts = np.concatenate([lat.edge_parts + off for lat, off in zip(lattices, part_off)])
         self.cell_ids = np.concatenate([lat.cell_ids for lat in lattices])
         self.P = _block_diagonal([lat.P for lat in lattices])
-        self.topologies = [lat.topology for lat in lattices]
+        self.part_edges = _block_diagonal([lat.part_edges for lat in lattices])
         in_order = np.concatenate([lat.in_order + off for lat, off in zip(lattices, self.edge_ptr)])
         out_order = np.concatenate([lat.out_order + off for lat, off in zip(lattices, self.edge_ptr)])
         self._index(in_order[np.argsort(self.edge_dst[in_order], kind="stable")],
@@ -440,19 +432,16 @@ class Batch(LevelGraph):
     def local_ids(self, nodes: list[int]) -> list[int]:
         return self.local_node[nodes].tolist()
 
-    @cached_property
-    def part_edges(self) -> csr_matrix:
-        """The members' ``part_edges`` down the diagonal, joined on first use
-        (only expected counts read it, so decoding never builds it)."""
-        return _block_diagonal([shape.part_edges for shape in self.topologies])
-
 
 def _block_diagonal(blocks: Sequence[csr_matrix]) -> csr_matrix:
     """The CSR matrix with ``blocks`` down its diagonal, each row's entries
-    in its block's order."""
+    in its block's order.  Its index arrays are ``int32`` where they fit, as
+    the blocks' are, so scipy takes them without a scan or a copy."""
     rows = sum(block.shape[0] for block in blocks)
     col_off = np.cumsum([0] + [block.shape[1] for block in blocks])
     nnz_off = np.cumsum([0] + [block.nnz for block in blocks])
+    if max(rows, col_off[-1], nnz_off[-1]) <= np.iinfo(np.int32).max:
+        col_off, nnz_off = col_off.astype(np.int32), nnz_off.astype(np.int32)
     indptr = np.concatenate([block.indptr[:-1] + off for block, off in zip(blocks, nnz_off)] + [nnz_off[-1:]])
     indices = np.concatenate([block.indices + off for block, off in zip(blocks, col_off)])
     data = np.concatenate([block.data for block in blocks])
@@ -460,8 +449,10 @@ def _block_diagonal(blocks: Sequence[csr_matrix]) -> csr_matrix:
 
 
 class _Builder:
-    """Collects one topology: levels of nodes, then edges whose two parts
-    are named by slot key."""
+    """Collects one topology: levels of nodes, then edges, each with the
+    parts it carries named by slot key.  Slots are numbered in first-use
+    order, and ``entry_part``/``entry_edge`` list every (part, edge) pair in
+    edge order: the entries of the topology's ``part_edges``."""
 
     def __init__(self, model_kind: str) -> None:
         self.model_kind = model_kind
@@ -470,9 +461,10 @@ class _Builder:
         self.level_ptr: list[int] = []
         self.edge_src: list[int] = []
         self.edge_dst: list[int] = []
-        self.edge_parts: list[int] = []
-        self.slots: list[tuple] = [EMPTY_SLOT]
-        self.slot_ids: dict[tuple, int] = {EMPTY_SLOT: 0}
+        self.entry_part: list[int] = []
+        self.entry_edge: list[int] = []
+        self.slots: list[tuple] = []
+        self.slot_ids: dict[tuple, int] = {}
 
     def new_level(self) -> None:
         """Start a level: the nodes added next, up to the next call, form it."""
@@ -491,15 +483,15 @@ class _Builder:
             self.slots.append(slot)
         return sid
 
-    def add_edge(self, src: int, dst: int, first: tuple, second: tuple = EMPTY_SLOT) -> None:
-        """Append an edge whose features are those of slots ``first`` then
-        ``second``."""
+    def add_edge(self, src: int, dst: int, *slots: tuple) -> None:
+        """Append an edge that carries the parts named by ``slots``."""
         if not src < dst:
             raise AssertionError("edges must go forward in topological order")
+        for slot in slots:
+            self.entry_part.append(self._slot_id(slot))
+            self.entry_edge.append(len(self.edge_src))
         self.edge_src.append(src)
         self.edge_dst.append(dst)
-        self.edge_parts.append(self._slot_id(first))
-        self.edge_parts.append(self._slot_id(second))
 
 
 class _FeatureMemo:
@@ -518,7 +510,7 @@ class _FeatureMemo:
         self.sentence = sentence
 
     def part(self, slot: tuple) -> np.ndarray:
-        if self.extractor is None or slot == EMPTY_SLOT:
+        if self.extractor is None:
             return NO_IDS
         method, *args = slot
         return getattr(self, method)(*args)

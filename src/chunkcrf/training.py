@@ -251,8 +251,9 @@ def decode(lattices: Sequence[Lattice | None], weights: np.ndarray) -> list[list
     them; ``None``, an empty sentence's lattice, decodes to ``[]``.
 
     A lone lattice runs on its topology's cached sweeps, several as one
-    :class:`Batch` (a batch of one decodes 2.0-2.7 times as slowly as its
-    lattice alone).  A member's spans do not depend on the others.
+    :class:`Batch` (on the benchmark's evaluation sentences, a batch of one
+    decodes 2.8-4.9 times as slowly as its lattice alone).  A member's spans
+    do not depend on the others.
     """
     present = [lat for lat in lattices if lat is not None]
     if len(present) == 1:

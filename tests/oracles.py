@@ -62,36 +62,67 @@ def part_table(graph: LevelGraph) -> tuple[np.ndarray, np.ndarray]:
     return ids[keep], part[keep]
 
 
+def edge_parts(graph: LevelGraph) -> np.ndarray:
+    """Each edge's parts read back from ``part_edges``, as an E x 2 array in
+    part order; an edge that carries one part is padded with ``num_parts``,
+    one past the last part, which has no cells."""
+    M = graph.part_edges.tocsc()  # column e lists edge e's parts in part order
+    per_edge = np.diff(M.indptr)
+    edge = np.repeat(np.arange(graph.num_edges), per_edge)
+    pairs = np.full((graph.num_edges, 2), graph.num_parts)
+    pairs[edge, np.arange(M.nnz) - M.indptr[edge]] = M.indices
+    return pairs
+
+
 def table_edge_scores(graph: LevelGraph, weights: np.ndarray) -> np.ndarray:
     """Edge scores from the expanded part table: each part's weights summed
     from zero in entry order, then the edge's two parts added."""
     ids, part = part_table(graph)
-    scores = np.bincount(part, weights=weights[ids], minlength=graph.num_parts)
-    return scores[graph.edge_parts[:, 0]] + scores[graph.edge_parts[:, 1]]
+    scores = np.bincount(part, weights=weights[ids], minlength=graph.num_parts + 1)
+    pairs = edge_parts(graph)
+    return scores[pairs[:, 0]] + scores[pairs[:, 1]]
+
+
+def gather_edge_scores(graph: LevelGraph, weights: np.ndarray) -> np.ndarray:
+    """The exact reference of :func:`~chunkcrf.inference.edge_scores`: each
+    part scored as ``P`` times its cells' weights (0 for a cell without a
+    feature), then each edge's two part scores gathered and added, the
+    padding part scoring +0.0."""
+    ids = graph.cell_ids
+    cells = np.zeros(len(ids))
+    cells[ids >= 0] = weights[ids[ids >= 0]]
+    part = np.append(graph.P @ cells, 0.0)
+    pairs = edge_parts(graph)
+    with np.errstate(all="ignore"):
+        return part[pairs[:, 0]] + part[pairs[:, 1]]
 
 
 def table_feature_counts(graph: LevelGraph, edge_weights: np.ndarray, dim: int) -> np.ndarray:
     """Per-feature sums of ``edge_weights`` through the expanded part table:
     each edge's weight onto its parts, each part's onto its entries."""
     ids, part = part_table(graph)
-    per_part = np.bincount(graph.edge_parts.ravel(), weights=np.repeat(edge_weights, 2), minlength=graph.num_parts)
+    per_part = np.bincount(edge_parts(graph).ravel(), weights=np.repeat(edge_weights, 2),
+                           minlength=graph.num_parts + 1)
     return np.bincount(ids, weights=per_part[part], minlength=dim)
 
 
 def bincount_feature_counts(graph: LevelGraph, edge_weights: np.ndarray, dim: int) -> np.ndarray:
     """The exact reference of :func:`~chunkcrf.inference.feature_counts`:
-    each edge's weight spread onto its two parts by a weighted bincount over
+    each edge's weight spread onto its parts by a weighted bincount over
     the edge order, then each part's onto its cells through ``P``'s
     transpose, then each cell's onto its feature."""
-    part = np.bincount(graph.edge_parts.ravel(), weights=np.repeat(edge_weights, 2), minlength=graph.num_parts)
-    return np.bincount(graph.cell_ids + 1, weights=graph.P_T @ part, minlength=dim + 1)[1:]
+    part = np.bincount(edge_parts(graph).ravel(), weights=np.repeat(edge_weights, 2), minlength=graph.num_parts + 1)
+    return np.bincount(graph.cell_ids + 1, weights=graph.P_T @ part[:-1], minlength=dim + 1)[1:]
 
 
 def edge_features(lattice: Lattice, eid: int) -> np.ndarray:
-    """Feature ids of edge ``eid``: every part-table entry of its first part,
-    then of its second, in table order."""
+    """Feature ids of edge ``eid``: every part-table entry of its template
+    part, then of its transition part (a ``weak`` edge carries one of the
+    two), in table order."""
     ids, part = part_table(lattice)
-    return np.concatenate([ids[part == p] for p in lattice.edge_parts[eid]])
+    carried = [p for p in edge_parts(lattice)[eid] if p < lattice.num_parts]
+    carried.sort(key=lambda p: lattice.slots[p][0].endswith("transition"))
+    return np.concatenate([ids[part == p] for p in carried])
 
 
 def edge_score(lattice: Lattice, eid: int, weights: np.ndarray) -> float:

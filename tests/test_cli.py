@@ -233,6 +233,14 @@ class TestTrainPredictEval:
         assert captured.err.startswith("numerical failure: ")
         assert "Traceback" not in captured.err and "Warning" not in captured.err
 
+    def test_failed_predict_leaves_the_output_file_untouched(self, corpus_files, tmp_path):
+        _, dev = corpus_files
+        path = self._model_with_weights(corpus_files, tmp_path, 1e308)
+        out = tmp_path / "pred.jsonl"
+        out.write_text('{"earlier": "run"}\n')
+        assert run(["predict", "--model-file", path, "--input", dev, "--out", out]) == EXIT_NUMERIC
+        assert out.read_text() == '{"earlier": "run"}\n'
+
     def test_lambda_required_without_grid(self, corpus_files, tmp_path):
         train, _ = corpus_files
         assert run(["train", "--train", train, "--out", tmp_path / "m.ckcrf"]) == EXIT_DATA

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import block_diag
 
 import chunkcrf.features
 from chunkcrf.core import LabelSet, Sentence, Token, WordSpan, tokenize
@@ -18,7 +19,6 @@ from chunkcrf.features import (
 )
 from chunkcrf.inference import edge_scores, feature_counts
 from chunkcrf.lattice import (
-    EMPTY_SLOT,
     MODEL_KINDS,
     Batch,
     LatticeError,
@@ -36,6 +36,7 @@ from oracles import (
     edge_features,
     enumerate_bio_spansets,
     enumerate_segmentations,
+    gather_edge_scores,
     part_table,
     path_nodes,
     segmentation_spanset,
@@ -67,8 +68,9 @@ def spanset(lattice, edge_path):
 
 
 def edge_class(lattice, eid):
-    """``"segment"`` or ``"transition"``: the template of the edge's first slot."""
-    return lattice.slots[lattice.edge_parts[eid, 0]][0]
+    """``"segment"`` or ``"transition"``: the template of a ``weak`` edge's one part."""
+    (part,) = lattice.part_edges[:, eid].nonzero()[0]
+    return lattice.slots[part][0]
 
 
 class TestLinear:
@@ -266,9 +268,8 @@ class TestEdgeFeatures:
     def test_each_distinct_part_is_stored_once(self):
         d = FeatureDictionary()
         lat = build_lattice("semi", tokenize("a b c"), NP, 2, FeatureExtractor(FeatureConfig(max_seg_len=2), d))
-        # the empty part, 5 NP and 3 O segments, and 8 label pairs
-        # (START, NP, O -> NP, O; NP, O -> STOP)
-        assert lat.num_parts == 1 + 8 + 8
+        # 5 NP and 3 O segments, and 8 label pairs (START, NP, O -> NP, O; NP, O -> STOP)
+        assert lat.num_parts == 8 + 8
         assert len(part_table(lat)[0]) < sum(len(edge_features(lat, e)) for e in range(lat.num_edges))
         # and each (position, label) cell once, though several segments read it
         assert len(lat.cell_ids) < lat.P.nnz
@@ -406,7 +407,7 @@ def test_dp_indices_are_intp_and_step_runs_are_views(kind):
     lattices = [build_lattice(kind, synthetic_sentence(n), LabelSet(("NP", "VP")), 3, ext) for n in (4, 1, 6)]
     batch = Batch(lattices)
     for graph in (lattices[0].topology, lattices[0], batch):
-        for name in ("edge_src", "edge_dst", "edge_parts", "in_order", "out_order"):
+        for name in ("edge_src", "edge_dst", "in_order", "out_order"):
             assert getattr(graph, name).dtype == np.intp, name
         for sweep in (graph.forward_sweep, graph.backward_sweep):
             assert sweep.order.dtype == sweep.read.dtype == sweep.write.dtype == np.intp
@@ -450,7 +451,7 @@ def _two_node_level_builder():
 def test_edge_within_a_level_is_rejected():
     b, x, y, leaf = _two_node_level_builder()
     for src, dst in ((0, x), (x, y), (y, leaf)):
-        b.add_edge(src, dst, EMPTY_SLOT)
+        b.add_edge(src, dst)
     with pytest.raises(AssertionError, match="climb"):
         Topology(b)
 
@@ -459,7 +460,7 @@ def test_edge_within_a_level_is_rejected():
 def test_unreachable_or_dead_end_node_is_rejected(edges):
     b, *_ = _two_node_level_builder()
     for src, dst in edges:
-        b.add_edge(src, dst, EMPTY_SLOT)
+        b.add_edge(src, dst)
     with pytest.raises(AssertionError, match="unreachable or dead-end"):
         Topology(b)
 
@@ -586,7 +587,7 @@ def test_cell_scoring_equals_the_expanded_part_table(case, seed):
 @given(compile_cases(), st.integers(0, 2**32 - 1))
 def test_counts_equal_the_bincount_reference_bit_for_bit(case, seed):
     # a part_edges row sums its edges from +0.0 in edge order, as the
-    # weighted bincount does, and the slot-0 sums it leaves out feed no cell
+    # weighted bincount does
     lattices, extractor = compile_case_lattices(case)
     dim = len(extractor.dictionary)
     rng = np.random.default_rng(seed)
@@ -607,20 +608,57 @@ def test_featureless_counts_are_empty(kind):
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_part_edges_skip_the_empty_part_and_are_read_only(kind):
-    shape = topology(kind, 4, LabelSet(("NP", "VP")), 3)
+def test_part_edges_list_each_edges_parts_and_are_read_only(kind):
+    label_set = LabelSet(("NP", "VP"))
+    shape = topology(kind, 4, label_set, 3)
     M = shape.part_edges
-    assert M.shape == (len(shape.slots), shape.num_edges) and M.indptr[1] == 0  # slot 0 has no entries
-    carried = np.count_nonzero(shape.edge_parts)
-    assert M.nnz == carried and np.all(M.data == 1.0)
-    if kind == "weak":  # every weak edge's second part is the empty one
-        assert M.nnz == shape.num_edges
+    assert M.shape == (len(shape.slots), shape.num_edges) and np.all(M.data == 1.0)
+    # a linear edge carries a context and a transition part, a semi edge a
+    # segment and a transition part but the edges into the leaf only the
+    # transition, a weak edge one part
+    E = shape.num_edges
+    assert M.nnz == {"linear": 2 * E, "semi": 2 * E - len(label_set.alphabet), "weak": E}[kind]
     rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    for s in range(1, M.shape[0]):  # row s: the edges carrying slot s, in edge order
-        assert M.indices[rows == s].tolist() == np.flatnonzero((shape.edge_parts == s).any(axis=1)).tolist()
+    for s in range(M.shape[0]):  # row s: the edges carrying slot s, in edge order
+        edges = M.indices[rows == s]
+        assert len(edges) and np.all(np.diff(edges) > 0)
     assert not any(a.flags.writeable for a in (M.data, M.indices, M.indptr))
-    lat = build_lattice(kind, synthetic_sentence(4), LabelSet(("NP", "VP")), 3, make_extractor(3))
-    assert lat.part_edges is M
+    lat = build_lattice(kind, synthetic_sentence(4), label_set, 3, make_extractor(3))
+    assert lat.part_edges is M and lat.part_edges_T is shape.part_edges_T
+
+
+@settings(max_examples=100, deadline=None)
+@given(compile_cases(), st.integers(0, 2**32 - 1))
+def test_scores_equal_the_gather_reference_bit_for_bit(case, seed):
+    # part_edges.T sums an edge's parts from +0.0 in part order: two-term
+    # addition commutes, and no part score is -0.0, so this equals adding the
+    # gathered part scores, also for signed zeros, overflows and NaNs
+    lattices, extractor = compile_case_lattices(case)
+    dim = len(extractor.dictionary)
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=dim)
+    w[rng.random(dim) < 0.2] = -0.0
+    huge = rng.random(dim) < 0.1
+    w[huge] = rng.choice([1e308, -1e308], size=huge.sum())
+    for graph in (Batch(lattices), *lattices):
+        for weights in (w, np.abs(w), -np.abs(w)):
+            assert edge_scores(graph, weights).tobytes() == gather_edge_scores(graph, weights).tobytes()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_batch_joins_p_and_part_edges_as_scipy_block_diag(kind):
+    ext = make_extractor(3)
+    lattices = [build_lattice(kind, synthetic_sentence(n), LabelSet(("NP", "VP")), 3, ext) for n in (4, 1, 6)]
+    batch = Batch(lattices)
+    for name in ("P", "part_edges"):
+        joined = getattr(batch, name)
+        assert joined.indptr.dtype == joined.indices.dtype == np.int32, name
+        # in COO form block_diag keeps each block's entries in their stored order
+        expected = block_diag([getattr(lat, name) for lat in lattices], format="coo")
+        entries = joined.tocoo()
+        assert joined.shape == expected.shape
+        for attr in ("row", "col", "data"):
+            assert getattr(entries, attr).tolist() == getattr(expected, attr).tolist(), (name, attr)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

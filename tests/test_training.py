@@ -21,7 +21,7 @@ from chunkcrf.features import (
     FeatureExtractor,
 )
 from chunkcrf.inference import edge_scores, forward_log, viterbi_path
-from chunkcrf.lattice import Batch, build_lattice
+from chunkcrf.lattice import build_lattice
 from chunkcrf.synth import separable_corpus
 import chunkcrf.training
 from chunkcrf.training import (
@@ -167,8 +167,7 @@ class TestObjective:
 
     @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
     def test_the_batch_joins_its_part_edges_once(self, kind):
-        # the gold counts join them while the evaluator is built; decoding a
-        # batch never does
+        # the batch joins them with P when the evaluator builds it
         ds = Dataset.from_annotated(separable_corpus(6, seed=9))
         ev, d = make_evaluator(ds, kind)
         joined = vars(ev.batch)["part_edges"]
@@ -176,10 +175,6 @@ class TestObjective:
             ev.objective_and_gradient(w)
             assert ev.batch.part_edges is joined
         assert joined.shape == (ev.batch.num_parts, ev.batch.num_edges)
-        lattices = [build_lattice(kind, item.sentence, ev.label_set, 3, None) for item in ds.items]
-        batch = Batch(lattices)
-        viterbi_path(batch, np.zeros(0))
-        assert "part_edges" not in vars(batch)
 
     @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
     def test_objective_is_concave(self, kind):
@@ -223,7 +218,8 @@ class TestObjective:
         grown.freeze()
         assert ev.skipped == reference.skipped == 2
         assert grown.strings == frozen.strings
-        for name in ("edge_src", "edge_dst", "edge_parts", "cell_ids", "level_ptr", "P.indptr", "P.indices", "P.data"):
+        for name in ("edge_src", "edge_dst", "cell_ids", "level_ptr", "P.indptr", "P.indices", "P.data",
+                     "part_edges.indptr", "part_edges.indices"):
             mine, theirs = (functools.reduce(getattr, name.split("."), b) for b in (ev.batch, reference.batch))
             assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
         assert ev.gold_edges.tobytes() == reference.gold_edges.tobytes()
