@@ -3,11 +3,13 @@
 Every program runs on a :class:`~chunkcrf.lattice.LevelGraph`: one lattice
 (its shared topology's levels, edges and sweeps with the sentence's cell
 ids), or a :class:`~chunkcrf.lattice.Batch` holding several lattices of one
-family whose nodes are numbered level by level.  One level sweep serves
-forward and Viterbi (bottom-up) and backward (top-down).  A level step
-adds the values its edges read to their scores, gathered through the step's
-own views of the sweep's index arrays, then writes a ``maximum.reduceat``
-over the contiguous run of the level's edges straight into the level's node
+family whose nodes are numbered level by level.  The graph's two sweeps are
+its only adjacency: the forward sweep, each node's in-edges, serves forward
+and Viterbi (bottom-up), and the backward sweep, each node's out-edges,
+serves backward and the reverse pass (top-down).  A level step adds the
+values its edges read to their scores, gathered through the step's own
+views of the sweep's index arrays, then writes a ``maximum.reduceat`` over
+the contiguous run of the level's edges straight into the level's node
 values and, outside Viterbi's max-plus semiring, adds an ``add.reduceat``
 log-sum-exp to them in place.  The cost is per level and per edge, with no
 Python work per node.  One call covers every member of a batch, and a
@@ -62,11 +64,9 @@ def edge_scores(graph: LevelGraph, weights: np.ndarray) -> np.ndarray:
     in-order sum over the edge's features, template part first, bit for bit.
     """
     w = np.asarray(weights, dtype=np.float64)
-    ids = graph.cell_ids
-    # take is twice as fast as w[ids] on int32 ids; zeroing the cells without
-    # a feature (id -1) costs a pass over the cells, not a copy of w
-    cells = w.take(ids) if len(w) else np.zeros(len(ids))
-    cells[ids < 0] = 0.0
+    # take is twice as fast as w[ids] on int32 ids; a cell without a feature
+    # (id -1) reads the appended +0.0
+    cells = np.append(w, 0.0).take(graph.cell_ids)
     return graph.part_edges_T @ (graph.P @ cells)
 
 
@@ -175,7 +175,8 @@ def viterbi_path(graph: LevelGraph, weights: np.ndarray) -> tuple[list[list[int]
 
     Ties go to the lowest source: after the max-plus sweep, a node's
     back-pointer is the first *tight* edge (source value + score == node
-    value) in its source-sorted in-edge run ``in_ptr[v]:in_ptr[v + 1]``.
+    value) in its source-sorted run of in-edges in the forward sweep, which
+    starts at the node's entry of ``node_starts``.
     That makes decoding deterministic; with all-zero weights every
     construction decodes to the all-outside labeling.
     """

@@ -32,7 +32,7 @@ level, over one lattice or over a :class:`Batch` of lattices of one family,
 which keeps that layout: roots alone in its first level, leaves in its last.
 
 A lattice is its shape plus a sentence's cell ids.  The shape, a
-:class:`Topology` (nodes, levels, edges, adjacency, sweeps and edge lookup),
+:class:`Topology` (nodes, levels, edges, sweeps and edge lookup),
 depends only on the family, the sentence length, the label set and the
 segment-length limit (outside segments are always one token long), so it is
 built once per shape, cached, and its arrays and sweeps shared by reference
@@ -53,7 +53,7 @@ extractor of that configuration shares it.  A sentence then gathers only its
 cells' feature ids (``cell_ids``, -1 for a cell without one), and a part's
 score is ``P`` times the weights of its cells: the sentence-dependent data is
 one ``int32`` per cell, and ``P`` is shared by every lattice of the shape.
-Edge, adjacency and sweep index arrays are ``intp``, because numpy gathers
+Edge and sweep index arrays are ``intp``, because numpy gathers
 through ``intp`` ids without casting them first, and the dynamic programs
 gather through them at every level; cell ids are feature ids, and stay
 ``int32`` like the extractor's tables.
@@ -107,19 +107,20 @@ class Node(NamedTuple):
 
 @dataclass(frozen=True)
 class Sweep:
-    """One direction of a level schedule.
+    """One direction of a level schedule, and the graph's adjacency in it.
 
-    The edge at position ``i`` of ``order`` reads node ``read[i]`` and feeds
-    node ``write[i]``.  Each step ``(a, b, lo, hi, read, write, starts)``
-    computes the node range ``a:b`` from the edge run ``lo:hi`` of
-    ``order``: its ``read`` and ``write`` are views of that run of the full
-    arrays, and ``starts`` holds the offset of each node's first edge within
-    the run (no node's run is empty).  ``node_starts`` holds the offset in
-    ``order`` of each swept node's first edge, in node order, for one
-    ``reduceat`` over the whole sweep (Viterbi's back-pointers).  ``order``,
-    ``read`` and ``write`` are read-only; the offsets are not, because
-    numpy's ``reduceat`` copies a read-only index array on every call, and
-    the dynamic programs make one or two such calls per level.
+    ``order`` lists every edge once, grouped by the node it feeds, in node
+    order: the edge at position ``i`` reads node ``read[i]`` and feeds node
+    ``write[i]``.  Each step ``(a, b, lo, hi, read, write, starts)`` computes
+    the node range ``a:b`` from the edge run ``lo:hi`` of ``order``: its
+    ``read`` and ``write`` are views of that run of the full arrays, and
+    ``starts`` holds the offset of each node's first edge within the run (no
+    node's run is empty).  ``node_starts`` holds the offset in ``order`` of
+    each swept node's first edge, in node order, for one ``reduceat`` over
+    the whole sweep (Viterbi's back-pointers).  ``order``, ``read`` and
+    ``write`` are read-only; the offsets are not, because numpy's
+    ``reduceat`` copies a read-only index array on every call, and the
+    dynamic programs make one or two such calls per level.
     """
 
     order: np.ndarray
@@ -139,14 +140,15 @@ class LevelGraph:
     disjoint union of several.  Member ``i`` owns edges
     ``edge_ptr[i]:edge_ptr[i + 1]`` and ends in node ``leaves[i]``.
 
-    Adjacency is CSR: node ``v``'s in-edges are
-    ``in_order[in_ptr[v]:in_ptr[v + 1]]``, sorted by source, so each level's
+    The two sweeps are the graph's only adjacency.  ``forward_sweep`` lists
+    the edges by head, each head's in-edges sorted by source, so each level's
     in-edges form one run and the lowest source comes first (decoding breaks
-    ties toward it); ``out_order``/``out_ptr`` list out-edges by source.
-    ``forward_sweep`` runs the levels above the roots bottom-up, each node
-    from its in-edges: the forward pass and Viterbi.  ``backward_sweep`` runs
-    the others top-down, each node from its out-edges: the reverse pass that
-    turns the forward result into edge posteriors.
+    ties toward it); it runs the levels above the roots bottom-up, each node
+    from its in-edges: the forward pass and Viterbi.  ``backward_sweep``
+    lists them by source and runs the others top-down, each node from its
+    out-edges: the reverse pass that turns the forward result into edge
+    posteriors.  Every program reads the forward sweep, so it is built with
+    the graph; only training reads the backward sweep, built on first use.
 
     Edge ``e``'s features are those of the parts in column ``e`` of the
     sparse matrix ``part_edges`` (parts x edges, CSR): row ``p`` lists, in
@@ -154,16 +156,10 @@ class LevelGraph:
     ``p``'s features are those of the cells in row ``p`` of the sparse matrix
     ``P`` (parts x cells), in row order, and cell ``c``'s feature is
     ``cell_ids[c]``, or none where that is -1.  Scoring multiplies cell
-    weights by ``P``, then by ``part_edges_T``; expected counts multiply edge
-    weights by ``part_edges``, then by ``P_T``.
+    weights by ``P``, then by ``part_edges_T``, built with the graph;
+    expected counts multiply edge weights by ``part_edges``, then by
+    ``P_T``, built on first use.
     """
-
-    def _index(self, in_order: np.ndarray, out_order: np.ndarray) -> None:
-        n = self.num_nodes
-        self.in_order = in_order.astype(np.intp, copy=False)
-        self.in_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_dst, minlength=n))))
-        self.out_order = out_order.astype(np.intp, copy=False)
-        self.out_ptr = np.concatenate(([0], np.cumsum(np.bincount(self.edge_src, minlength=n))))
 
     @property
     def num_edges(self) -> int:
@@ -179,11 +175,6 @@ class LevelGraph:
         product with a small ``P``."""
         return self.P.T
 
-    @cached_property
-    def part_edges_T(self) -> csc_matrix:
-        """``part_edges`` transposed (edges x parts), kept like ``P_T``."""
-        return self.part_edges.T
-
     @property
     def num_levels(self) -> int:
         return len(self.level_ptr) - 1
@@ -195,21 +186,26 @@ class LevelGraph:
         """Member-local ids of the given nodes (a lattice's are its own)."""
         return nodes
 
-    @cached_property
-    def forward_sweep(self) -> Sweep:
+    def _forward_sweep(self, order: np.ndarray) -> Sweep:
+        """The forward sweep through ``order``, the edges by head, then source."""
         bounds = self.level_ptr.tolist()
-        return _sweep(self.in_order, self.in_ptr, self.edge_src, self.edge_dst, zip(bounds[1:-1], bounds[2:]))
+        return _sweep(order, self.edge_src, self.edge_dst, self.num_nodes, zip(bounds[1:-1], bounds[2:]))
 
     @cached_property
     def backward_sweep(self) -> Sweep:
         bounds = self.level_ptr.tolist()
-        return _sweep(self.out_order, self.out_ptr, self.edge_dst, self.edge_src, zip(bounds[-3::-1], bounds[-2:0:-1]))
+        return _sweep(np.argsort(self.edge_src, kind="stable"), self.edge_dst, self.edge_src, self.num_nodes,
+                      zip(bounds[-3::-1], bounds[-2:0:-1]))
 
 
-def _sweep(order, ptr, read, write, levels) -> Sweep:
-    """The sweep over ``levels``.  Every lattice of a shape shares its
-    topology's sweeps, so the edge arrays are read-only, and marked so
-    before the step views are cut (a view inherits the flag)."""
+def _sweep(order, read, write, num_nodes, levels) -> Sweep:
+    """The sweep over ``levels`` through ``order``, which lists the edges
+    grouped by the node they ``write``, in node order; each node's run
+    offsets come from a count of the edges it writes.  Every lattice of a
+    shape shares its topology's sweeps, so the edge arrays are read-only,
+    and marked so before the step views are cut (a view inherits the
+    flag)."""
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(write, minlength=num_nodes))))
     read, write = read[order], write[order]
     for array in (order, read, write):
         array.flags.writeable = False
@@ -218,23 +214,24 @@ def _sweep(order, ptr, read, write, levels) -> Sweep:
         lo, hi = int(ptr[a]), int(ptr[b])
         steps.append((a, b, lo, hi, read[lo:hi], write[lo:hi], ptr[a:b] - lo))
     first, last = min(step[0] for step in steps), max(step[1] for step in steps)
-    return Sweep(order, read, write, steps, ptr[first:last].copy())
+    return Sweep(order, read, write, steps, ptr[first:last])
 
 
 class Topology(LevelGraph):
     """Structure shared by every lattice of one shape: nodes, levels, edge
-    arrays, adjacency, sweeps and edge lookup, with one root (node 0) and one
-    leaf (the last node), compiled from a :class:`_Builder`.
+    arrays, sweeps and edge lookup, with one root (node 0) and one leaf (the
+    last node), compiled from a :class:`_Builder`.
 
     ``nodes[v]`` is node ``v``'s :class:`Node`, which is also its key:
-    ``_node_ids`` maps it back to ``v``.  ``in_key`` keys each in-edge
-    ``dst * num_nodes + src`` in ``in_order``, for :meth:`edge_ids`.
-    Slots are numbered in first-use order, ``slots[s]`` being slot ``s``'s
-    template key, and part ``s`` of a lattice is slot ``s``.  ``part_edges``
-    is built here from the edges' slots, with its transpose and the sweeps,
-    so every lattice of the shape shares them.  :func:`topology` caches
-    topologies, so their arrays are read-only; each also keeps the attribute
-    patterns compiled for it.
+    ``_node_ids`` maps it back to ``v``.  ``in_key`` keys each edge
+    ``dst * num_nodes + src`` in the forward sweep's order, for
+    :meth:`edge_ids`.  Slots are numbered in first-use order, ``slots[s]``
+    being slot ``s``'s template key, and part ``s`` of a lattice is slot
+    ``s``.  ``part_edges`` is built here from the edges' slots, with its
+    transpose and the forward sweep, so every lattice of the shape shares
+    them; a lattice shares the backward sweep too, built on first use.
+    :func:`topology` caches topologies, so their arrays are read-only; each
+    also keeps the attribute patterns compiled for it.
     """
 
     def __init__(self, b: _Builder) -> None:
@@ -253,19 +250,16 @@ class Topology(LevelGraph):
         self.slots = b.slots
         self._patterns: dict[FeatureConfig, AttributePattern] = {}
 
-        self._index(np.lexsort((self.edge_src, self.edge_dst)), np.argsort(self.edge_src, kind="stable"))
-        self.in_key = self.edge_dst[self.in_order] * np.int64(self.num_nodes) + self.edge_src[self.in_order]
-        self._check_connected()
+        self._check_connected()  # before any sweep: a sweep runs each node from a non-empty run
+        self.forward_sweep = sweep = self._forward_sweep(np.lexsort((self.edge_src, self.edge_dst)))
+        self.in_key = sweep.write * np.int64(self.num_nodes) + sweep.read
         parts = np.asarray(b.entry_part, dtype=np.intp)
         order = np.argsort(parts, kind="stable")  # each part's edges stay in edge order
         indptr = np.concatenate(([0], np.cumsum(np.bincount(parts, minlength=len(self.slots)))))
         self.part_edges = csr_matrix((np.ones(len(parts)), np.asarray(b.entry_edge)[order], indptr),
                                      shape=(len(self.slots), self.num_edges))
-        # Built now, so every lattice of the shape copies them; a batch builds each on first use.
-        vars(self).update(forward_sweep=self.forward_sweep, backward_sweep=self.backward_sweep,
-                          part_edges_T=self.part_edges_T)
-        for array in (self.leaves, self.level_ptr, self.edge_src, self.edge_dst, self.edge_ptr,
-                      self.in_order, self.in_ptr, self.in_key, self.out_order, self.out_ptr,
+        self.part_edges_T = self.part_edges.T
+        for array in (self.leaves, self.level_ptr, self.edge_src, self.edge_dst, self.edge_ptr, self.in_key,
                       self.part_edges.data, self.part_edges.indices, self.part_edges.indptr):
             array.flags.writeable = False
 
@@ -275,8 +269,8 @@ class Topology(LevelGraph):
         every node but the leaf an out-edge.  By induction over the levels,
         every node is then reachable from the root and reaches the leaf."""
         level = self.node_levels()
-        in_deg = np.diff(self.in_ptr)
-        out_deg = np.diff(self.out_ptr)
+        in_deg = np.bincount(self.edge_dst, minlength=self.num_nodes)
+        out_deg = np.bincount(self.edge_src, minlength=self.num_nodes)
         if not np.all(level[self.edge_src] < level[self.edge_dst]):
             raise AssertionError("an edge does not climb from a lower level to a higher one")
         ends_ok = self.level_ptr[1] == 1 and self.level_ptr[-2] == self.leaf
@@ -287,7 +281,7 @@ class Topology(LevelGraph):
         """Ids of the edges ``src[i] -> dst[i]``, -1 where there is none."""
         key = np.asarray(dst, dtype=np.int64) * self.num_nodes + src
         k = np.searchsorted(self.in_key, key).clip(max=len(self.in_key) - 1)
-        return np.where(self.in_key[k] == key, self.in_order[k], -1)
+        return np.where(self.in_key[k] == key, self.forward_sweep.order[k], -1)
 
     @cached_property
     def no_cells(self) -> csr_matrix:
@@ -312,7 +306,8 @@ class Lattice(Topology):
     the cells of slot ``s``, and the sentence's ``cell_ids``.
 
     It takes the topology's attributes by reference, so its nodes, levels,
-    edge arrays, ``part_edges``, adjacency and sweeps are the shape's own.
+    edge arrays, ``part_edges`` and forward sweep are the shape's own, and
+    it reads its backward sweep from the shape, which builds it on first use.
     :meth:`gold_edge_ids` and :meth:`path_spans` map chunk spans to a path
     and back through one segmentation.
     """
@@ -323,6 +318,10 @@ class Lattice(Topology):
         self.sentence = sentence
         self.cell_ids = cell_ids
         self.P = P
+
+    @property
+    def backward_sweep(self) -> Sweep:
+        return self.topology.backward_sweep
 
     def gold_edge_ids(self, spans: list[WordSpan]) -> list[int]:
         """Edge path realizing the given chunk structure.
@@ -396,9 +395,10 @@ class Batch(LevelGraph):
     which keeps each member's source order for tie-breaking.  ``local_node``
     maps a batch node to its id in its member.
 
-    Since renumbering keeps each member's node order, the adjacency is each
-    member's own, offset and stably sorted by batch node: the same arrays as
-    a sort of every edge, from runs that are already sorted.
+    Since renumbering keeps each member's node order, the forward sweep's
+    order is the members' own, offset and stably sorted by batch head: the
+    same order as a sort of every edge, from runs that are already sorted.
+    A batch that is only decoded never sorts its edges by source.
     """
 
     def __init__(self, lattices: Sequence[Lattice]) -> None:
@@ -424,10 +424,9 @@ class Batch(LevelGraph):
         self.cell_ids = np.concatenate([lat.cell_ids for lat in lattices])
         self.P = _block_diagonal([lat.P for lat in lattices])
         self.part_edges = _block_diagonal([lat.part_edges for lat in lattices])
-        in_order = np.concatenate([lat.in_order + off for lat, off in zip(lattices, self.edge_ptr)])
-        out_order = np.concatenate([lat.out_order + off for lat, off in zip(lattices, self.edge_ptr)])
-        self._index(in_order[np.argsort(self.edge_dst[in_order], kind="stable")],
-                    out_order[np.argsort(self.edge_src[out_order], kind="stable")])
+        self.part_edges_T = self.part_edges.T
+        runs = np.concatenate([lat.forward_sweep.order + off for lat, off in zip(lattices, self.edge_ptr)])
+        self.forward_sweep = self._forward_sweep(runs[np.argsort(self.edge_dst[runs], kind="stable")])
 
     def local_ids(self, nodes: list[int]) -> list[int]:
         return self.local_node[nodes].tolist()

@@ -202,8 +202,7 @@ class ObjectiveEvaluator:
         self.lam = config.lam
         self.extractor = extractor = FeatureExtractor(config.feature_config, dictionary, brown)
         lattices = []
-        gold_edges: list[np.ndarray] = []  # batch edge ids, per instance
-        edge_offset = 0
+        gold_paths: list[list[int]] = []  # member edge ids, per instance
         self.skipped = 0
         compiled = _compile_sentences([item.sentence for item in dataset.items], config.model_kind, label_set,
                                       config.max_seg_len, extractor)
@@ -219,12 +218,12 @@ class ObjectiveEvaluator:
                 log.warning("skipping unrepresentable instance (%s): %r", exc, item.sentence.raw_text)
                 continue
             lattices.append(lat)
-            gold_edges.append(np.asarray(gold, dtype=np.intp) + edge_offset)
-            edge_offset += lat.num_edges
+            gold_paths.append(gold)
         if not lattices:
             raise ValueError("no trainable instances")
         self.batch = batch = Batch(lattices)
-        self.gold_edges = np.concatenate(gold_edges)
+        self.gold_edges = np.concatenate([np.asarray(gold, dtype=np.intp) + offset
+                                          for gold, offset in zip(gold_paths, batch.edge_ptr)])
         # Indicator counts are small integers, so these sums are exact.
         on_gold = np.bincount(self.gold_edges, minlength=batch.num_edges)
         self.gold_counts = feature_counts(batch, on_gold, len(dictionary))
@@ -252,7 +251,7 @@ def decode(lattices: Sequence[Lattice | None], weights: np.ndarray) -> list[list
 
     A lone lattice runs on its topology's cached sweeps, several as one
     :class:`Batch` (on the benchmark's evaluation sentences, a batch of one
-    decodes 2.8-4.9 times as slowly as its lattice alone).  A member's spans
+    decodes 3.1-4.4 times as slowly as its lattice alone).  A member's spans
     do not depend on the others.
     """
     present = [lat for lat in lattices if lat is not None]

@@ -14,6 +14,7 @@ from chunkcrf.inference import (
     NumericalError,
     backward_log,
     edge_scores,
+    feature_counts,
     forward_log,
     marginals_from_scores,
     viterbi,
@@ -127,7 +128,7 @@ class TestMarginals:
     def test_an_edge_scored_minus_infinity_gets_posterior_zero(self, kind):
         lat = build_lattice(kind, tokenize("a b c"), LabelSet(("NP", "VP")), 2, make_extractor(2))
         scores = np.random.default_rng(13).normal(size=lat.num_edges)
-        in_degree = np.diff(lat.in_ptr)
+        in_degree = np.bincount(lat.edge_dst, minlength=lat.num_nodes)
         edge = int(np.flatnonzero(in_degree[lat.edge_dst] > 1)[0])  # its head has finite in-edges too
         scores[edge] = -np.inf
         for graph, graph_scores in ((lat, scores), (Batch([lat, lat]), np.tile(scores, 2))):
@@ -240,13 +241,33 @@ class TestBatch:
         assert batch.level_ptr[1] == len(lattices)  # the roots
         top = batch.level_ptr[-2]
         assert batch.leaves.tolist() == list(range(top, batch.num_nodes))  # alone in the last level, in member order
-        out_deg = np.diff(batch.out_ptr)
+        out_deg = np.bincount(batch.edge_src, minlength=batch.num_nodes)
         assert np.all(out_deg[:top] > 0) and not out_deg[top:].any()  # out-edges exactly below the last level
         for i, lat in enumerate(lattices):
             assert batch.local_node[batch.leaves[i]] == lat.leaf
-        # the members' adjacency, composed, equals a sort of every batch edge
-        assert np.array_equal(batch.in_order, np.lexsort((batch.edge_src, batch.edge_dst)))
-        assert np.array_equal(batch.out_order, np.argsort(batch.edge_src, kind="stable"))
+        # the members' forward orders, composed, equal a sort of every batch edge
+        assert np.array_equal(batch.forward_sweep.order, np.lexsort((batch.edge_src, batch.edge_dst)))
+        assert np.array_equal(batch.backward_sweep.order, np.argsort(batch.edge_src, kind="stable"))
+
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    def test_a_batch_builds_its_backward_sweep_only_when_training_reads_it(self, kind):
+        """A new batch stores its members' joined arrays and its forward
+        sweep, and no sort of its edges by source.  Decoding adds nothing;
+        the edge posteriors build the backward sweep, and expected counts
+        ``P_T``, on first use."""
+        ext = make_extractor(3)
+        lattices = [build_lattice(kind, synthetic_sentence(n), LabelSet(("NP", "VP")), 3, ext) for n in (3, 1, 5)]
+        batch = Batch(lattices)
+        stored = {"num_nodes", "local_node", "level_ptr", "leaves", "edge_ptr", "edge_src", "edge_dst",
+                  "cell_ids", "P", "part_edges", "part_edges_T", "forward_sweep"}
+        assert set(vars(batch)) == stored
+        w = np.random.default_rng(3).normal(size=len(ext.dictionary))
+        viterbi_path(batch, w)
+        assert set(vars(batch)) == stored
+        marginals = edge_marginals(batch, w)
+        assert set(vars(batch)) == stored | {"backward_sweep"}
+        feature_counts(batch, marginals.edge_posteriors, len(ext.dictionary))
+        assert set(vars(batch)) == stored | {"backward_sweep", "P_T"}
 
     @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
     def test_zero_weight_ties_go_to_the_lowest_source_in_a_mixed_length_batch(self, kind):
@@ -334,17 +355,20 @@ class TestProperties:
     def test_viterbi_reads_back_pointers_through_writable_node_starts(self, case):
         """The forward sweep's ``node_starts`` are the in-edge run offsets of
         every node above the roots, writable (``reduceat`` would copy a
-        read-only array), and decode exactly as those runs of ``in_ptr`` do."""
+        read-only array), and decode exactly as a read-only copy of them does."""
         graph, w = case
         if isinstance(graph, list):
             graph = Batch(graph)
         sweep = graph.forward_sweep
         assert sweep.node_starts.flags.writeable and not sweep.order.flags.writeable
-        assert sweep.node_starts.tolist() == graph.in_ptr[graph.level_ptr[1]:-1].tolist()
+        in_offsets = np.concatenate(([0], np.cumsum(np.bincount(graph.edge_dst, minlength=graph.num_nodes))))
+        assert sweep.node_starts.tolist() == in_offsets[graph.level_ptr[1]:-1].tolist()
         paths, best = viterbi_path(graph, w)
-        vars(graph)["forward_sweep"] = dataclasses.replace(sweep, node_starts=graph.in_ptr[graph.level_ptr[1]:-1])
-        in_ptr_paths, in_ptr_best = viterbi_path(graph, w)
-        assert paths == in_ptr_paths and best.tobytes() == in_ptr_best.tobytes()
+        frozen = sweep.node_starts.copy()
+        frozen.flags.writeable = False
+        graph.forward_sweep = dataclasses.replace(sweep, node_starts=frozen)
+        frozen_paths, frozen_best = viterbi_path(graph, w)
+        assert paths == frozen_paths and best.tobytes() == frozen_best.tobytes()
 
     @settings(deadline=None)
     @given(lattices_with_weights())

@@ -374,13 +374,22 @@ def test_levels_group_nodes_by_position_and_every_edge_climbs(kind, levels_per_t
         assert len({(node.kind, node.position) for node in lat.nodes[a:b]}) == 1
 
 
-def test_csr_adjacency_lists_every_edge_once_by_node():
+def test_sweeps_list_every_edge_once_by_node():
+    """The forward sweep's runs are each node's in-edges, sorted by source,
+    for every node above the root; the backward sweep's are each node's
+    out-edges, for every node below the leaf."""
     lat = build_lattice("weak", synthetic_sentence(4), LabelSet(("NP", "VP")), 3, make_extractor(3))
-    for v in range(lat.num_nodes):
-        ins = lat.in_order[lat.in_ptr[v] : lat.in_ptr[v + 1]]
-        assert np.all(lat.edge_dst[ins] == v) and np.all(np.diff(lat.edge_src[ins]) > 0)
-        assert np.all(lat.edge_src[lat.out_order[lat.out_ptr[v] : lat.out_ptr[v + 1]]] == v)
-    assert sorted(lat.in_order.tolist()) == sorted(lat.out_order.tolist()) == list(range(lat.num_edges))
+    for sweep, nodes, head, tail in ((lat.forward_sweep, range(1, lat.num_nodes), lat.edge_dst, lat.edge_src),
+                                     (lat.backward_sweep, range(lat.leaf), lat.edge_src, lat.edge_dst)):
+        starts = sweep.node_starts.tolist()
+        assert len(starts) == len(nodes) and starts[0] == 0
+        for v, lo, hi in zip(nodes, starts, starts[1:] + [lat.num_edges]):
+            run = sweep.order[lo:hi]
+            assert len(run) and np.all(head[run] == v)
+            if sweep is lat.forward_sweep:
+                assert np.all(np.diff(tail[run]) > 0)
+    assert sorted(lat.forward_sweep.order.tolist()) == sorted(lat.backward_sweep.order.tolist()) \
+        == list(range(lat.num_edges))
 
 
 def test_sentences_of_one_shape_share_a_topology_but_not_their_parts():
@@ -407,10 +416,10 @@ def test_dp_indices_are_intp_and_step_runs_are_views(kind):
     lattices = [build_lattice(kind, synthetic_sentence(n), LabelSet(("NP", "VP")), 3, ext) for n in (4, 1, 6)]
     batch = Batch(lattices)
     for graph in (lattices[0].topology, lattices[0], batch):
-        for name in ("edge_src", "edge_dst", "in_order", "out_order"):
+        for name in ("edge_src", "edge_dst"):
             assert getattr(graph, name).dtype == np.intp, name
         for sweep in (graph.forward_sweep, graph.backward_sweep):
-            assert sweep.order.dtype == sweep.read.dtype == sweep.write.dtype == np.intp
+            assert sweep.order.dtype == sweep.read.dtype == sweep.write.dtype == sweep.node_starts.dtype == np.intp
             for _, _, lo, hi, read, write, _ in sweep.steps:
                 assert np.shares_memory(read, sweep.read) and np.shares_memory(write, sweep.write)
                 assert np.array_equal(read, sweep.read[lo:hi]) and np.array_equal(write, sweep.write[lo:hi])
@@ -559,6 +568,26 @@ def compile_case_lattices(case):
         dictionary.freeze()
     extractor = FeatureExtractor(config, dictionary, CLUSTERS)
     return [build_lattice(kind, s, label_set, config.max_seg_len, extractor) for s in sentences], extractor
+
+
+@settings(max_examples=100, deadline=None)
+@given(compile_cases())
+def test_sweep_orders_sort_the_edges_by_head_and_by_source(case):
+    """On lone lattices and mixed-length batches alike, the forward sweep
+    lists the edges by head, then source, and the backward sweep by source,
+    each edge once, and each sweep's ``node_starts`` are the cumulative
+    degree offsets of the nodes it computes."""
+    lattices, _ = compile_case_lattices(case)
+    for graph in (Batch(lattices), *lattices):
+        forward, backward = graph.forward_sweep, graph.backward_sweep
+        assert np.array_equal(forward.order, np.lexsort((graph.edge_src, graph.edge_dst)))
+        assert np.array_equal(backward.order, np.argsort(graph.edge_src, kind="stable"))
+        for sweep in (forward, backward):
+            assert np.array_equal(np.sort(sweep.order), np.arange(graph.num_edges))
+        in_offsets, out_offsets = (np.concatenate(([0], np.cumsum(np.bincount(end, minlength=graph.num_nodes))))
+                                   for end in (graph.edge_dst, graph.edge_src))
+        assert np.array_equal(forward.node_starts, in_offsets[graph.level_ptr[1]:-1])  # the nodes above the roots
+        assert np.array_equal(backward.node_starts, out_offsets[:graph.level_ptr[-2]])  # the nodes below the leaves
 
 
 @settings(max_examples=100, deadline=None)
