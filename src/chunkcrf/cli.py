@@ -37,7 +37,7 @@ from .evaluate import (
     sweep_rows_to_csv,
 )
 from .features import load_brown_clusters
-from .ingest import DataFormatError, corpus_stats, jsonl_line, read_corpus, read_jsonl, write_jsonl
+from .ingest import DataFormatError, corpus_stats, jsonl_line, read_corpus, read_jsonl, utf8_text, write_jsonl
 from .lattice import MODEL_KINDS
 from .training import (
     LAMBDA_GRID,
@@ -94,7 +94,7 @@ def load_config_file(path: str, parser: _Parser, command: str) -> dict:
                 for name in (action.dest, *action.option_strings):
                     keys[name.lstrip("-").replace("-", "_")] = action
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

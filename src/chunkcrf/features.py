@@ -23,7 +23,9 @@ through the shape mapping unchanged; affix and cluster templates skip them.
 Both rules look at the surface only, so a real token spelled ``<BOS>`` is
 treated the same way.  Feature strings map to dense indices through a
 freezable dictionary; once frozen, unseen strings are dropped rather than
-allocated.
+allocated.  The template methods look their strings up one at a time
+(:meth:`FeatureDictionary.index`); compiled lattices look up all the new
+strings of a sentence in one call (:meth:`FeatureDictionary.indices`).
 
 Attributes x labels.  Every feature string is a label-free observation
 *attribute* (``WS[0]=cat``, ``TR=O``) conjoined with a label (as in CRFsuite).
@@ -47,19 +49,24 @@ as cells; a ``linear`` one has as many.  A sentence's features are then two
 gathers, :meth:`FeatureExtractor.part_table`: its word rows at the cells'
 positions, then the resulting (attribute, label) pairs through the table,
 one feature id per cell.  Which parts hold which cells is the pattern's
-sparse matrix ``P``, the same for every sentence of the shape.
+sparse matrix ``P``, the same for every sentence of the shape.  The pairs
+the table has not met yet are its *first-use* cells: they are deduplicated
+in first-use order, spelled out, and resolved in one bulk dictionary call
+per sentence, so a warm table costs no Python work per cell.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from .core import OUTSIDE, Sentence
+from .ingest import utf8_text
 
 BOS_WORD = "<BOS>"
 EOS_WORD = "<EOS>"
@@ -87,17 +94,23 @@ AFFIX_MAX_LEN_LIMIT = 10
 
 
 class FeatureDictionary:
-    """Bidirectional feature-string <-> dense-index map with a freeze switch."""
+    """Bidirectional feature-string <-> dense-index map with a freeze switch.
 
-    __slots__ = ("_index", "_strings", "_frozen")
+    :meth:`index` looks up one string (the template methods' path);
+    :meth:`indices` looks up many in one call (the compiled path and
+    :meth:`from_strings`).  Both allocate a string the dictionary lacks at
+    the next index unless it is frozen, so strings keep the order they were
+    first asked for.
+    """
+
+    __slots__ = ("_index", "_frozen")
 
     def __init__(self) -> None:
-        self._index: dict[str, int] = {}
-        self._strings: list[str] = []
+        self._index: dict[str, int] = {}  # in index order
         self._frozen = False
 
     def __len__(self) -> int:
-        return len(self._strings)
+        return len(self._index)
 
     @property
     def frozen(self) -> bool:
@@ -109,25 +122,34 @@ class FeatureDictionary:
     def index(self, feature: str) -> int | None:
         """Index of ``feature``; allocates a new slot unless frozen."""
         idx = self._index.get(feature)
-        if idx is not None:
-            return idx
-        if self._frozen:
-            return None
-        idx = len(self._strings)
-        self._index[feature] = idx
-        self._strings.append(feature)
+        if idx is None and not self._frozen:
+            idx = self._index[feature] = len(self._index)
         return idx
+
+    def indices(self, features: Sequence[str]) -> np.ndarray:
+        """The ``int32`` index of every string of ``features``, in one call.
+
+        Unless frozen, the dictionary first allocates the strings it lacks in
+        the order given, a repeated one once; a frozen dictionary never grows
+        and gives -1 for a string it lacks.
+        """
+        index = self._index
+        if not self._frozen:
+            for feature in features:
+                if feature not in index:
+                    index[feature] = len(index)
+        return np.fromiter(map(index.get, features, repeat(-1)), dtype=np.int32, count=len(features))
 
     @property
     def strings(self) -> tuple[str, ...]:
-        return tuple(self._strings)
+        return tuple(self._index)
 
     @classmethod
     def from_strings(cls, strings: list[str]) -> "FeatureDictionary":
-        """A frozen dictionary listing ``strings`` in order."""
+        """A frozen dictionary listing ``strings`` in order (a repeated
+        string once)."""
         d = cls()
-        for s in strings:
-            d.index(s)
+        d.indices(strings)
         d.freeze()
         return d
 
@@ -158,7 +180,7 @@ def load_brown_clusters(path: str | Path) -> BrownClusterMap:
     line number.
     """
     clusters: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -432,9 +454,11 @@ class FeatureExtractor:
         the cell has none (a padded role, or a feature a frozen dictionary
         lacks): two gathers.
 
-        Table cells met for the first time are looked up in cell order, which
-        is first-use order, so an unfrozen dictionary registers new strings
-        in the order the per-part methods would.
+        Table entries met for the first time are filled by one
+        :meth:`FeatureDictionary.indices` call: the new (attribute, label)
+        pairs, each once, in the order of the first cell that reads them,
+        which is first-use order, so an unfrozen dictionary registers new
+        strings in the order the per-part methods would.
         """
         kind = pattern.kind
         if self.dictionary.frozen and len(self._row_ids[kind]) > WORD_CACHE_SIZE:
@@ -444,18 +468,19 @@ class FeatureExtractor:
         rows = [row_ids[w] if w in row_ids else self._add_row(kind, w) for w in words]
         transitions = np.array([self._attribute(t) for t in pattern.transitions], dtype=np.int32)
         source = np.concatenate((self._rows[kind][rows].ravel(), transitions))
-        attrs = source[pattern.attr_pos]
-        table = self._table(pattern.labels)
-        ids = table[attrs, pattern.label_pos]
+        labels = pattern.labels
+        table = self._table(labels)
+        # each cell's (attribute, label) pair as a flat index into the table
+        keys = source[pattern.attr_pos].astype(np.intp) * len(labels) + pattern.label_pos
+        ids = table.take(keys)
         unseen = np.flatnonzero(ids == UNSEEN)
         if len(unseen):
-            labels = pattern.labels
-            for k, a, lab in zip(unseen.tolist(), attrs[unseen].tolist(), pattern.label_pos[unseen].tolist()):
-                cell = int(table[a, lab])
-                if cell == UNSEEN:
-                    idx = self.dictionary.index(f"{self._attributes[a]}|{labels[lab]}")
-                    cell = table[a, lab] = -1 if idx is None else idx
-                ids[k] = cell
+            keys = keys[unseen]
+            new = list(dict.fromkeys(keys.tolist()))  # each new pair once, in first-use order
+            attributes = self._attributes
+            table.put(new, self.dictionary.indices(
+                [f"{attributes[a]}|{labels[lab]}" for a, lab in map(divmod, new, repeat(len(labels)))]))
+            ids[unseen] = table.take(keys)
         return ids
 
     def _word(self, sentence: Sentence, i: int) -> str:

@@ -9,8 +9,9 @@ Two input formats are supported:
   ``spans: [{start, end, label}]``.
 
 JSON-lines is also the canonical on-disk dataset format written by the
-``ingest`` command.  Parsing is fail-fast: any malformed line aborts with
-file and line context.  A message's spans must pass the one span rule,
+``ingest`` command.  Parsing is fail-fast: any malformed line, a JSON value
+of the wrong type or a byte that is not UTF-8 aborts with file and line
+context.  A message's spans must pass the one span rule,
 :func:`chunkcrf.core.ordered_spans`; they may be listed in any order.
 """
 
@@ -18,9 +19,11 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from .core import CharSpan, Sentence, SpanError, is_token_aligned, ordered_spans, span_bounds, tokenize
 
@@ -44,24 +47,64 @@ def annotate(text: str, spans: list[CharSpan]) -> AnnotatedText:
     return AnnotatedText(tokenize(text), tuple(sorted(spans, key=span_bounds)))
 
 
+@contextmanager
+def utf8_text(path: str | Path) -> Iterator[TextIO]:
+    """``open(path, encoding="utf-8")`` for reading, except that a byte that
+    is not UTF-8 raises a :class:`DataFormatError` naming the file and the
+    line it is on."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(_not_utf8(path)) from exc
+
+
+def _not_utf8(path: str | Path) -> str:
+    """Where the first byte of ``path`` that is not UTF-8 is, as
+    ``path:line: ...``; lines end as text mode ends them."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # UTF-8 never encodes a character with an ASCII CR or LF byte
+        head = data[: exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return f"{path}:{lineno}: not UTF-8 text (byte {data[exc.start]:#04x})"
+    return f"{path}: not UTF-8 text"  # the file changed after it was read
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "a number", float: "a number",
+               bool: "a boolean", type(None): "null"}
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it is of JSON type ``kind``, else a ``ValueError`` naming
+    ``what`` and the type it has."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {_JSON_TYPES[type(value)]}: {value!r}")
+    return value
+
+
 def read_jsonl(path: str | Path) -> list[AnnotatedText]:
     items: list[AnnotatedText] = []
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                text = obj["text"]
-                spans = [_json_span(s) for s in obj.get("spans", [])]
+                obj = _expect(json.loads(line), dict, "a message")
+                if "text" not in obj:
+                    raise ValueError("a message needs a 'text' field")
+                text = _expect(obj["text"], str, "field 'text'")
+                spans = [_json_span(s) for s in _expect(obj.get("spans", []), list, "field 'spans'")]
                 items.append(annotate(text, spans))
-            except (KeyError, TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
     return items
 
 
-def _json_span(obj: dict) -> CharSpan:
-    start, end, label = obj["start"], obj["end"], obj["label"]
+def _json_span(obj) -> CharSpan:
+    _expect(obj, dict, "a span")
+    start, end, label = obj.get("start"), obj.get("end"), obj.get("label")
     if type(start) is not int or type(end) is not int or not isinstance(label, str):
         raise ValueError(f"a span needs integer start and end and a string label, got {obj!r}")
     return CharSpan(start, end, label)
@@ -82,9 +125,10 @@ _T_LINE = re.compile(r"T\S*\t(\S+) (\d+) (\d+)\t(.*)\Z")
 
 
 def read_brat_pair(txt_path: str | Path, ann_path: str | Path) -> AnnotatedText:
-    text = Path(txt_path).read_text(encoding="utf-8")
+    with utf8_text(txt_path) as fh:
+        text = fh.read()
     spans: list[CharSpan] = []
-    with open(ann_path, encoding="utf-8") as fh:
+    with utf8_text(ann_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.startswith("T"):

@@ -516,6 +516,8 @@ def load_model(path: str) -> Model:
     if not all(isinstance(f, str) for f in header["features"]):
         raise ModelFormatError(f"{path}: feature table holds a non-string")
     dictionary = FeatureDictionary.from_strings(header["features"])
+    if len(dictionary) != len(header["features"]):
+        raise ModelFormatError(f"{path}: feature table lists a string twice")
     if len(dictionary) != dim:
         raise ModelFormatError(f"{path}: feature table and weight vector disagree")
     if not np.all(np.isfinite(weights)):

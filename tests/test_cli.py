@@ -180,6 +180,23 @@ class TestTrainPredictEval:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("features", [["T=O|O", "T=O|O"], ["T=O|O", "W[0]=a|O", "T=O|O"]],
+                             ids=["same-count-as-weights", "one-more-than-weights"])
+    def test_predict_with_a_feature_listed_twice_is_a_data_error(self, corpus_files, tmp_path, capsys, features):
+        _, dev = corpus_files
+        path = _model(tmp_path / "m.ckcrf")
+        data = path.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", data, 12)
+        header = json.loads(data[20:20 + header_len])
+        header["features"] = features
+        header_bytes = json.dumps(header).encode()
+        path.write_bytes(MODEL_MAGIC + struct.pack("<IQ", MODEL_VERSION, len(header_bytes)) + header_bytes
+                         + struct.pack("<Q", 2) + np.zeros(2, dtype="<f8").tobytes())
+        assert run(["predict", "--model-file", path, "--input", dev]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: feature table lists a string twice")
+        assert captured.out == ""
+
     def _model_with_weights(self, corpus_files, tmp_path, value):
         train, _ = corpus_files
         path = tmp_path / "m.ckcrf"
@@ -371,6 +388,28 @@ class TestTrainPredictEval:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ({"text": "a b", "spans": [[0, 1, "NP"]]}, "a span must be an object, got an array: [0, 1, 'NP']"),
+            ({"text": "a b", "spans": "NP"}, "field 'spans' must be an array, got a string: 'NP'"),
+            ({"text": "a b", "spans": {"start": 0}}, "field 'spans' must be an array, got an object: {'start': 0}"),
+            (["a b"], "a message must be an object, got an array: ['a b']"),
+            ("a b", "a message must be an object, got a string: 'a b'"),
+            ({"text": 5}, "field 'text' must be a string, got a number: 5"),
+            ({"text": None}, "field 'text' must be a string, got null: None"),
+            ({"spans": []}, "a message needs a 'text' field"),
+        ],
+        ids=["list-span", "string-spans", "object-spans", "array-line", "string-line", "number-text", "null-text",
+             "missing-text"],
+    )
+    def test_mistyped_jsonl_record_names_the_field(self, tmp_path, capsys, record, message):
+        data = _jsonl(tmp_path / "in.jsonl", {"text": "fine"}, record)
+        assert run(["ingest", data, "--format", "jsonl"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {data}:2: {message}\n"
+        assert captured.out == ""
+
     def test_usage_error_exit_code(self, capsys):
         assert run(["train", "--model", "bogus"]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -450,8 +489,13 @@ def _text(path, text):
 
 def _brat(path, text, ann):
     path.mkdir()
-    _text(path / "m.txt", text)
-    _text(path / "m.ann", ann)
+    for name, content in (("m.txt", text), ("m.ann", ann)):
+        (path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    return path
+
+
+def _bytes(path, data):
+    path.write_bytes(data)
     return path
 
 
@@ -523,6 +567,26 @@ DATA_ERRORS = {
         lambda d, train: ["eval", "--gold", copyfile(train, d / "g.jsonl"), "--pred", train,
                           "--json-out", d / "g.jsonl"],
         "it is an input of this command"),
+    # a file that is not UTF-8, named with the line of its first bad byte
+    "jsonl-not-utf8": (
+        lambda d, train: ["ingest", _bytes(d / "in.jsonl", b'{"text": "ok"}\r\n\n{"text": "caf\xe9"}\n'),
+                          "--format", "jsonl"],
+        "in.jsonl:3: not UTF-8 text (byte 0xe9)"),
+    "brat-txt-not-utf8": (
+        lambda d, train: ["ingest", _brat(d / "brat", b"Dr teh\rcaf\xe9", "T1\tNP 0 6\tDr teh\n"), "--format", "brat"],
+        "m.txt:2: not UTF-8 text (byte 0xe9)"),
+    "brat-ann-not-utf8": (
+        lambda d, train: ["ingest", _brat(d / "brat", "Dr teh", b"T1\tNP 0 6\tDr teh\n#1\tnote \xff\n"),
+                          "--format", "brat"],
+        "m.ann:2: not UTF-8 text (byte 0xff)"),
+    "clusters-not-utf8": (
+        lambda d, train: ["train", "--train", train, "--features", "b", "--lambda", "1", "--out", d / "m.ckcrf",
+                          "--brown", _bytes(d / "clusters.tsv", b"0110\tDr\n0111\tt\xe9h\n")],
+        "clusters.tsv:2: not UTF-8 text (byte 0xe9)"),
+    "config-not-utf8": (
+        lambda d, train: ["train", "--config", _bytes(d / "run.cfg", b"# caf\xe9\nlambda = 1\n"), "--train", train,
+                          "--out", d / "m.ckcrf"],
+        "run.cfg:1: not UTF-8 text (byte 0xe9)"),
 }
 
 

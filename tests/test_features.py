@@ -1,5 +1,6 @@
 """Feature template expansion, the dictionary, shapes, and cluster files."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,6 +76,26 @@ class TestDictionary:
         d = FeatureDictionary.from_strings(["x", "y"])
         assert d.strings[1] == "y"
         assert d.strings == ("x", "y")
+
+    def test_bulk_lookup_allocates_missing_strings_in_the_order_given(self):
+        d = FeatureDictionary()
+        d.indices(["a", "b"])
+        ids = d.indices(["c", "b", "d", "a"])
+        assert ids.dtype == np.int32 and ids.tolist() == [2, 1, 3, 0]
+        assert d.strings == ("a", "b", "c", "d")
+
+    def test_bulk_lookup_gives_a_repeated_string_one_id(self):
+        d = FeatureDictionary()
+        assert d.indices(["x", "y", "x", "x", "z", "y"]).tolist() == [0, 1, 0, 0, 2, 1]
+        assert d.strings == ("x", "y", "z")
+
+    def test_bulk_lookup_on_a_frozen_dictionary_misses_with_minus_one(self):
+        d = FeatureDictionary.from_strings(["a", "b"])
+        assert d.frozen
+        assert d.indices(["b", "new", "a", "new"]).tolist() == [1, -1, 0, -1]
+        assert d.indices([]).tolist() == []
+        assert len(d) == 2 and d.strings == ("a", "b")
+        assert d.index("new") is None
 
 
 class TestLinearTemplates:

@@ -710,3 +710,29 @@ def test_an_unfrozen_extractor_builds_each_word_row_once(kind, monkeypatch):
         for mine, theirs in zip(part_table(lat), part_table(ref)):
             assert mine.tobytes() == theirs.tobytes()
     assert ext.dictionary.strings == reference_ext.dictionary.strings
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_first_use_cells_are_looked_up_in_one_bulk_call(kind, frozen, monkeypatch):
+    # a sentence that repeats words reads each new (attribute, label) pair
+    # from several cells; a cold extractor resolves them all in one
+    # ``indices`` call, none through ``index``, and a warm one calls neither
+    sentence, frozen_on = tokenize("ok u ok u"), tokenize("ok there")
+    config = feature_config("abs", 3)
+    dictionary = FeatureDictionary()
+    if frozen:
+        build_lattice(kind, frozen_on, NP, 3, FeatureExtractor(config, dictionary, CLUSTERS))
+        dictionary.freeze()
+    calls = []
+    for name in ("index", "indices"):
+        method = getattr(FeatureDictionary, name)
+        monkeypatch.setattr(FeatureDictionary, name,
+                            lambda self, arg, name=name, method=method: calls.append(name) or method(self, arg))
+    extractor = FeatureExtractor(config, dictionary, CLUSTERS)
+    build_lattice(kind, sentence, NP, 3, extractor)
+    assert calls == ["indices"]
+    build_lattice(kind, sentence, NP, 3, extractor)
+    assert calls == ["indices"]
+    monkeypatch.undo()
+    assert_compiles_like_the_reference(kind, [sentence, sentence], NP, config, frozen_on=frozen_on if frozen else None)

@@ -503,12 +503,15 @@ class TestSerialization:
             lambda h: h.update(features=["TR=O|NP"]),
             lambda h: h["feature_config"].update(max_seg_len=100000),
             lambda h: h["feature_config"].update(affix_max_len=AFFIX_MAX_LEN_LIMIT + 1),
+            lambda h: h.update(features=["TR=O|NP", "TR=O|NP"]),
+            lambda h: h.update(features=["TR=O|NP", "WS[0]=a|NP", "TR=O|NP"]),
         ],
         ids=[
             "missing-field", "extra-field", "wrong-type", "non-string-feature", "unknown-kind",
             "bad-label", "missing-config-field", "bad-config-value", "clusters-without-map",
             "string-config-flag", "bool-config-limit", "unknown-config-key", "feature-count",
-            "oversized-max-seg-len", "oversized-affix-max-len",
+            "oversized-max-seg-len", "oversized-affix-max-len", "repeated-feature",
+            "repeated-feature-matching-weights",
         ],
     )
     def test_invalid_header_rejected(self, tmp_path, mutate):
