@@ -2,18 +2,15 @@
 
 from .core import (
     OUTSIDE,
-    BioSequence,
     CharSpan,
     LabelSet,
     Sentence,
     SpanError,
     Token,
     WordSpan,
-    bio_to_word_spans,
     char_spans_to_word_spans,
     is_token_aligned,
     tokenize,
-    word_spans_to_bio,
     word_spans_to_char_spans,
 )
 from .features import (

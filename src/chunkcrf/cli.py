@@ -3,11 +3,13 @@
 Every option is declared once, in :func:`build_parser`: its flags, type and
 built-in default.  Runs are reproducible: every option can also live in a
 flat ``key = value`` config file, whose keys are the options' destinations
-or flag names (``-`` and ``_`` alike).  Command-line flags override config
-values one-to-one and config values override the built-in defaults.  Only
-``bench`` draws random data, from its ``seed`` option; training and
-prediction are deterministic.  Inputs and output paths are checked before
-any work starts, and no output may be one of the command's inputs.
+or flag names (``-`` and ``_`` alike); a ``#`` at the start of a line or
+after whitespace starts a comment, and any other ``#`` is part of the
+value.  Command-line flags override config values one-to-one and config
+values override the built-in defaults.  Only ``bench`` draws random data,
+from its ``seed`` option; training and prediction are deterministic.
+Inputs and output paths are checked before any work starts, and no output
+may be one of the command's inputs.
 ``train --out X`` writes the model to ``X`` and its log to ``X.log``: with a
 fixed lambda, the CSV header ``iter, objective, grad_norm, seconds`` and one
 row per L-BFGS iteration; with ``--lambda-grid``, one
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -61,6 +64,9 @@ DEFAULT_SEED = 13
 PREDICT_CHUNK = 256
 
 
+_COMMENT_RE = re.compile(r"(?:^|\s)#.*")
+
+
 class _Parser(argparse.ArgumentParser):
     commands: dict[str, _Parser]  # set on the top-level parser only
 
@@ -85,7 +91,10 @@ def load_config_file(path: str, parser: _Parser, command: str) -> dict:
     turned into ``_``, and its value is parsed as the option parses a flag
     value (``yes``/``no`` for a switch) and must be one of its choices.
     Keys of the other commands are checked and parsed too, then dropped, so
-    one file can serve several commands.
+    one file can serve several commands.  A ``#`` starts a comment, up to the
+    end of the line, only at the start of a line or after whitespace, so
+    ``out = run#1.ckcrf`` keeps its ``#`` and ``lambda = 0.25  # note`` reads
+    0.25.
     """
     keys = {}
     for sub_parser in parser.commands.values():
@@ -96,7 +105,7 @@ def load_config_file(path: str, parser: _Parser, command: str) -> dict:
     values = {}
     with utf8_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT_RE.sub("", line).strip()
             if not line:
                 continue
             if "=" not in line:

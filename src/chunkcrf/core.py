@@ -6,11 +6,11 @@ Conventions used throughout the package:
   is always exclusive.
 - Tokens never overlap, appear in strictly increasing offset order, and the
   gaps between them contain only whitespace.
-- Chunk structure exists in three encodings: character spans (the annotation
-  source of truth), token spans, and per-token BIO tags.  Character spans may
-  cut through tokens; projecting them onto token boundaries is lossy by
-  design, and the projection is a pure snap-to-boundary rule with no other
-  normalization.
+- Chunk structure exists in two encodings: character spans (the annotation
+  source of truth) and token spans.  Character spans may cut through tokens;
+  projecting them onto token boundaries is lossy by design, and the
+  projection is a pure snap-to-boundary rule with no other normalization.
+  The lattices turn token spans into paths and back (``lattice.py``).
 - A span list is valid when every span lies inside ``[0, limit)`` (the text's
   characters or the sentence's tokens) and no two spans overlap; the list's
   order does not matter.  :func:`ordered_spans` is the one place that checks
@@ -107,31 +107,6 @@ class WordSpan:
         return self.last_token - self.first_token + 1
 
 
-def bio_follows(prev: str, tag: str) -> bool:
-    """Whether ``tag`` may follow ``prev`` (``O`` before the first token):
-    ``I-X`` continues only ``B-X`` or ``I-X``; any other tag follows anything."""
-    return not tag.startswith("I-") or prev in (f"B-{tag[2:]}", tag)
-
-
-@dataclass(frozen=True)
-class BioSequence:
-    """Per-token tags over {B-label, I-label, O}; I never opens a chunk."""
-
-    tags: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        prev = OUTSIDE
-        for tag in self.tags:
-            if tag != OUTSIDE and (len(tag) < 3 or tag[0] not in "BI" or tag[1] != "-"):
-                raise ValueError(f"malformed BIO tag {tag!r}")
-            if not bio_follows(prev, tag):
-                raise ValueError(f"tag {tag!r} continues nothing (previous tag {prev!r})")
-            prev = tag
-
-    def __len__(self) -> int:
-        return len(self.tags)
-
-
 @dataclass(frozen=True)
 class LabelSet:
     """Chunk labels plus the reserved outside label.
@@ -157,15 +132,6 @@ class LabelSet:
     def alphabet(self) -> tuple[str, ...]:
         """Segment labels, outside first."""
         return (OUTSIDE, *self.chunk_labels)
-
-    @property
-    def bio_tags(self) -> tuple[str, ...]:
-        """Token tags, outside first, then B/I per chunk label."""
-        tags = [OUTSIDE]
-        for label in self.chunk_labels:
-            tags.append(f"B-{label}")
-            tags.append(f"I-{label}")
-        return tuple(tags)
 
 
 def tokenize(raw_text: str) -> Sentence:
@@ -236,33 +202,6 @@ def char_spans_to_word_spans(sentence: Sentence, spans: list[CharSpan]) -> list[
         else:
             merged.append(span)
     return merged
-
-
-def word_spans_to_bio(sentence: Sentence, spans: list[WordSpan]) -> BioSequence:
-    """Encode non-overlapping word spans as per-token BIO tags."""
-    tags = [OUTSIDE] * len(sentence)
-    for span in ordered_spans(spans, len(sentence)):
-        tags[span.first_token] = f"B-{span.label}"
-        for idx in range(span.first_token + 1, span.last_token + 1):
-            tags[idx] = f"I-{span.label}"
-    return BioSequence(tuple(tags))
-
-
-def bio_to_word_spans(bio: BioSequence) -> list[WordSpan]:
-    """Decode BIO tags back into word spans (inverse of :func:`word_spans_to_bio`)."""
-    spans: list[WordSpan] = []
-    start = None
-    label = None
-    for idx, tag in enumerate(bio.tags):
-        if tag == OUTSIDE or tag.startswith("B-"):
-            if start is not None:
-                spans.append(WordSpan(start, idx - 1, label))
-                start = label = None
-            if tag.startswith("B-"):
-                start, label = idx, tag[2:]
-    if start is not None:
-        spans.append(WordSpan(start, len(bio.tags) - 1, label))
-    return spans
 
 
 def word_spans_to_char_spans(sentence: Sentence, spans: list[WordSpan]) -> list[CharSpan]:

@@ -23,9 +23,9 @@ through the shape mapping unchanged; affix and cluster templates skip them.
 Both rules look at the surface only, so a real token spelled ``<BOS>`` is
 treated the same way.  Feature strings map to dense indices through a
 freezable dictionary; once frozen, unseen strings are dropped rather than
-allocated.  The template methods look their strings up one at a time
-(:meth:`FeatureDictionary.index`); compiled lattices look up all the new
-strings of a sentence in one call (:meth:`FeatureDictionary.indices`).
+allocated.  Both paths look strings up through one bulk call,
+:meth:`FeatureDictionary.indices`: the template methods one part's strings
+at a time, compiled lattices all the new strings of a sentence at once.
 
 Attributes x labels.  Every feature string is a label-free observation
 *attribute* (``WS[0]=cat``, ``TR=O``) conjoined with a label (as in CRFsuite).
@@ -96,11 +96,9 @@ AFFIX_MAX_LEN_LIMIT = 10
 class FeatureDictionary:
     """Bidirectional feature-string <-> dense-index map with a freeze switch.
 
-    :meth:`index` looks up one string (the template methods' path);
-    :meth:`indices` looks up many in one call (the compiled path and
-    :meth:`from_strings`).  Both allocate a string the dictionary lacks at
-    the next index unless it is frozen, so strings keep the order they were
-    first asked for.
+    :meth:`indices` looks strings up, many in one call; it allocates a
+    string the dictionary lacks at the next index unless the dictionary is
+    frozen, so strings keep the order they were first asked for.
     """
 
     __slots__ = ("_index", "_frozen")
@@ -118,13 +116,6 @@ class FeatureDictionary:
 
     def freeze(self) -> None:
         self._frozen = True
-
-    def index(self, feature: str) -> int | None:
-        """Index of ``feature``; allocates a new slot unless frozen."""
-        idx = self._index.get(feature)
-        if idx is None and not self._frozen:
-            idx = self._index[feature] = len(self._index)
-        return idx
 
     def indices(self, features: Sequence[str]) -> np.ndarray:
         """The ``int32`` index of every string of ``features``, in one call.
@@ -498,12 +489,10 @@ class FeatureExtractor:
         return feats
 
     def _to_ids(self, feats: list[str]) -> np.ndarray:
-        ids = []
-        for f in dict.fromkeys(feats):
-            idx = self.dictionary.index(f)
-            if idx is not None:
-                ids.append(idx)
-        return np.asarray(ids, dtype=np.int32)
+        """The ids of ``feats``' distinct strings, in first-use order, less
+        those a frozen dictionary lacks."""
+        ids = self.dictionary.indices(list(dict.fromkeys(feats)))
+        return ids[ids >= 0]
 
     def token_context_features(self, sentence: Sentence, position: int, cur_tag: str) -> np.ndarray:
         """Token-mode word templates at ``position`` (``position ==

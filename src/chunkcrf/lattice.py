@@ -4,8 +4,10 @@ Each lattice is a rooted DAG whose root-to-leaf paths are in bijection with
 the legal labelings of one sentence.  A node is a :class:`Node`, a
 ``(kind, position, label)`` tuple that is also its key in the lattice:
 
-- ``linear``: one ``tag`` node per (position, BIO tag); edges connect
-  adjacent positions where :func:`~chunkcrf.core.bio_follows` allows.
+- ``linear``: one ``tag`` node per (position, BIO tag): ``O`` outside a
+  chunk, ``B-<label>`` on a chunk's first token, ``I-<label>`` on its later
+  tokens.  Edges connect adjacent positions wherever the second tag may
+  follow the first (an ``I-`` tag only continues its own label's chunk).
 - ``semi``: one ``seg`` node per (position, segment label), a node marking a
   segment that ends at that position; an edge spans the whole segment, so it
   carries the segment templates plus the label-transition template.
@@ -18,10 +20,11 @@ the legal labelings of one sentence.  A node is a :class:`Node`, a
 
 The ``root`` sits at position -1 and the ``leaf`` at ``n``.  A labeling is a
 list of chunk spans; :meth:`Lattice.gold_edge_ids` encodes it as a path and
-:meth:`Lattice.path_spans` decodes a path back, both through one
+:meth:`Lattice.path_spans` decodes a path back, in every family through one
 segmentation (:func:`_segments`: the chunks, with every other token a
 one-token outside segment), so a gold path and a decoded path of the same
-spans are the same path.
+spans are the same path.  In ``linear`` a segment is a run of tag nodes,
+the BIO tags being only the trellis's node labels.
 
 Nodes are stored level by level (outside label first within a layer;
 decoding tie-breaks rely on that): the root, then one level per position (two
@@ -31,8 +34,8 @@ the root and co-reachable from the leaf.  The dynamic programs run level by
 level, over one lattice or over a :class:`Batch` of lattices of one family,
 which keeps that layout: roots alone in its first level, leaves in its last.
 
-A lattice is its shape plus a sentence's cell ids.  The shape, a
-:class:`Topology` (nodes, levels, edges, sweeps and edge lookup),
+A lattice is its shape plus a sentence's cell ids, and keeps no sentence.
+The shape, a :class:`Topology` (nodes, levels, edges, sweeps and edge lookup),
 depends only on the family, the sentence length, the label set and the
 segment-length limit (outside segments are always one token long), so it is
 built once per shape, cached, and its arrays and sweeps shared by reference
@@ -76,10 +79,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
 
-from .core import (
-    OUTSIDE, BioSequence, LabelSet, Sentence, SpanError, WordSpan, bio_follows, bio_to_word_spans, ordered_spans,
-    word_spans_to_bio,
-)
+from .core import OUTSIDE, LabelSet, Sentence, SpanError, WordSpan, ordered_spans
 from .features import START_LABEL, STOP_LABEL, AttributePattern, FeatureConfig, FeatureExtractor, TemplateLayout
 
 MODEL_KINDS = ("linear", "semi", "weak")
@@ -309,13 +309,13 @@ class Lattice(Topology):
     edge arrays, ``part_edges`` and forward sweep are the shape's own, and
     it reads its backward sweep from the shape, which builds it on first use.
     :meth:`gold_edge_ids` and :meth:`path_spans` map chunk spans to a path
-    and back through one segmentation.
+    and back through one segmentation, :func:`_segments`, in every family;
+    BIO tags are only the ``linear`` trellis's node labels.
     """
 
-    def __init__(self, topology: Topology, sentence: Sentence, cell_ids: np.ndarray, P: csr_matrix) -> None:
+    def __init__(self, topology: Topology, cell_ids: np.ndarray, P: csr_matrix) -> None:
         vars(self).update(vars(topology))
         self.topology = topology
-        self.sentence = sentence
         self.cell_ids = cell_ids
         self.P = P
 
@@ -331,9 +331,10 @@ class Lattice(Topology):
         long, or a missing edge).
         """
         try:
-            segments = _segments(len(self.sentence), spans)  # checks the spans in every family
+            segments = _segments(self.nodes[self.leaf].position, spans)  # checks the spans in every family
             if self.model_kind == "linear":
-                nodes = [Node("tag", i, tag) for i, tag in enumerate(word_spans_to_bio(self.sentence, spans).tags)]
+                nodes = [Node("tag", i, label if label == OUTSIDE else ("B-" if i == first else "I-") + label)
+                         for first, last, label in segments for i in range(first, last + 1)]
             elif self.model_kind == "semi":
                 nodes = [Node("seg", last, label) for _, last, label in segments]
             else:
@@ -355,13 +356,15 @@ class Lattice(Topology):
         """Chunk spans encoded by a full root-to-leaf node path: the nodes
         along :meth:`gold_edge_ids`'s edge path for some spans decode to them."""
         nodes = [self.nodes[v] for v in node_path[:-1]]
-        if self.model_kind == "linear":
-            return bio_to_word_spans(BioSequence(tuple(node.label for node in nodes[1:])))
-        if self.model_kind == "semi":
-            segments = [(prev.position + 1, end) for prev, end in zip(nodes, nodes[1:])]
+        if self.model_kind == "linear":  # a segment opens at every tag but I-, and runs to the next opening
+            firsts = [node.position for node in nodes[1:] if not node.label.startswith("I-")]
+            segments = [(first, following - 1, nodes[first + 1].label.removeprefix("B-"))
+                        for first, following in zip(firsts, firsts[1:] + [len(nodes) - 1])]
+        elif self.model_kind == "semi":
+            segments = [(prev.position + 1, end.position, end.label) for prev, end in zip(nodes, nodes[1:])]
         else:
-            segments = [(begin.position, end) for begin, end in zip(nodes[1::2], nodes[2::2])]
-        return [WordSpan(first, end.position, end.label) for first, end in segments if end.label != OUTSIDE]
+            segments = [(begin.position, end.position, end.label) for begin, end in zip(nodes[1::2], nodes[2::2])]
+        return [WordSpan(first, last, label) for first, last, label in segments if label != OUTSIDE]
 
 
 def _segments(n: int, spans: list[WordSpan]) -> list[tuple[int, int, str]]:
@@ -527,17 +530,29 @@ class _FeatureMemo:
         return self.extractor.token_transition_features(prev_tag, cur_tag)
 
 
+def _bio_tags(label_set: LabelSet) -> list[str]:
+    """The trellis's node labels, ``O`` first, then ``B-``/``I-`` per chunk
+    label: decoding tie-breaks and first-use feature order follow it."""
+    return [OUTSIDE, *(f"{prefix}-{label}" for label in label_set.chunk_labels for prefix in "BI")]
+
+
+def _bio_follows(prev: str, tag: str) -> bool:
+    """Whether ``tag`` may follow ``prev`` (``O`` before the first token):
+    ``I-X`` continues only ``B-X`` or ``I-X``; any other tag follows anything."""
+    return not tag.startswith("I-") or prev in (f"B-{tag[2:]}", tag)
+
+
 def _linear_topology(n: int, label_set: LabelSet) -> Topology:
     """Token-level trellis over BIO tags, with an edge wherever
-    :func:`~chunkcrf.core.bio_follows` lets one tag follow another."""
+    :func:`_bio_follows` lets one tag follow another."""
     b = _Builder("linear")
-    tags = label_set.bio_tags
+    tags = _bio_tags(label_set)
     b.new_level()
     b.add_node(Node("root", -1))
     for i in range(n):
         b.new_level()
         for tag in tags:
-            if i > 0 or bio_follows(OUTSIDE, tag):  # the first tag continues nothing
+            if i > 0 or _bio_follows(OUTSIDE, tag):  # the first tag continues nothing
                 b.add_node(Node("tag", i, tag))
     b.new_level()
     leaf = b.add_node(Node("leaf", n))
@@ -552,7 +567,7 @@ def _linear_topology(n: int, label_set: LabelSet) -> Topology:
             ctx = ("token_context", i, cur)
             for prev in tags:
                 src = b.node_ids.get(Node("tag", i - 1, prev))
-                if src is not None and bio_follows(prev, cur):
+                if src is not None and _bio_follows(prev, cur):
                     b.add_edge(src, dst, ctx, ("token_transition", prev, cur))
     for tag in tags:
         src = b.node_ids.get(Node("tag", n - 1, tag))
@@ -657,6 +672,6 @@ def build_lattice(
     extractor)."""
     shape = topology(model_kind, len(sentence), label_set, max_seg_len)
     if extractor is None:
-        return Lattice(shape, sentence, NO_IDS, shape.no_cells)
+        return Lattice(shape, NO_IDS, shape.no_cells)
     pattern = shape.pattern(extractor.layout)
-    return Lattice(shape, sentence, extractor.part_table(sentence, pattern), pattern.P)
+    return Lattice(shape, extractor.part_table(sentence, pattern), pattern.P)

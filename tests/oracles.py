@@ -172,7 +172,8 @@ def brute_edge_marginals(lattice: Lattice, weights: np.ndarray) -> np.ndarray:
 def enumerate_bio_spansets(n: int, label_set: LabelSet) -> set[tuple]:
     """Span sets of all valid BIO strings of length n (no lattice involved)."""
     out: set[tuple] = set()
-    for tags in itertools.product(label_set.bio_tags, repeat=n):
+    tag_set = [OUTSIDE] + [f"{prefix}-{label}" for label in label_set.chunk_labels for prefix in "BI"]
+    for tags in itertools.product(tag_set, repeat=n):
         prev = OUTSIDE
         ok = True
         for tag in tags:

@@ -721,6 +721,17 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith(f"error: {config}:1: {message}")
         assert not (tmp_path / "out").exists()
 
+    def test_a_hash_inside_a_value_is_part_of_it(self, corpus_files, tmp_path):
+        train, _ = corpus_files
+        out = tmp_path / "run#1.ckcrf"
+        config = _config(tmp_path / "run.cfg", f"out = {out}\n")
+        assert run(["train", "--train", train, "--lambda", "0.1", "--max-iterations", "5", "--config", config]) == EXIT_OK
+        assert out.is_file() and not (tmp_path / "run").exists()
+
+    def test_a_hash_after_whitespace_starts_a_comment(self, tmp_path):
+        config = _config(tmp_path / "run.cfg", "# a whole-line comment\nlambda = 0.25  # note\n")
+        assert load_config_file(str(config), build_parser(), "train") == {"lam": 0.25}
+
     @staticmethod
     def _sample_value(action):
         """A config-file value the option accepts, and what it parses to."""

@@ -1,20 +1,16 @@
-"""Tokenization and span/BIO conversion behavior."""
+"""Tokenization and span conversion behavior."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from chunkcrf.core import (
-    OUTSIDE,
-    BioSequence,
     CharSpan,
     LabelSet,
     SpanError,
     WordSpan,
-    bio_to_word_spans,
     char_spans_to_word_spans,
     is_token_aligned,
     tokenize,
-    word_spans_to_bio,
     word_spans_to_char_spans,
 )
 
@@ -131,34 +127,7 @@ class TestCharToWord:
         assert word_spans_to_char_spans(s, word) == spans
 
 
-class TestBio:
-    def test_empty_spans(self):
-        s = tokenize("a b c")
-        assert word_spans_to_bio(s, []).tags == (OUTSIDE,) * 3
-
-    def test_single_span(self):
-        s = tokenize("a b c")
-        assert word_spans_to_bio(s, [WordSpan(0, 1, "NP")]).tags == ("B-NP", "I-NP", "O")
-
-    def test_adjacent_spans_restart_with_b(self):
-        s = tokenize("a b c")
-        bio = word_spans_to_bio(s, [WordSpan(0, 0, "NP"), WordSpan(1, 1, "NP")])
-        assert bio.tags == ("B-NP", "B-NP", "O")
-
-    def test_overlap_rejected(self):
-        s = tokenize("a b c")
-        with pytest.raises(SpanError):
-            word_spans_to_bio(s, [WordSpan(0, 1, "NP"), WordSpan(1, 2, "NP")])
-
-    def test_bio_to_spans(self):
-        assert bio_to_word_spans(BioSequence(("B-NP", "I-NP", "O"))) == [WordSpan(0, 1, "NP")]
-
-    def test_invalid_bio_rejected(self):
-        with pytest.raises(ValueError):
-            BioSequence(("O", "I-NP"))
-        with pytest.raises(ValueError):
-            BioSequence(("B-X", "I-Y"))
-
+class TestWordToChar:
     def test_word_span_to_char_span(self):
         s = tokenize("Dr teh")
         assert word_spans_to_char_spans(s, [WordSpan(0, 0, "NP")]) == [CharSpan(0, 2, "NP")]
@@ -182,12 +151,6 @@ def sentence_and_spans(draw):
 
 
 @given(sentence_and_spans())
-def test_bio_round_trip_is_identity(case):
-    sentence, spans = case
-    assert bio_to_word_spans(word_spans_to_bio(sentence, spans)) == spans
-
-
-@given(sentence_and_spans())
 def test_char_projection_of_word_spans_is_aligned(case):
     sentence, spans = case
     for span in word_spans_to_char_spans(sentence, spans):
@@ -198,7 +161,6 @@ class TestLabelSet:
     def test_alphabet_puts_outside_first(self):
         ls = LabelSet(("NP",))
         assert ls.alphabet == ("O", "NP")
-        assert ls.bio_tags == ("O", "B-NP", "I-NP")
 
     def test_outside_reserved(self):
         with pytest.raises(ValueError):

@@ -64,12 +64,12 @@ class TestWordShape:
 class TestDictionary:
     def test_grows_then_freezes(self):
         d = FeatureDictionary()
-        assert d.index("a") == 0
-        assert d.index("b") == 1
-        assert d.index("a") == 0
+        assert d.indices(["a"]).tolist() == [0]
+        assert d.indices(["b"]).tolist() == [1]
+        assert d.indices(["a"]).tolist() == [0]
         d.freeze()
-        assert d.index("c") is None
-        assert d.index("b") == 1
+        assert d.indices(["c"]).tolist() == [-1]
+        assert d.indices(["b"]).tolist() == [1]
         assert len(d) == 2
 
     def test_round_trip(self):
@@ -95,7 +95,6 @@ class TestDictionary:
         assert d.indices(["b", "new", "a", "new"]).tolist() == [1, -1, 0, -1]
         assert d.indices([]).tolist() == []
         assert len(d) == 2 and d.strings == ("a", "b")
-        assert d.index("new") is None
 
 
 class TestLinearTemplates:

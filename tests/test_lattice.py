@@ -94,6 +94,13 @@ class TestLinear:
         assert lattice_sets == direct
         assert len(all_edge_paths(lat)) == len(direct)
 
+    def test_a_level_lists_outside_then_begin_and_inside_per_label(self):
+        lat = build_lattice("linear", synthetic_sentence(2), LabelSet(("NP", "VP")), 1, None)
+        level = lat.level_ptr[2:4].tolist()  # position 1; position 0 has no I- tags
+        assert [lat.nodes[v].label for v in range(*level)] == ["O", "B-NP", "I-NP", "B-VP", "I-VP"]
+        level = lat.level_ptr[1:3].tolist()
+        assert [lat.nodes[v].label for v in range(*level)] == ["O", "B-NP", "B-VP"]
+
     def test_two_chunk_labels(self):
         labels = LabelSet(("NP", "VP"))
         lat = build_lattice("linear", synthetic_sentence(3), labels, 1, make_extractor())
@@ -320,6 +327,50 @@ class TestGoldPaths:
         for kind in ("linear", "semi", "weak"):
             lat = build_lattice(kind, s, NP, 2, make_extractor(2))
             assert spanset(lat, lat.gold_edge_ids(gold)) == ((0, 0, "NP"), (1, 1, "NP"))
+
+
+def gold_tags(spans, n=3):
+    """The node labels along a ``linear`` gold path, root and leaf left out."""
+    lat = build_lattice("linear", synthetic_sentence(n), NP, 1, None)
+    return [lat.nodes[v].label for v in path_nodes(lat, lat.gold_edge_ids(spans))[1:-1]]
+
+
+class TestLinearGoldTags:
+    def test_no_chunk_is_all_outside(self):
+        assert gold_tags([]) == ["O", "O", "O"]
+
+    def test_a_chunk_begins_then_continues(self):
+        assert gold_tags([WordSpan(0, 1, "NP")]) == ["B-NP", "I-NP", "O"]
+
+    def test_adjacent_same_label_chunks_restart_with_b(self):
+        assert gold_tags([WordSpan(0, 0, "NP"), WordSpan(1, 1, "NP")]) == ["B-NP", "B-NP", "O"]
+
+
+@st.composite
+def family_and_spans(draw):
+    """A family, a sentence length up to 8, one or two chunk labels, and
+    valid spans no longer than the segment-length limit."""
+    kind = draw(st.sampled_from(MODEL_KINDS))
+    n = draw(st.integers(1, 8))
+    labels = LabelSet(("NP", "VP")[: draw(st.integers(1, 2))])
+    max_seg_len = draw(st.integers(1, 4))
+    spans, pos = [], 0
+    while pos < n:
+        if draw(st.booleans()):
+            length = draw(st.integers(1, min(max_seg_len, n - pos)))
+            spans.append(WordSpan(pos, pos + length - 1, draw(st.sampled_from(labels.chunk_labels))))
+            pos += length
+        else:
+            pos += 1
+    return kind, n, labels, max_seg_len, spans
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_and_spans())
+def test_path_spans_decode_the_gold_path_of_any_valid_spans(case):
+    kind, n, labels, max_seg_len, spans = case
+    lat = build_lattice(kind, synthetic_sentence(n), labels, max_seg_len, None)
+    assert lat.path_spans(path_nodes(lat, lat.gold_edge_ids(spans))) == spans
 
 
 def _begin(i, label):
@@ -717,7 +768,7 @@ def test_an_unfrozen_extractor_builds_each_word_row_once(kind, monkeypatch):
 def test_first_use_cells_are_looked_up_in_one_bulk_call(kind, frozen, monkeypatch):
     # a sentence that repeats words reads each new (attribute, label) pair
     # from several cells; a cold extractor resolves them all in one
-    # ``indices`` call, none through ``index``, and a warm one calls neither
+    # ``indices`` call, and a warm one calls it no more
     sentence, frozen_on = tokenize("ok u ok u"), tokenize("ok there")
     config = feature_config("abs", 3)
     dictionary = FeatureDictionary()
@@ -725,10 +776,8 @@ def test_first_use_cells_are_looked_up_in_one_bulk_call(kind, frozen, monkeypatc
         build_lattice(kind, frozen_on, NP, 3, FeatureExtractor(config, dictionary, CLUSTERS))
         dictionary.freeze()
     calls = []
-    for name in ("index", "indices"):
-        method = getattr(FeatureDictionary, name)
-        monkeypatch.setattr(FeatureDictionary, name,
-                            lambda self, arg, name=name, method=method: calls.append(name) or method(self, arg))
+    method = FeatureDictionary.indices
+    monkeypatch.setattr(FeatureDictionary, "indices", lambda self, arg: calls.append("indices") or method(self, arg))
     extractor = FeatureExtractor(config, dictionary, CLUSTERS)
     build_lattice(kind, sentence, NP, 3, extractor)
     assert calls == ["indices"]

@@ -13,7 +13,6 @@ from chunkcrf.core import (
     char_spans_to_word_spans,
     ordered_spans,
     tokenize,
-    word_spans_to_bio,
     word_spans_to_char_spans,
 )
 from chunkcrf.evaluate import score_corpus
@@ -80,7 +79,6 @@ def test_word_span_entry_points_follow_the_rule(case):
     sentence, spans = case
     expected = accepts(ordered_spans, spans, len(sentence))
     assert accepts(DataItem, sentence, tuple(spans)) == expected
-    assert accepts(word_spans_to_bio, sentence, spans) == expected
     assert accepts(word_spans_to_char_spans, sentence, spans) == expected
     for kind in MODEL_KINDS:
         lattice = build_lattice(kind, sentence, LABELS, MAX_SEG_LEN, None)

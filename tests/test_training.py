@@ -567,7 +567,7 @@ class TestRestrictedEquivalence:
         }
         semi, weak = evaluators["semi"].dictionary, evaluators["weak"].dictionary
         assert sorted(semi.strings) == sorted(weak.strings)
-        to_weak = np.array([weak.index(f) for f in semi.strings])
+        to_weak = weak.indices(semi.strings)
         weights = {"semi": rng.uniform(-2.0, 2.0, len(semi)), "weak": np.empty(len(weak))}
         weights["weak"][to_weak] = weights["semi"]
 
