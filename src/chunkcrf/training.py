@@ -19,6 +19,9 @@ tokens become outside) before training, and the dropped count is reported.
 
 A fit keeps its per-iteration trace in the model's metadata and opens no
 file: :func:`save_model` writes the only file training writes.
+
+``scipy.optimize`` is imported by the first fit, not with this module, so a
+process that only loads and decodes models never pays for it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     CharSpan,
@@ -57,6 +59,17 @@ log = logging.getLogger("chunkcrf")
 LAMBDA_GRID = (0.125, 0.25, 0.5, 1.0, 2.0)
 
 LBFGS_HISTORY = 10
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    A function rather than an imported name for two reasons: the optimizer
+    (some 250 modules) loads only in processes that fit, and the benchmark's
+    tracer binds ``training.minimize`` as the L-BFGS span."""
+    import scipy.optimize
+
+    return scipy.optimize.minimize(*args, **kwargs)
 
 
 class ModelFormatError(ValueError):

@@ -643,6 +643,53 @@ def _config(path, text):
     return path
 
 
+_FOOTPRINT_SCRIPT = """
+import json, sys
+from chunkcrf.cli import main
+
+train, dev, model, work = sys.argv[1:]
+codes = {
+    "ingest": main(["ingest", dev, "--out", work + "/canonical.jsonl"]),
+    "predict": main(["predict", "--model-file", model, "--input", dev, "--out", work + "/pred.jsonl"]),
+    "eval": main(["eval", "--gold", dev, "--pred", work + "/pred.jsonl"]),
+    "bench": main(["bench", "--sentences", "2", "--labels", "2", "--iterations", "1", "--warmup", "0"]),
+}
+decoded = "scipy.optimize" in sys.modules
+codes["train"] = main(["train", "--train", train, "--model", "linear", "--lambda", "0.1",
+                       "--max-iterations", "3", "--out", work + "/again.ckcrf"])
+print(json.dumps({"codes": codes, "after_decode": decoded, "after_train": "scipy.optimize" in sys.modules}))
+"""
+
+
+class TestImportFootprint:
+    """Only fitting loads ``scipy.optimize``.  The pytest process has it
+    already, so the commands run in a fresh interpreter."""
+
+    @staticmethod
+    def _python(args, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.run(
+            [sys.executable, *args], env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+            capture_output=True, text=True, timeout=300,
+        )
+
+    def test_only_train_loads_the_optimizer(self, corpus_files, tmp_path):
+        probe = self._python(["-c", "import sys, scipy.sparse; print('scipy.optimize' in sys.modules)"], tmp_path)
+        assert probe.returncode == 0, probe.stderr
+        if probe.stdout.strip() == "True":
+            pytest.skip("this scipy loads scipy.optimize with scipy.sparse")
+        train, dev = corpus_files
+        model = tmp_path / "model.ckcrf"
+        assert run(["train", "--train", train, "--model", "semi", "--lambda", "0.1",
+                    "--max-iterations", "5", "--out", model]) == EXIT_OK
+        proc = self._python(["-c", _FOOTPRINT_SCRIPT, train, dev, model, tmp_path], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report["codes"] == dict.fromkeys(["ingest", "predict", "eval", "bench", "train"], EXIT_OK)
+        assert not report["after_decode"]
+        assert report["after_train"]
+
+
 class TestConfigFile:
     """Config-file values reach every command; flags still override them."""
 
