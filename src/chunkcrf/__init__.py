@@ -53,7 +53,6 @@ from .training import (
 from .evaluate import (
     BootstrapResult,
     EvalReport,
-    benchmark_label_sweep,
     score_corpus,
 )
 

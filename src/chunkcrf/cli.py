@@ -29,24 +29,25 @@ import argparse
 import json
 import re
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
-from .core import char_spans_to_word_spans, word_spans_to_char_spans
-from .evaluate import (
-    benchmark_label_sweep,
-    format_eval_table,
-    score_corpus,
-    sweep_rows_to_csv,
-)
+import numpy as np
+
+from .core import LabelSet, char_spans_to_word_spans, tokenize, word_spans_to_char_spans
+from .evaluate import format_eval_table, score_corpus
 from .features import load_brown_clusters
 from .ingest import DataFormatError, corpus_stats, jsonl_line, read_corpus, read_jsonl, utf8_text, write_jsonl
 from .lattice import MODEL_KINDS
+from .synth import chunk_label_names
 from .training import (
     LAMBDA_GRID,
+    DataItem,
     Dataset,
     NumericalError,
     TrainConfig,
+    compile_split,
     load_model,
     save_model,
     train,
@@ -274,6 +275,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    """Seconds per objective-plus-gradient evaluation of every family as the
+    label alphabet grows, at fixed n and L: one CSV row per (alphabet size,
+    family), with the edge count of the lattices timed.
+
+    Size Y counts the outside label: ``Y - 1`` synthetic chunk labels plus
+    ``O``.  The messages are ``--length`` words from ``v0`` ... ``v59``,
+    drawn with ``--seed``, and carry no chunk spans: a lattice registers
+    every cell's feature whatever its gold path, and its size depends only
+    on the length, the labels and ``max_seg_len``, so spans would change
+    nothing but the gold path.  Each family compiles the messages once, runs
+    ``--warmup`` untimed evaluations at zero weights, then times
+    ``--iterations`` more: edge scoring, the forward sweep and its reverse
+    pass, and gradient accumulation, as in a training iteration.  ``semi``'s
+    edges grow quadratically in the alphabet size and ``weak``'s linearly, so
+    their time ratio grows with it.
+    """
     _check_output(args.out, args.config)
     label_values = []
     for item in filter(None, (x.strip() for x in args.labels.split(","))):
@@ -281,24 +298,45 @@ def cmd_bench(args: argparse.Namespace) -> int:
             label_values.append(int(item))
         except ValueError:
             raise ValueError(f"label-alphabet sizes must be integers, got {item!r}") from None
-    rows = benchmark_label_sweep(
-        num_label_values=tuple(label_values),
-        sentences=args.sentences,
-        sentence_len=args.length,
-        max_seg_len=args.max_seg_len,
-        iterations=args.iterations,
-        warmup=args.warmup,
-        seed=args.seed,
-    )
-    csv_text = sweep_rows_to_csv(rows)
+    if not label_values:
+        raise ValueError("need at least one label-alphabet size")
+    for num_labels in label_values:
+        if num_labels < 2:
+            raise ValueError(f"label-alphabet sizes count the outside label and must be >= 2, got {num_labels}")
+    if len(set(label_values)) < len(label_values):
+        raise ValueError(f"label-alphabet sizes must not repeat, got {', '.join(map(str, label_values))}")
+    for name, value, least in (("sentences", args.sentences, 1), ("sentence length", args.length, 1),
+                               ("max_seg_len", args.max_seg_len, 1), ("iterations", args.iterations, 1),
+                               ("warmup", args.warmup, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    configs = {kind: TrainConfig(model_kind=kind, lam=1.0, max_seg_len=args.max_seg_len) for kind in MODEL_KINDS}
+
+    words = np.random.default_rng(args.seed).integers(0, 60, size=(args.sentences, args.length))
+    dataset = Dataset([DataItem(tokenize(" ".join(f"v{j}" for j in row)), ()) for row in words])
+    lines = ["model,num_labels,n,L,edges,sec_per_iter"]
+    ratios = []
+    for num_labels in label_values:
+        label_set = LabelSet(tuple(chunk_label_names(num_labels - 1)))
+        seconds = {}
+        for kind, config in configs.items():
+            evaluator, _ = compile_split(dataset, config, None, label_set)
+            w = np.zeros(len(evaluator.dictionary))
+            for _ in range(args.warmup):
+                evaluator.objective_and_gradient(w)
+            t0 = time.perf_counter()
+            for _ in range(args.iterations):
+                evaluator.objective_and_gradient(w)
+            seconds[kind] = (time.perf_counter() - t0) / args.iterations
+            lines.append(f"{kind},{num_labels},{args.length},{args.max_seg_len},{evaluator.batch.num_edges},"
+                         f"{seconds[kind]:.6f}")
+        ratios.append(f"labels={num_labels}: semi/weak time ratio {seconds['semi'] / seconds['weak']:.3f}")
+    csv_text = "".join(f"{line}\n" for line in lines)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
         print(f"benchmark CSV written to {args.out}")
     print(csv_text, end="")
-    seconds = {(r.model, r.num_labels): r.sec_per_iter for r in rows}
-    for num_labels in label_values:
-        ratio = seconds["semi", num_labels] / seconds["weak", num_labels]
-        print(f"labels={num_labels}: semi/weak time ratio {ratio:.3f}")
+    print(*ratios, sep="\n")
     return EXIT_OK
 
 

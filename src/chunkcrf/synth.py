@@ -1,11 +1,10 @@
-"""Synthetic corpora for learning-sanity checks and timing runs.
+"""Synthetic corpora for learning-sanity checks.
 
 The separable corpus draws chunk words and filler words from disjoint
 vocabularies and never places two chunks adjacently, so gold chunks are
 exactly the maximal runs of chunk-vocabulary words: every model family can
-reach perfect held-out scores from word-identity features alone.  The timing
-corpus only needs realistic lattice and dictionary sizes, not learnability.
-All generators are seeded and deterministic.
+reach perfect held-out scores from word-identity features alone.  Every
+generator is seeded and deterministic.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ def _assemble(words: list[str], chunk_ranges: list[tuple[int, int, str]]) -> Ann
 
 
 def chunk_label_names(num_chunk_labels: int) -> list[str]:
-    """The chunk labels the generators draw from: ``NP`` alone, or
-    ``T1`` ... ``Tk``."""
+    """Synthetic chunk labels: ``NP`` alone, or ``T1`` ... ``Tk``."""
     if num_chunk_labels == 1:
         return ["NP"]
     return [f"T{i}" for i in range(1, num_chunk_labels + 1)]
@@ -71,39 +69,6 @@ def separable_corpus(
                 for _ in range(int(rng.integers(1, 3))):
                     words.append(filler_vocab[int(rng.integers(0, vocab_size))])
                 can_chunk = True
-        items.append(_assemble(words, ranges))
-    return items
-
-
-def timing_corpus(
-    num_sentences: int,
-    num_chunk_labels: int,
-    seed: int = 0,
-    sentence_len: int = 10,
-    vocab_size: int = 60,
-    max_chunk_len: int = 3,
-    chunk_prob: float = 0.35,
-) -> list[AnnotatedText]:
-    """Fixed-length messages with random chunk annotations over the given
-    number of chunk labels; shaped for benchmarking, not for learnability."""
-    rng = np.random.default_rng(seed)
-    labels = chunk_label_names(num_chunk_labels)
-    vocab = [f"v{j}" for j in range(vocab_size)]
-
-    items = []
-    for _ in range(num_sentences):
-        words = [vocab[int(rng.integers(0, vocab_size))] for _ in range(sentence_len)]
-        ranges: list[tuple[int, int, str]] = []
-        pos = 0
-        while pos < sentence_len:
-            if rng.random() < chunk_prob:
-                length = int(rng.integers(1, max_chunk_len + 1))
-                last = min(pos + length - 1, sentence_len - 1)
-                label = labels[int(rng.integers(0, len(labels)))]
-                ranges.append((pos, last, label))
-                pos = last + 2  # leave a gap so spans stay disjoint
-            else:
-                pos += 1
         items.append(_assemble(words, ranges))
     return items
 

@@ -50,6 +50,7 @@ from .features import (
     FeatureDictionary,
     FeatureExtractor,
 )
+from .evaluate import score_corpus
 from .ingest import AnnotatedText
 from .lattice import MODEL_KINDS, Batch, Lattice, LatticeError, build_lattice
 from .inference import NumericalError, edge_scores, feature_counts, marginals_from_scores, viterbi, viterbi_path
@@ -416,8 +417,6 @@ def tune_lambda(
     the larger regularization strength.  Returns the chosen value, a
     per-grid-point report dict and the model :func:`train` gives there.
     """
-    from .evaluate import score_corpus  # local import to avoid a cycle
-
     if len(train_split) == 0 or len(dev_split) == 0:
         raise ValueError("tuning needs non-empty train and dev splits")
     evaluator, dropped = compile_split(train_split, config, brown, label_set)

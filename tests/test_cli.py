@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -16,7 +17,8 @@ from chunkcrf.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_par
 from chunkcrf.core import CharSpan, LabelSet
 from chunkcrf.features import FeatureConfig, FeatureDictionary
 from chunkcrf.ingest import AnnotatedText, annotate, read_jsonl, write_jsonl
-from chunkcrf.synth import separable_corpus
+from chunkcrf.lattice import MODEL_KINDS, topology
+from chunkcrf.synth import chunk_label_names, separable_corpus
 from chunkcrf.training import MODEL_MAGIC, MODEL_VERSION, Model, TrainConfig, load_model, save_model
 
 
@@ -343,7 +345,7 @@ class TestTrainPredictEval:
         def never(*args, **kwargs):
             raise AssertionError("work started before the output path was checked")
 
-        for name in ("read_corpus", "read_jsonl", "train", "tune_lambda", "benchmark_label_sweep", "load_model"):
+        for name in ("read_corpus", "read_jsonl", "train", "tune_lambda", "compile_split", "load_model"):
             monkeypatch.setattr(cli, name, never)
         _, dev = corpus_files
         out_dir = tmp_path / "outdir"
@@ -617,6 +619,57 @@ class TestBench:
         assert lines[0] == "model,num_labels,n,L,edges,sec_per_iter"
         assert len(lines) == 1 + 2 * 3  # two alphabet sizes, three models
         assert "semi/weak time ratio" in capsys.readouterr().out
+
+    def test_rows_time_the_requested_alphabet(self, tmp_path):
+        # five four-token messages carry no chunk, yet the lattices span all 16 labels
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--sentences", "5", "--length", "4", "--labels", "3,16", "--max-seg-len", "3",
+                    "--iterations", "2", "--warmup", "1", "--out", out]) == EXIT_OK
+        _, *rows = out.read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[:2] for row in rows] == [[kind, str(y)] for y in (3, 16) for kind in MODEL_KINDS]
+        for model, num_labels, n, max_seg_len, edges, seconds in (row.split(",") for row in rows):
+            label_set = LabelSet(tuple(chunk_label_names(int(num_labels) - 1)))
+            assert (n, max_seg_len) == ("4", "3")
+            assert int(edges) == 5 * topology(model, 4, label_set, 3).num_edges
+            assert float(seconds) > 0
+
+    def test_csv_schema(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--sentences", "2", "--labels", "2", "--iterations", "1", "--warmup", "0",
+                    "--out", out]) == EXIT_OK
+        text = out.read_text(encoding="utf-8")
+        header, *rows = text.splitlines()
+        assert header == "model,num_labels,n,L,edges,sec_per_iter"
+        for kind, row in zip(MODEL_KINDS, rows, strict=True):
+            assert re.fullmatch(rf"{kind},2,10,6,\d+,\d+\.\d{{6}}", row)
+        stdout = capsys.readouterr().out
+        expected = f"benchmark CSV written to {out}\n{text}labels=2: semi/weak time ratio "
+        assert re.fullmatch(re.escape(expected) + r"\d+\.\d{3}\n", stdout)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--labels", "2,1"], "label-alphabet sizes count the outside label and must be >= 2, got 1"),
+            (["--iterations", "0"], "iterations must be >= 1, got 0"),
+            (["--warmup", "-1"], "warmup must be >= 0, got -1"),
+            (["--sentences", "0"], "sentences must be >= 1, got 0"),
+            (["--length", "0"], "sentence length must be >= 1, got 0"),
+            (["--max-seg-len", "0"], "max_seg_len must be >= 1, got 0"),
+            (["--max-seg-len", "101"], "max_seg_len must be between 1 and 100, got 101"),
+            (["--labels", ","], "need at least one label-alphabet size"),
+            (["--labels", "2,2"], "label-alphabet sizes must not repeat, got 2, 2"),
+        ],
+        ids=["labels", "iterations", "warmup", "sentences", "length", "max-seg-len", "max-seg-len-limit",
+             "no-labels", "repeated-labels"],
+    )
+    def test_rejects_bad_arguments_before_any_work(self, monkeypatch, capsys, argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the benchmark built its messages before checking its arguments")
+
+        for name in ("Dataset", "compile_split"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert run(["bench", "--labels", "2", *argv]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "labels, message",
