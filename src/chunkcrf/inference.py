@@ -34,14 +34,25 @@ transpose; :func:`feature_counts` is its transpose, edges onto parts
 through ``part_edges`` and parts onto cells through ``P``'s transpose, as
 the gradient of a linear map is its transpose.  The two are the only
 readers of ``P``, ``part_edges`` and ``cell_ids`` outside
-:mod:`~chunkcrf.lattice`, which builds and batches them.  Arithmetic runs
-with numpy's floating-point warnings off; a log partition or a best path
-score that is not finite raises :class:`NumericalError` instead.
+:mod:`~chunkcrf.lattice`, which builds and batches them.
+
+``cell_ids`` may carry a trailing member axis, (cells x width): one column
+per sentence of the graph's shape.  :func:`edge_scores`, the sweep and
+:func:`viterbi_path` then run on every column at once, as the same
+functions: ``reduceat`` and the row gathers work along axis 0, and a sparse
+product with a dense block sums each column in the order of the product
+with one vector, so each column's scores, back-pointers and tie-breaks are
+bit for bit those of its sentence alone.  Decoding uses it; training keeps
+one column per member.  Arithmetic runs with numpy's floating-point
+warnings off; a log partition or a best path score that is not finite
+raises :class:`NumericalError` instead.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -62,6 +73,7 @@ def edge_scores(graph: LevelGraph, weights: np.ndarray) -> np.ndarray:
     commutes, so the order of the parts does not matter.  An edge's
     transition part holds at most one feature, so every score equals the
     in-order sum over the edge's features, template part first, bit for bit.
+    With a member axis the scores are (edges x width), column for column.
     """
     w = np.asarray(weights, dtype=np.float64)
     # take is twice as fast as w[ids] on int32 ids; a cell without a feature
@@ -87,14 +99,19 @@ def _sweep(sweep: Sweep, scores: np.ndarray, x: np.ndarray, log: bool = True) ->
     """Fill ``x`` step by step with the log-sum-exp over each node's edges of
     (score + value of the node the edge reads), or with their maximum when
     ``log`` is false (the max-plus semiring, for Viterbi).  Returns those
-    per-edge sums, in ``sweep.order``."""
-    sums = scores[sweep.order]
+    per-edge sums, in ``sweep.order``.
+
+    Fancy indexing is the fastest gather of a vector, but gathers the rows
+    of a member axis several times as slowly as ``take``, so a member axis
+    gathers through ``take``."""
+    stacked = x.ndim == 2
+    sums = scores.take(sweep.order, 0) if stacked else scores[sweep.order]
     for a, b, lo, hi, read, write, starts in sweep.steps:
         vals = sums[lo:hi]
-        vals += x[read]
+        vals += x.take(read, 0) if stacked else x[read]
         np.maximum.reduceat(vals, starts, out=x[a:b])
         if log:
-            shifted = x[write]
+            shifted = x.take(write, 0) if stacked else x[write]
             np.subtract(vals, shifted, out=shifted)
             np.exp(shifted, out=shifted)
             total = np.add.reduceat(shifted, starts)
@@ -169,7 +186,8 @@ def marginals_from_scores(graph: LevelGraph, scores: np.ndarray) -> Marginals:
     return Marginals(post, alpha[graph.leaves])
 
 
-def viterbi_path(graph: LevelGraph, weights: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
+def viterbi_path(graph: LevelGraph, weights: np.ndarray,
+                 columns: Sequence[int] | None = None) -> tuple[list[list[int]], np.ndarray]:
     """Maximum-score root-to-leaf node path of each member, in member-local
     node ids, with its score.
 
@@ -179,24 +197,41 @@ def viterbi_path(graph: LevelGraph, weights: np.ndarray) -> tuple[list[list[int]
     starts at the node's entry of ``node_starts``.
     That makes decoding deterministic; with all-zero weights every
     construction decodes to the all-outside labeling.
+
+    When ``cell_ids`` has a member axis (cells x width), every step runs on
+    all columns at once and each column decodes as it would alone, bit for
+    bit.  Only the leading ``columns[i]`` columns of member ``i`` are real
+    (all of them by default); the rest are padding, never finite-checked or
+    traced.  Paths and scores are then listed by member, then by column.
     """
     scores = edge_scores(graph, weights)
     sweep = graph.forward_sweep
-    delta = np.zeros(graph.num_nodes)
+    stacked = scores.ndim == 2
+    delta = np.zeros((graph.num_nodes, scores.shape[1]) if stacked else graph.num_nodes)
     with np.errstate(all="ignore"):
         sums = _sweep(sweep, scores, delta, log=False)
     best = delta[graph.leaves]
+    if stacked:  # only the leading columns[i] of member i are real
+        counts = columns if columns is not None else [best.shape[1]] * len(best)
+        best = best[np.arange(best.shape[1]) < np.asarray(counts)[:, None]]
     # np.maximum keeps NaNs and every node reaches a leaf, so with finite
     # leaves each node's value is one of its in-edge sums: it has a tight edge.
     _check_finite(best, "best path score")
     num_roots = int(graph.level_ptr[1])
-    edge_ids = np.where(sums == delta[sweep.write], np.arange(len(sums)), len(sums) - 1)
-    back = sweep.read[np.minimum.reduceat(edge_ids, sweep.node_starts)].tolist()
+    edge_ids = np.arange(len(sums))
+    tight = sums == (delta.take(sweep.write, 0) if stacked else delta[sweep.write])
+    edge_ids = np.where(tight, edge_ids[:, None] if stacked else edge_ids, len(sums) - 1)
+    back = sweep.read[np.minimum.reduceat(edge_ids, sweep.node_starts)]
+    if stacked:  # trace each member's real columns
+        pointers = back.T.tolist()
+        ends = [(leaf, pointers[c]) for leaf, count in zip(graph.leaves.tolist(), counts) for c in range(count)]
+    else:
+        ends = zip(graph.leaves.tolist(), repeat(back.tolist()))
     paths = []
-    for leaf in graph.leaves.tolist():
+    for leaf, up in ends:
         path = [leaf]
         while path[-1] >= num_roots:
-            path.append(back[path[-1] - num_roots])
+            path.append(up[path[-1] - num_roots])
         path.reverse()
         paths.append(graph.local_ids(path))
     return paths, best

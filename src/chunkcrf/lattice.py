@@ -158,7 +158,9 @@ class LevelGraph:
     ``cell_ids[c]``, or none where that is -1.  Scoring multiplies cell
     weights by ``P``, then by ``part_edges_T``, built with the graph;
     expected counts multiply edge weights by ``part_edges``, then by
-    ``P_T``, built on first use.
+    ``P_T``, built on first use.  ``cell_ids`` may also be a (cells x width)
+    block, one column per sentence of the shape, which decoding runs on as
+    a trailing member axis (see :mod:`~chunkcrf.inference`).
     """
 
     @property
@@ -303,7 +305,9 @@ class Topology(LevelGraph):
 class Lattice(Topology):
     """Compiled lattice of one sentence: its shape's
     :class:`Topology`, the shape's cell matrix ``P``, whose part ``s`` holds
-    the cells of slot ``s``, and the sentence's ``cell_ids``.
+    the cells of slot ``s``, and the sentence's ``cell_ids``.  Decoding also
+    makes one per block of a shape's sentences, whose ``cell_ids`` hold
+    their columns side by side (cells x width).
 
     It takes the topology's attributes by reference, so its nodes, levels,
     edge arrays, ``part_edges`` and forward sweep are the shape's own, and
@@ -391,7 +395,9 @@ class Batch(LevelGraph):
     Member ``i``'s edges are batch edges ``edge_ptr[i]:edge_ptr[i + 1]`` in
     the member's own order, and its parts and cells one block of the
     block-diagonal ``P`` and ``part_edges`` and of the concatenated
-    ``cell_ids``: the batch joins both matrices alike, when it is built.  Every
+    ``cell_ids``: the batch joins both matrices alike, when it is built.
+    Members whose ``cell_ids`` carry columns must all have the same width,
+    and the batch's ``cell_ids`` then has it too.  Every
     member's leaf is lifted to the batch's top level, so the batch keeps a
     lattice's layout (the leaves alone in the last level, in member order),
     and nodes are renumbered by level, then by member and member node id,

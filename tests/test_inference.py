@@ -20,7 +20,7 @@ from chunkcrf.inference import (
     viterbi,
     viterbi_path,
 )
-from chunkcrf.lattice import Batch, build_lattice
+from chunkcrf.lattice import Batch, Lattice, build_lattice
 
 from oracles import (
     all_edge_paths,
@@ -268,6 +268,27 @@ class TestBatch:
         assert set(vars(batch)) == stored | {"backward_sweep"}
         feature_counts(batch, marginals.edge_posteriors, len(ext.dictionary))
         assert set(vars(batch)) == stored | {"backward_sweep", "P_T"}
+
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    def test_columns_decode_as_their_lattices_alone_and_padding_is_dropped(self, kind):
+        """Members whose cell ids are (cells x 2) blocks, the second column
+        of two of them padding: one path and one score per real column, by
+        member, then column, bit for bit those of each lattice alone."""
+        ext = make_extractor(3)
+        lattices = [build_lattice(kind, tokenize(text), LabelSet(("NP", "VP")), 3, ext)
+                    for text in ("a b c", "c a b", "b b a", "a c")]
+        w = np.random.default_rng(5).normal(size=len(ext.dictionary))
+
+        def block(*members):
+            pad = [np.full(len(members[0].cell_ids), -1, dtype=np.int32)] * (2 - len(members))
+            return Lattice(members[0].topology, np.stack([m.cell_ids for m in members] + pad, axis=1), members[0].P)
+
+        blocks = [block(*lattices[:2]), block(lattices[2]), block(lattices[3])]
+        alone = [viterbi_path(lat, w) for lat in lattices]
+        for graph, columns, members in ((blocks[0], None, lattices[:2]), (Batch(blocks), [2, 1, 1], lattices)):
+            paths, best = viterbi_path(graph, w, columns)
+            assert paths == [path for (path,), _ in alone[: len(members)]]
+            assert best.tobytes() == np.concatenate([score for _, score in alone[: len(members)]]).tobytes()
 
     @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
     def test_zero_weight_ties_go_to_the_lowest_source_in_a_mixed_length_batch(self, kind):

@@ -20,7 +20,7 @@ from chunkcrf.features import (
     FeatureDictionary,
     FeatureExtractor,
 )
-from chunkcrf.inference import edge_scores, forward_log, viterbi_path
+from chunkcrf.inference import edge_scores, forward_log, viterbi, viterbi_path
 from chunkcrf.lattice import build_lattice
 from chunkcrf.synth import separable_corpus
 import chunkcrf.training
@@ -37,6 +37,7 @@ from chunkcrf.training import (
     TrainConfig,
     build_feature_space,
     compile_split,
+    decode,
     derive_label_set,
     load_model,
     save_model,
@@ -316,6 +317,19 @@ class TestModel:
             assert model.predict_many(sentences[:cut]) + model.predict_many(sentences[cut:]) == expected
         assert model.predict_many([]) == []
 
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    def test_predict_many_of_one_length_builds_no_batch(self, kind, monkeypatch):
+        model = train(Dataset.from_annotated(separable_corpus(20, seed=3)), TrainConfig(kind, lam=0.5,
+                                                                                       max_iterations=5))
+        sentences = [tokenize("npw1 fill2 npw0"), tokenize(""), tokenize("fill1 npw1 npw1"), tokenize("a b c")]
+        expected = [model.predict(s) for s in sentences]
+
+        def no_batch(*_):
+            raise AssertionError("one shape decodes without a Batch")
+
+        monkeypatch.setattr(chunkcrf.training, "Batch", no_batch)
+        assert model.predict_many(sentences) == expected
+
     def test_decoding_new_words_keeps_the_extractor_caches_bounded(self):
         model = train(Dataset.from_annotated(separable_corpus(20, seed=3)),
                       TrainConfig("semi", lam=0.5, max_iterations=5, use_affix=True, use_shape=True))
@@ -329,6 +343,52 @@ class TestModel:
         attributes = 1 + (WORD_CACHE_SIZE + length + 2) * widest + len(model.label_set.alphabet) + 1
         assert len(ext._attributes) <= attributes
         assert all(len(table) <= 2 * attributes for table in ext._tables.values())
+
+
+@st.composite
+def sentences_by_shape(draw):
+    """A family, and one to three lengths with skewed counts (so that a
+    length's sentences split into several blocks and the last is padded),
+    shuffled together with up to three empty sentences."""
+    kind = draw(st.sampled_from(["linear", "semi", "weak"]))
+    label_set = LabelSet(tuple(f"L{i}" for i in range(draw(st.integers(1, 2)))))
+    max_seg_len = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+    counts = draw(st.lists(st.integers(1, 7), min_size=len(lengths), max_size=len(lengths)))
+    word = st.sampled_from(["a", "b", "C1", "dd"])
+    texts = [" ".join(draw(st.lists(word, min_size=n, max_size=n))) for n, count in zip(lengths, counts)
+             for _ in range(count)]
+    texts = draw(st.permutations(texts + [""] * draw(st.integers(0, 3))))
+    return kind, label_set, max_seg_len, [tokenize(text) for text in texts]
+
+
+class TestDecode:
+    @settings(deadline=None, max_examples=60)
+    @given(sentences_by_shape(), st.integers(0, 2**32 - 1))
+    def test_decode_equals_one_viterbi_per_lattice(self, case, seed):
+        """Blocked and padded by shape, every lattice decodes as it does
+        alone, ties included, in any order of the list."""
+        kind, label_set, max_seg_len, sentences = case
+        dictionary = FeatureDictionary()
+        extractor = FeatureExtractor(FeatureConfig(max_seg_len=max_seg_len), dictionary)
+        lattices = [build_lattice(kind, s, label_set, max_seg_len, extractor) if len(s) else None
+                    for s in sentences]
+        for w in (np.random.default_rng(seed).normal(size=len(dictionary)), np.zeros(len(dictionary))):
+            expected = [[] if lat is None else viterbi(lat, w)[0] for lat in lattices]
+            assert decode(lattices, w) == expected
+            assert decode(lattices[::-1], w) == expected[::-1]
+        assert expected == [[]] * len(lattices)  # zero weights tie, and ties decode all outside
+
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    @pytest.mark.parametrize("value", [1e308, -1e308, np.nan])
+    @pytest.mark.parametrize("lengths", [(3, 3), (3, 3, 3, 2, 2)], ids=["one-shape", "padded-batch"])
+    def test_non_finite_weights_raise_without_warnings(self, kind, value, lengths):
+        extractor = FeatureExtractor(FeatureConfig(max_seg_len=2), FeatureDictionary())
+        lattices = [build_lattice(kind, tokenize(" ".join("abc"[:n])), NP, 2, extractor) for n in lengths]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="best path score"):
+                decode(lattices, np.full(10_000, value))
 
 
 class TestTuneLambda:
@@ -358,7 +418,7 @@ class TestTuneLambda:
         grid = (0.125, 0.5, 1000.0)  # the largest strength underfits, so the winner is not the last fit
         builds = count_builds(monkeypatch)
         best, reports, model = tune_lambda(train_ds, dev_ds, cfg, grid=grid)
-        # the train split once, then dev once, decoded as one batch per grid point
+        # the train split once, then dev once, decoded in one decode call per grid point
         assert len(builds) == len(train_ds) + len(dev_ds)
         assert builds[: len(train_ds)] == [item.sentence for item in train_ds.items]
 
