@@ -50,9 +50,7 @@ raises :class:`NumericalError` instead.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -103,15 +101,16 @@ def _sweep(sweep: Sweep, scores: np.ndarray, x: np.ndarray, log: bool = True) ->
 
     Fancy indexing is the fastest gather of a vector, but gathers the rows
     of a member axis several times as slowly as ``take``, so a member axis
-    gathers through ``take``."""
-    stacked = x.ndim == 2
-    sums = scores.take(sweep.order, 0) if stacked else scores[sweep.order]
+    gathers through ``take``.  (A gather picked once per call, as a bound
+    method, costs a lone lattice's Viterbi more than this branch does.)"""
+    flat = x.ndim == 1
+    sums = scores[sweep.order] if flat else scores.take(sweep.order, 0)
     for a, b, lo, hi, read, write, starts in sweep.steps:
         vals = sums[lo:hi]
-        vals += x.take(read, 0) if stacked else x[read]
+        vals += x[read] if flat else x.take(read, 0)
         np.maximum.reduceat(vals, starts, out=x[a:b])
         if log:
-            shifted = x.take(write, 0) if stacked else x[write]
+            shifted = x[write]
             np.subtract(vals, shifted, out=shifted)
             np.exp(shifted, out=shifted)
             total = np.add.reduceat(shifted, starts)
@@ -186,8 +185,7 @@ def marginals_from_scores(graph: LevelGraph, scores: np.ndarray) -> Marginals:
     return Marginals(post, alpha[graph.leaves])
 
 
-def viterbi_path(graph: LevelGraph, weights: np.ndarray,
-                 columns: Sequence[int] | None = None) -> tuple[list[list[int]], np.ndarray]:
+def viterbi_path(graph: LevelGraph, weights: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
     """Maximum-score root-to-leaf node path of each member, in member-local
     node ids, with its score.
 
@@ -200,40 +198,35 @@ def viterbi_path(graph: LevelGraph, weights: np.ndarray,
 
     When ``cell_ids`` has a member axis (cells x width), every step runs on
     all columns at once and each column decodes as it would alone, bit for
-    bit.  Only the leading ``columns[i]`` columns of member ``i`` are real
-    (all of them by default); the rest are padding, never finite-checked or
-    traced.  Paths and scores are then listed by member, then by column.
+    bit.  Paths are then listed by member, then by column, and scores are
+    (members x width).  A padded column (all ids -1, transitions included)
+    scores 0 on every edge, so it is always finite and decodes like any
+    other.
     """
     scores = edge_scores(graph, weights)
     sweep = graph.forward_sweep
-    stacked = scores.ndim == 2
-    delta = np.zeros((graph.num_nodes, scores.shape[1]) if stacked else graph.num_nodes)
+    delta = np.zeros((graph.num_nodes, *scores.shape[1:]))
     with np.errstate(all="ignore"):
         sums = _sweep(sweep, scores, delta, log=False)
     best = delta[graph.leaves]
-    if stacked:  # only the leading columns[i] of member i are real
-        counts = columns if columns is not None else [best.shape[1]] * len(best)
-        best = best[np.arange(best.shape[1]) < np.asarray(counts)[:, None]]
     # np.maximum keeps NaNs and every node reaches a leaf, so with finite
     # leaves each node's value is one of its in-edge sums: it has a tight edge.
     _check_finite(best, "best path score")
     num_roots = int(graph.level_ptr[1])
-    edge_ids = np.arange(len(sums))
-    tight = sums == (delta.take(sweep.write, 0) if stacked else delta[sweep.write])
-    edge_ids = np.where(tight, edge_ids[:, None] if stacked else edge_ids, len(sums) - 1)
-    back = sweep.read[np.minimum.reduceat(edge_ids, sweep.node_starts)]
-    if stacked:  # trace each member's real columns
-        pointers = back.T.tolist()
-        ends = [(leaf, pointers[c]) for leaf, count in zip(graph.leaves.tolist(), counts) for c in range(count)]
+    if delta.ndim == 1:
+        edge_ids = np.where(sums == delta[sweep.write], np.arange(len(sums)), len(sums) - 1)
+        columns = [sweep.read[np.minimum.reduceat(edge_ids, sweep.node_starts)].tolist()]
     else:
-        ends = zip(graph.leaves.tolist(), repeat(back.tolist()))
+        edge_ids = np.where(sums == delta.take(sweep.write, 0), np.arange(len(sums))[:, None], len(sums) - 1)
+        columns = sweep.read[np.minimum.reduceat(edge_ids, sweep.node_starts)].T.tolist()
     paths = []
-    for leaf, up in ends:
-        path = [leaf]
-        while path[-1] >= num_roots:
-            path.append(up[path[-1] - num_roots])
-        path.reverse()
-        paths.append(graph.local_ids(path))
+    for leaf in graph.leaves.tolist():
+        for back in columns:
+            path = [leaf]
+            while path[-1] >= num_roots:
+                path.append(back[path[-1] - num_roots])
+            path.reverse()
+            paths.append(graph.local_ids(path))
     return paths, best
 
 

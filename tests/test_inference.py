@@ -270,10 +270,11 @@ class TestBatch:
         assert set(vars(batch)) == stored | {"backward_sweep", "P_T"}
 
     @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
-    def test_columns_decode_as_their_lattices_alone_and_padding_is_dropped(self, kind):
+    def test_columns_decode_as_their_lattices_alone(self, kind):
         """Members whose cell ids are (cells x 2) blocks, the second column
-        of two of them padding: one path and one score per real column, by
-        member, then column, bit for bit those of each lattice alone."""
+        of two of them padding: one path per column, by member, then column,
+        and (members x 2) scores; each real column's are bit for bit those of
+        its lattice alone."""
         ext = make_extractor(3)
         lattices = [build_lattice(kind, tokenize(text), LabelSet(("NP", "VP")), 3, ext)
                     for text in ("a b c", "c a b", "b b a", "a c")]
@@ -285,10 +286,11 @@ class TestBatch:
 
         blocks = [block(*lattices[:2]), block(lattices[2]), block(lattices[3])]
         alone = [viterbi_path(lat, w) for lat in lattices]
-        for graph, columns, members in ((blocks[0], None, lattices[:2]), (Batch(blocks), [2, 1, 1], lattices)):
-            paths, best = viterbi_path(graph, w, columns)
-            assert paths == [path for (path,), _ in alone[: len(members)]]
-            assert best.tobytes() == np.concatenate([score for _, score in alone[: len(members)]]).tobytes()
+        for graph, real in ((blocks[0], [0, 1]), (Batch(blocks), [0, 1, 2, 4])):
+            paths, best = viterbi_path(graph, w)
+            assert len(paths) == best.size == 2 * len(best)
+            assert [paths[k] for k in real] == [path for (path,), _ in alone[: len(real)]]
+            assert best.ravel()[real].tobytes() == np.concatenate([score for _, score in alone[: len(real)]]).tobytes()
 
     @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
     def test_zero_weight_ties_go_to_the_lowest_source_in_a_mixed_length_batch(self, kind):

@@ -363,6 +363,23 @@ def sentences_by_shape(draw):
 
 
 class TestDecode:
+    @pytest.mark.parametrize("counts, cells, width", [
+        ([7], [5], 7),  # one shape: one block, no padding
+        ([2] * 21, range(10, 73, 3), 2),  # pairs: any wider block pads more lattices than it saves blocks
+        ([3] + [2] * 20, range(10, 73, 3), 2),  # one more lattice does not pad the other twenty pairs
+        ([10, 1], [30, 30], 5),  # a stray shape is padded, not given one block per lattice
+    ])
+    def test_block_width(self, counts, cells, width):
+        assert chunkcrf.training._block_width(np.array(counts), np.array(list(cells))) == width
+
+    @given(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 500)), min_size=1, max_size=8))
+    def test_block_width_gives_no_more_blocks_than_lattices_and_pads_fewer_cells(self, groups):
+        counts, cells = (np.array(column) for column in zip(*groups))
+        width = chunkcrf.training._block_width(counts, cells)
+        assert 1 <= width <= counts.max()
+        assert sum(-(-count // width) for count, _ in groups) <= counts.sum()
+        assert sum(-count % width * size for count, size in groups) < (counts * cells).sum()
+
     @settings(deadline=None, max_examples=60)
     @given(sentences_by_shape(), st.integers(0, 2**32 - 1))
     def test_decode_equals_one_viterbi_per_lattice(self, case, seed):
