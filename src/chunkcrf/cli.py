@@ -306,8 +306,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if len(set(label_values)) < len(label_values):
         raise ValueError(f"label-alphabet sizes must not repeat, got {', '.join(map(str, label_values))}")
     for name, value, least in (("sentences", args.sentences, 1), ("sentence length", args.length, 1),
-                               ("max_seg_len", args.max_seg_len, 1), ("iterations", args.iterations, 1),
-                               ("warmup", args.warmup, 0)):
+                               ("iterations", args.iterations, 1), ("warmup", args.warmup, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
     configs = {kind: TrainConfig(model_kind=kind, lam=1.0, max_seg_len=args.max_seg_len) for kind in MODEL_KINDS}
@@ -328,7 +327,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for _ in range(args.iterations):
                 evaluator.objective_and_gradient(w)
             seconds[kind] = (time.perf_counter() - t0) / args.iterations
-            lines.append(f"{kind},{num_labels},{args.length},{args.max_seg_len},{evaluator.batch.num_edges},"
+            lines.append(f"{kind},{num_labels},{args.length},{args.max_seg_len},{evaluator.num_edges},"
                          f"{seconds[kind]:.6f}")
         ratios.append(f"labels={num_labels}: semi/weak time ratio {seconds['semi'] / seconds['weak']:.3f}")
     csv_text = "".join(f"{line}\n" for line in lines)

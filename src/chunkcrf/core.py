@@ -134,6 +134,14 @@ class LabelSet:
         return (OUTSIDE, *self.chunk_labels)
 
 
+# An instance of a frozen dataclass made without its __init__: its fields set
+# one by one past the dataclass's __setattr__, which refuses every assignment.
+# (Setting the whole __dict__ at once is no faster, and makes every later
+# attribute read slower.)
+_new = object.__new__
+_set = object.__setattr__
+
+
 def tokenize(raw_text: str) -> Sentence:
     """Split text into offset-anchored tokens.
 
@@ -141,9 +149,23 @@ def tokenize(raw_text: str) -> Sentence:
     everything else splits into maximal alphanumeric runs and
     maximal runs of other non-whitespace characters.  Concatenating the
     surfaces with the original inter-token whitespace reconstructs the text.
+
+    The regex's matches are valid tokens of ``raw_text`` by construction, so
+    the tokens and the sentence are built without :class:`Token`'s and
+    :class:`Sentence`'s checks, which would cost more than the regex; they
+    equal the checked ones field for field.
     """
-    tokens = tuple(Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(raw_text))
-    return Sentence(raw_text, tokens)
+    tokens = []
+    for m in _TOKEN_RE.finditer(raw_text):
+        token = _new(Token)
+        _set(token, "surface", m.group())
+        _set(token, "start", m.start())
+        _set(token, "end", m.end())
+        tokens.append(token)
+    sentence = _new(Sentence)
+    _set(sentence, "raw_text", raw_text)
+    _set(sentence, "tokens", tuple(tokens))
+    return sentence
 
 
 def span_bounds(span: CharSpan | WordSpan) -> tuple[int, int]:

@@ -138,9 +138,9 @@ class FeatureDictionary:
     @classmethod
     def from_strings(cls, strings: list[str]) -> "FeatureDictionary":
         """A frozen dictionary listing ``strings`` in order (a repeated
-        string once)."""
+        string once, at its first position)."""
         d = cls()
-        d.indices(strings)
+        d._index = dict(zip(dict.fromkeys(strings), range(len(strings))))
         d.freeze()
         return d
 

@@ -37,15 +37,16 @@ readers of ``P``, ``part_edges`` and ``cell_ids`` outside
 :mod:`~chunkcrf.lattice`, which builds and batches them.
 
 ``cell_ids`` may carry a trailing member axis, (cells x width): one column
-per sentence of the graph's shape.  :func:`edge_scores`, the sweep and
-:func:`viterbi_path` then run on every column at once, as the same
-functions: ``reduceat`` and the row gathers work along axis 0, and a sparse
-product with a dense block sums each column in the order of the product
-with one vector, so each column's scores, back-pointers and tie-breaks are
-bit for bit those of its sentence alone.  Decoding uses it; training keeps
-one column per member.  Arithmetic runs with numpy's floating-point
-warnings off; a log partition or a best path score that is not finite
-raises :class:`NumericalError` instead.
+per sentence of the graph's shape.  Every function here then runs on every
+column at once, as the same function: ``reduceat`` and the row gathers work
+along axis 0, and a sparse product with a dense block sums each column in
+the order of the product with one vector, so each column's scores,
+back-pointers and tie-breaks are bit for bit those of its sentence alone.
+Forward values, posteriors and log partitions gain the same axis, and
+:func:`feature_counts` spreads every column onto one count vector.  Decoding
+and training both run on such blocks.  Arithmetic runs with numpy's
+floating-point warnings off; a log partition or a best path score that is
+not finite raises :class:`NumericalError` instead.
 """
 
 from __future__ import annotations
@@ -74,8 +75,12 @@ def edge_scores(graph: LevelGraph, weights: np.ndarray) -> np.ndarray:
     With a member axis the scores are (edges x width), column for column.
     """
     w = np.asarray(weights, dtype=np.float64)
-    # take is twice as fast as w[ids] on int32 ids; a cell without a feature
-    # (id -1) reads the appended +0.0
+    # a cell without a feature (id -1) reads the appended +0.0.  Through
+    # int32 ids, take is about 2.7x as fast as w[ids] on up to some 20k ids (a
+    # lattice, a small batch or block), but on 300k ids or more, as in a block
+    # of 2,000 sentences, it is 3.5-7x slower than through intp ids, which
+    # numpy gathers without converting them; the evaluation there is only
+    # 3-5% slower, so the ids keep int32's half of the memory.
     cells = np.append(w, 0.0).take(graph.cell_ids)
     return graph.part_edges_T @ (graph.P @ cells)
 
@@ -88,9 +93,12 @@ def feature_counts(graph: LevelGraph, edge_weights: np.ndarray, dim: int) -> np.
 
     The first spread is ``part_edges @ edge_weights``: each part's row sums
     its edges' weights from +0.0 in edge order, as a weighted bincount over
-    the edges' parts would, so counts are the same bit for bit."""
+    the edges' parts would, so counts are the same bit for bit.  With a
+    member axis, ``edge_weights`` is (edges x width) and the last spread
+    sums every column's cells, cell by cell; a padded column's ids of -1
+    all land in bin 0."""
     part = graph.part_edges @ edge_weights
-    return np.bincount(graph.cell_ids + 1, weights=graph.P_T @ part, minlength=dim + 1)[1:]
+    return np.bincount(graph.cell_ids.ravel() + 1, weights=(graph.P_T @ part).ravel(), minlength=dim + 1)[1:]
 
 
 def _sweep(sweep: Sweep, scores: np.ndarray, x: np.ndarray, log: bool = True) -> np.ndarray:
@@ -110,7 +118,7 @@ def _sweep(sweep: Sweep, scores: np.ndarray, x: np.ndarray, log: bool = True) ->
         vals += x[read] if flat else x.take(read, 0)
         np.maximum.reduceat(vals, starts, out=x[a:b])
         if log:
-            shifted = x[write]
+            shifted = x[write] if flat else x.take(write, 0)
             np.subtract(vals, shifted, out=shifted)
             np.exp(shifted, out=shifted)
             total = np.add.reduceat(shifted, starts)
@@ -124,8 +132,9 @@ def _check_finite(values: np.ndarray, what: str) -> None:
 
 
 def forward_log(graph: LevelGraph, scores: np.ndarray) -> np.ndarray:
-    """Log-sums of path prefixes ending at each node (roots = 0)."""
-    alpha = np.zeros(graph.num_nodes)
+    """Log-sums of path prefixes ending at each node (roots = 0), with the
+    member axis of ``scores`` if it has one."""
+    alpha = np.zeros((graph.num_nodes, *scores.shape[1:]))
     with np.errstate(all="ignore"):
         _sweep(graph.forward_sweep, scores, alpha)
     _check_finite(alpha[graph.leaves], "log partition")
@@ -169,18 +178,24 @@ def marginals_from_scores(graph: LevelGraph, scores: np.ndarray) -> Marginals:
 
     With a finite log partition every forward value is finite (forward_log
     raises otherwise), so shares and posteriors lie in [0, 1]; an edge
-    scored -inf gets posterior 0.
+    scored -inf gets posterior 0.  With a member axis, posteriors are
+    (edges x width) and log partitions (members x width); a padded column
+    scores 0 on every edge, so its log partition is finite too.
     """
     alpha = forward_log(graph, scores)
     sweep = graph.backward_sweep
-    gamma = np.ones(graph.num_nodes)  # the leaves keep 1; each step sets one level
+    gamma = np.ones(alpha.shape)  # the leaves keep 1; each step sets one level
+    flat = alpha.ndim == 1
     with np.errstate(all="ignore"):
-        mu = np.exp(scores[sweep.order] + alpha[sweep.write] - alpha[sweep.read])
+        if flat:
+            mu = np.exp(scores[sweep.order] + alpha[sweep.write] - alpha[sweep.read])
+        else:
+            mu = np.exp(scores.take(sweep.order, 0) + alpha.take(sweep.write, 0) - alpha.take(sweep.read, 0))
         for a, b, lo, hi, read, _, starts in sweep.steps:
             run = mu[lo:hi]
-            run *= gamma[read]
+            run *= gamma[read] if flat else gamma.take(read, 0)
             np.add.reduceat(run, starts, out=gamma[a:b])
-    post = np.empty(len(mu))
+    post = np.empty(mu.shape)
     post[sweep.order] = mu
     return Marginals(post, alpha[graph.leaves])
 

@@ -65,8 +65,8 @@ compiled features equal bit for bit.  The arrays a lattice shares with its
 shape (the topology's arrays, ``part_edges``, its sweeps' edge arrays and
 ``P``) are read-only, except the sweeps' ``reduceat`` offsets (see
 :class:`Sweep`); its own ``cell_ids`` is writable.  Training compiles each
-sentence of its split once, while the objective evaluator is built, and
-every evaluation reuses those lattices.
+sentence of its split once, while the objective evaluator is built, stacks
+them into shape blocks, and every evaluation reuses those blocks.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ class LevelGraph:
     weights by ``P``, then by ``part_edges_T``, built with the graph;
     expected counts multiply edge weights by ``part_edges``, then by
     ``P_T``, built on first use.  ``cell_ids`` may also be a (cells x width)
-    block, one column per sentence of the shape, which decoding runs on as
-    a trailing member axis (see :mod:`~chunkcrf.inference`).
+    block, one column per sentence of the shape, which decoding and training
+    run on as a trailing member axis (see :mod:`~chunkcrf.inference`).
     """
 
     @property
@@ -305,9 +305,10 @@ class Topology(LevelGraph):
 class Lattice(Topology):
     """Compiled lattice of one sentence: its shape's
     :class:`Topology`, the shape's cell matrix ``P``, whose part ``s`` holds
-    the cells of slot ``s``, and the sentence's ``cell_ids``.  Decoding also
-    makes one per block of a shape's sentences, whose ``cell_ids`` hold
-    their columns side by side (cells x width).
+    the cells of slot ``s``, and the sentence's ``cell_ids``.  Decoding and
+    training also make one per block of a shape's sentences, whose
+    ``cell_ids`` hold their columns side by side (cells x width), and which
+    shares the shape's ``P``.
 
     It takes the topology's attributes by reference, so its nodes, levels,
     edge arrays, ``part_edges`` and forward sweep are the shape's own, and
@@ -396,8 +397,10 @@ class Batch(LevelGraph):
     the member's own order, and its parts and cells one block of the
     block-diagonal ``P`` and ``part_edges`` and of the concatenated
     ``cell_ids``: the batch joins both matrices alike, when it is built.
-    Members whose ``cell_ids`` carry columns must all have the same width,
-    and the batch's ``cell_ids`` then has it too.  Every
+    Members whose ``cell_ids`` carry columns, as the shape blocks decoding
+    and training join do, must all have the same width, and the batch's
+    ``cell_ids`` then has it too: the blocks keep one copy of ``P`` and
+    ``part_edges`` per block, not per sentence.  Every
     member's leaf is lifted to the batch's top level, so the batch keeps a
     lattice's layout (the leaves alone in the last level, in member order),
     and nodes are renumbered by level, then by member and member node id,

@@ -9,9 +9,12 @@ and its gradient is gold-path feature counts minus expected feature counts
 spread of per-edge weights onto features,
 :func:`~chunkcrf.inference.feature_counts`: of a gold-edge indicator, and of
 the edge posteriors.  Objective and gradient are returned in maximization
-orientation; the optimizer loop negates them.  The dataset's
-lattices form one batch, in dataset order, and every reduction over it runs in
-a fixed order, so results are bit-reproducible.
+orientation; the optimizer loop negates them.  The dataset's lattices
+form one graph in which each shape's sentences are the columns of (cells x
+width) blocks, as in decoding (:func:`_shape_blocks`); sentences of one
+length train as one block, with no :class:`~chunkcrf.lattice.Batch`.  The
+graph depends only on the dataset, and every reduction over it runs in a
+fixed order, so results are bit-reproducible.
 
 Chunks longer than the segment-length limit cannot be represented in the
 segment lattices; such spans are dropped from the gold structure (their
@@ -52,7 +55,7 @@ from .features import (
 )
 from .evaluate import score_corpus
 from .ingest import AnnotatedText
-from .lattice import MODEL_KINDS, Batch, Lattice, LatticeError, build_lattice
+from .lattice import MODEL_KINDS, Batch, Lattice, LatticeError, LevelGraph, build_lattice
 from .inference import NumericalError, edge_scores, feature_counts, marginals_from_scores, viterbi, viterbi_path
 
 log = logging.getLogger("chunkcrf")
@@ -190,16 +193,23 @@ class ObjectiveEvaluator:
     """Bound objective/gradient over a fixed dataset, dictionary, and config.
 
     Every lattice is compiled once, here, with its gold edge path, and the
-    lattices are joined into one :class:`Batch`; gold feature counts are
-    summed once for the whole dataset.  An evaluation is then one scoring
-    pass, one forward sweep over the batch with one reverse pass over its
-    result for the edge posteriors, one gold-score gather and one
-    expected-count spread.  Instances whose gold structure is not
-    representable in their lattice are detected here, logged, and skipped.
-    An unfrozen ``dictionary`` grows as the lattices compile (freeze it
-    afterwards); ``lam`` may be rebound between evaluations.  ``extractor``,
-    the one that compiled them, can compile more sentences over the same
-    dictionary.
+    lattices form one graph of shape blocks (:func:`_shape_blocks`): one
+    column per instance, plus padded columns.  Gold feature counts are
+    summed once for the whole dataset, from one spread of the gold-edge
+    indicator block.  An evaluation is then one scoring pass, one forward
+    sweep over the graph with one reverse pass over its result for the edge
+    posteriors, one gold-score gather at (edge, column) pairs and one
+    expected-count spread.  Padded columns hold no feature, so they drop out
+    of every count; only their log partitions are left out of the sum.
+    Instances whose gold structure is not representable in their lattice are
+    detected here, logged, and skipped.  An unfrozen ``dictionary`` grows as
+    the lattices compile (freeze it afterwards); ``lam`` may be rebound
+    between evaluations.  ``extractor``, the one that compiled them, can
+    compile more sentences over the same dictionary.
+
+    ``owners`` lists, by member and then by column of ``graph``, the index
+    among the trainable instances of the one each column holds (``None`` for
+    a padded column); ``num_edges`` counts the edges of their lattices.
     """
 
     def __init__(
@@ -216,7 +226,7 @@ class ObjectiveEvaluator:
         self.lam = config.lam
         self.extractor = extractor = FeatureExtractor(config.feature_config, dictionary, brown)
         lattices = []
-        gold_paths: list[list[int]] = []  # member edge ids, per instance
+        gold_paths: list[list[int]] = []  # lattice edge ids, per instance
         self.skipped = 0
         compiled = _compile_sentences([item.sentence for item in dataset.items], config.model_kind, label_set,
                                       config.max_seg_len, extractor)
@@ -235,24 +245,31 @@ class ObjectiveEvaluator:
             gold_paths.append(gold)
         if not lattices:
             raise ValueError("no trainable instances")
-        self.batch = batch = Batch(lattices)
-        self.gold_edges = np.concatenate([np.asarray(gold, dtype=np.intp) + offset
-                                          for gold, offset in zip(gold_paths, batch.edge_ptr)])
+        self.num_edges = sum(lat.num_edges for lat in lattices)
+        self.graph, self.owners = graph, owners = _shape_blocks(lattices)
+        shape = (graph.num_edges, *graph.cell_ids.shape[1:])
+        width = len(owners) // len(graph.leaves)
+        # each gold edge's position in the flattened (edges x width) scores
+        self.gold_positions = np.concatenate([
+            (np.asarray(gold_paths[i], dtype=np.intp) + graph.edge_ptr[k // width]) * width + k % width
+            for k, i in enumerate(owners) if i is not None])
+        self.unpadded = np.array([i is not None for i in owners]).reshape(len(graph.leaves), *shape[1:])
         # Indicator counts are small integers, so these sums are exact.
-        on_gold = np.bincount(self.gold_edges, minlength=batch.num_edges)
-        self.gold_counts = feature_counts(batch, on_gold, len(dictionary))
+        on_gold = np.bincount(self.gold_positions, minlength=np.prod(shape)).reshape(shape)
+        self.gold_counts = feature_counts(graph, on_gold, len(dictionary))
 
     def objective_and_gradient(self, weights: np.ndarray) -> tuple[float, np.ndarray]:
         w = np.asarray(weights, dtype=np.float64)
         if len(w) != len(self.dictionary):
             raise ValueError(f"weight vector of length {len(w)} does not match {len(self.dictionary)} features")
 
-        batch = self.batch
-        scores = edge_scores(batch, w)
-        marg = marginals_from_scores(batch, scores)
-        expected = feature_counts(batch, marg.edge_posteriors, len(self.dictionary))
+        graph = self.graph
+        scores = edge_scores(graph, w)
+        marg = marginals_from_scores(graph, scores)
+        expected = feature_counts(graph, marg.edge_posteriors, len(self.dictionary))
         with np.errstate(all="ignore"):
-            value = float(scores[self.gold_edges].sum() - marg.log_partition.sum()) - self.lam * float(w @ w)
+            log_z = marg.log_partition[self.unpadded].sum()
+            value = float(scores.take(self.gold_positions).sum() - log_z) - self.lam * float(w @ w)
             grad = self.gold_counts - expected - 2.0 * self.lam * w
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
             raise NumericalError("objective or gradient is not finite")
@@ -278,45 +295,58 @@ def _block_width(counts: np.ndarray, cells: np.ndarray) -> int:
     return len(cost) - int(cost[::-1].argmin())
 
 
+def _shape_blocks(lattices: Sequence[Lattice]) -> tuple[LevelGraph, list[int | None]]:
+    """One graph over ``lattices``, and the lattice each of its columns holds.
+
+    The lattices are grouped by shape (topology and cell matrix ``P``), in
+    order of first appearance, and each group's ``cell_ids`` become the
+    columns of (cells x width) blocks that share the group's ``P``, the last
+    block of a group padded with -1 (see :func:`_block_width`).  At width 1
+    the blocks are the lattices themselves, in the order given: a vector
+    gathers faster than a column.  One block is the graph itself, with no
+    :class:`Batch`; several are joined in one :class:`Batch` with a block
+    per member, whose levels every length shares.  The second result lists,
+    by member and then by column, the index in ``lattices`` of the sentence
+    each column holds, ``None`` for a padded column.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, lat in enumerate(lattices):  # a shape is a topology and the cell matrix of its features
+        groups.setdefault((lat.topology, id(lat.P)), []).append(i)
+    firsts = [lattices[members[0]] for members in groups.values()]
+    width = _block_width(np.array([len(members) for members in groups.values()]),
+                         np.array([len(first.cell_ids) for first in firsts]))
+    if width == 1:
+        blocks, owners = list(lattices), list(range(len(lattices)))
+    else:
+        blocks, owners = [], []
+        for first, members in zip(firsts, groups.values()):
+            padding = [None] * (-len(members) % width)
+            ids = np.stack([lattices[i].cell_ids for i in members]
+                           + [np.full(len(first.cell_ids), -1, dtype=np.int32)] * len(padding), axis=1)
+            blocks += [Lattice(first.topology, ids[:, lo : lo + width], first.P)
+                       for lo in range(0, len(members), width)]
+            owners += members + padding
+    return (blocks[0] if len(blocks) == 1 else Batch(blocks)), owners
+
+
 def decode(lattices: Sequence[Lattice | None], weights: np.ndarray) -> list[list[WordSpan]]:
     """Best word spans of each lattice, from one Viterbi pass over all of
     them; ``None``, an empty sentence's lattice, decodes to ``[]``.
 
-    A lone lattice runs on its topology's cached sweeps.  Several are grouped
-    by shape, in order of first appearance, and each group's ``cell_ids``
-    become the columns of (cells x width) blocks, the last block of a group
-    padded with -1 (see :func:`_block_width`); at width 1 the blocks are the
-    lattices themselves.  One shape decodes on its own graph with the
-    blocks' columns as its member axis, with no :class:`Batch`; several
-    decode as one :class:`Batch` with a block per member, whose levels every
-    length shares.  A lattice's spans do not depend on the others.
+    A lone lattice runs on its topology's cached sweeps.  Several run on
+    their :func:`_shape_blocks` graph, with the blocks' columns as its
+    member axis.  A lattice's spans do not depend on the others.
     """
     decoded: list[list[WordSpan]] = [[] for _ in lattices]
     present = [i for i, lat in enumerate(lattices) if lat is not None]
     if len(present) == 1:
         decoded[present[0]] = viterbi(lattices[present[0]], weights)[0]
     elif present:
-        groups: dict[tuple, list[int]] = {}
-        for i in present:  # a shape is a topology and the cell matrix of its features
-            groups.setdefault((lattices[i].topology, id(lattices[i].P)), []).append(i)
-        firsts = [lattices[members[0]] for members in groups.values()]
-        width = _block_width(np.array([len(members) for members in groups.values()]),
-                             np.array([len(first.cell_ids) for first in firsts]))
-        if width == 1:  # the lattices themselves: a vector gathers faster than a column
-            blocks, owners = [lattices[i] for i in present], present
-        else:
-            blocks, owners = [], []
-            for first, members in zip(firsts, groups.values()):
-                padding = [None] * (-len(members) % width)
-                ids = np.stack([lattices[i].cell_ids for i in members]
-                               + [np.full(len(first.cell_ids), -1, dtype=np.int32)] * len(padding), axis=1)
-                blocks += [Lattice(first.topology, ids[:, lo : lo + width], first.P)
-                           for lo in range(0, len(members), width)]
-                owners += members + padding
-        paths, _ = viterbi_path(blocks[0] if len(blocks) == 1 else Batch(blocks), weights)
-        for i, path in zip(owners, paths):
-            if i is not None:  # not a padded column
-                decoded[i] = lattices[i].path_spans(path)
+        graph, owners = _shape_blocks([lattices[i] for i in present])
+        paths, _ = viterbi_path(graph, weights)
+        for k, path in zip(owners, paths):
+            if k is not None:  # not a padded column
+                decoded[present[k]] = lattices[present[k]].path_spans(path)
     return decoded
 
 

@@ -654,7 +654,7 @@ class TestBench:
             (["--warmup", "-1"], "warmup must be >= 0, got -1"),
             (["--sentences", "0"], "sentences must be >= 1, got 0"),
             (["--length", "0"], "sentence length must be >= 1, got 0"),
-            (["--max-seg-len", "0"], "max_seg_len must be >= 1, got 0"),
+            (["--max-seg-len", "0"], "max_seg_len must be between 1 and 100, got 0"),
             (["--max-seg-len", "101"], "max_seg_len must be between 1 and 100, got 101"),
             (["--labels", ","], "need at least one label-alphabet size"),
             (["--labels", "2,2"], "label-alphabet sizes must not repeat, got 2, 2"),

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chunkcrf.core import (
+    _TOKEN_RE,
     CharSpan,
     LabelSet,
+    Sentence,
     SpanError,
+    Token,
     WordSpan,
     char_spans_to_word_spans,
     is_token_aligned,
@@ -73,6 +76,27 @@ def test_tokenize_offsets_are_faithful(text):
 def test_tokenize_idempotent_on_surfaces(text):
     words = surfaces(tokenize(text))
     assert surfaces(tokenize(" ".join(words))) == words
+
+
+messy_texts = st.lists(
+    st.one_of(
+        st.sampled_from(["<TIME>", "<DECIMAL>", "<X9>", "<lower>", "it's", "ok?!", "...", "a_b", "café", "中文", " ",
+                         "\t", "\n", "\u00a0"]),
+        token_texts,
+    ),
+    max_size=12,
+).map("".join)
+
+
+@given(messy_texts)
+def test_tokenize_equals_the_checked_construction(text):
+    # placeholders, glued punctuation, non-ASCII and odd whitespace, with
+    # every token and the sentence built through their checks
+    checked = Sentence(text, tuple(Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)))
+    s = tokenize(text)
+    assert s == checked and hash(s) == hash(checked)
+    assert type(s) is Sentence and all(type(t) is Token for t in s.tokens)
+    assert vars(s) == vars(checked) and [vars(t) for t in s.tokens] == [vars(t) for t in checked.tokens]
 
 
 class TestCharToWord:

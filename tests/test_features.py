@@ -77,6 +77,11 @@ class TestDictionary:
         assert d.strings[1] == "y"
         assert d.strings == ("x", "y")
 
+    def test_from_strings_keeps_a_repeated_string_at_its_first_position(self):
+        d = FeatureDictionary.from_strings(["b", "a", "b", "c", "a"])
+        assert d.frozen and len(d) == 3 and d.strings == ("b", "a", "c")
+        assert d.indices(["c", "b", "a"]).tolist() == [2, 0, 1]
+
     def test_bulk_lookup_allocates_missing_strings_in_the_order_given(self):
         d = FeatureDictionary()
         d.indices(["a", "b"])

@@ -21,7 +21,7 @@ from chunkcrf.features import (
     FeatureExtractor,
 )
 from chunkcrf.inference import edge_scores, forward_log, viterbi, viterbi_path
-from chunkcrf.lattice import build_lattice
+from chunkcrf.lattice import Batch, build_lattice
 from chunkcrf.synth import separable_corpus
 import chunkcrf.training
 from chunkcrf.training import (
@@ -171,11 +171,12 @@ class TestObjective:
         # the batch joins them with P when the evaluator builds it
         ds = Dataset.from_annotated(separable_corpus(6, seed=9))
         ev, d = make_evaluator(ds, kind)
-        joined = vars(ev.batch)["part_edges"]
+        assert isinstance(ev.graph, Batch)
+        joined = vars(ev.graph)["part_edges"]
         for w in np.random.default_rng(2).normal(size=(2, len(d))):
             ev.objective_and_gradient(w)
-            assert ev.batch.part_edges is joined
-        assert joined.shape == (ev.batch.num_parts, ev.batch.num_edges)
+            assert ev.graph.part_edges is joined
+        assert joined.shape == (ev.graph.num_parts, ev.graph.num_edges)
 
     @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
     def test_objective_is_concave(self, kind):
@@ -221,9 +222,10 @@ class TestObjective:
         assert grown.strings == frozen.strings
         for name in ("edge_src", "edge_dst", "cell_ids", "level_ptr", "P.indptr", "P.indices", "P.data",
                      "part_edges.indptr", "part_edges.indices"):
-            mine, theirs = (functools.reduce(getattr, name.split("."), b) for b in (ev.batch, reference.batch))
+            mine, theirs = (functools.reduce(getattr, name.split("."), b) for b in (ev.graph, reference.graph))
             assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
-        assert ev.gold_edges.tobytes() == reference.gold_edges.tobytes()
+        assert ev.owners == reference.owners
+        assert ev.gold_positions.tobytes() == reference.gold_positions.tobytes()
         assert ev.gold_counts.tobytes() == reference.gold_counts.tobytes()
         w = np.random.default_rng(5).normal(scale=0.3, size=len(frozen))
         value, grad = ev.objective_and_gradient(w)
@@ -406,6 +408,62 @@ class TestDecode:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="best path score"):
                 decode(lattices, np.full(10_000, value))
+
+
+@st.composite
+def skewed_split(draw):
+    """A training split of twelve sentences of one length and one of
+    another, lengths 1 to 4, shuffled, with random gold spans: over every
+    family and flag set drawn, the block width then splits the twelve
+    across blocks and pads the stray sentence's block."""
+    kind = draw(st.sampled_from(["linear", "semi", "weak"]))
+    label_set = LabelSet(tuple(f"L{i}" for i in range(draw(st.integers(1, 2)))))
+    max_seg_len = draw(st.integers(1, 3))
+    flags = draw(st.booleans())
+    major, stray = draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
+    word = st.sampled_from(["a", "b", "C1", "dd", "é9"])
+    sentences = [tokenize(" ".join(draw(st.lists(word, min_size=n, max_size=n)))) for n in [major] * 12 + [stray]]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    items = [DataItem(s, tuple(random_gold(rng, len(s), label_set, max_seg_len)))
+             for s in draw(st.permutations(sentences))]
+    config = TrainConfig(kind, 0.1, max_seg_len, use_affix=flags, use_shape=flags)
+    return Dataset(items), label_set, config, rng
+
+
+class TestShapeBlocks:
+    @settings(deadline=None, max_examples=40)
+    @given(skewed_split())
+    def test_blocked_objective_is_the_sum_over_sentences(self, case):
+        ds, label_set, config, rng = case
+        ev = compile_split(ds, config, None, label_set)[0]
+        members = len(ev.graph.leaves)
+        assert isinstance(ev.graph, Batch) and members >= 3  # the twelve in two blocks or more, and the stray's
+        assert None in ev.owners and sorted(i for i in ev.owners if i is not None) == list(range(len(ds)))
+        singles = [ObjectiveEvaluator(Dataset([item]), label_set, config, ev.dictionary) for item in ds.items]
+        for one in (ev, *singles):
+            one.lam = 0.0  # the regularizer is not a sum over sentences
+        w = rng.normal(scale=0.5, size=len(ev.dictionary))
+        value, grad = ev.objective_and_gradient(w)
+        parts = [one.objective_and_gradient(w) for one in singles]
+        assert value == pytest.approx(sum(v for v, _ in parts), rel=1e-9, abs=0)
+        np.testing.assert_allclose(grad, np.sum([g for _, g in parts], axis=0), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["linear", "semi", "weak"])
+    def test_one_shape_trains_as_one_block_of_its_pattern(self, kind, monkeypatch):
+        def no_batch(*_):
+            raise AssertionError("one shape trains without a Batch")
+
+        monkeypatch.setattr(chunkcrf.training, "Batch", no_batch)
+        texts = ["npw1 fill2 npw0", "fill1 npw1 npw1", "a b c", "npw0 npw0 fill1"]
+        ds = toy_dataset([(text, [WordSpan(0, 0, "NP")]) for text in texts])
+        ev, d = make_evaluator(ds, kind)
+        lattices = [build_lattice(kind, item.sentence, NP, 3, ev.extractor) for item in ds.items]
+        assert ev.owners == [0, 1, 2, 3]
+        assert ev.graph.P is lattices[0].P  # the pattern's own matrix: no copy per sentence
+        assert ev.graph.cell_ids.tobytes() == np.stack([lat.cell_ids for lat in lattices], axis=1).tobytes()
+        assert ev.num_edges == 4 * lattices[0].num_edges
+        value, grad = ev.objective_and_gradient(np.random.default_rng(3).normal(size=len(d)))
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
 
 
 class TestTuneLambda:
@@ -652,8 +710,11 @@ class TestRestrictedEquivalence:
         for kind, ev in evaluators.items():
             w = weights[kind]
             value, grad = ev.objective_and_gradient(w)
-            log_z = forward_log(ev.batch, edge_scores(ev.batch, w))[ev.batch.leaves]
-            _, best = viterbi_path(ev.batch, w)
+            log_z = forward_log(ev.graph, edge_scores(ev.graph, w))[ev.graph.leaves]
+            _, best = viterbi_path(ev.graph, w)
+            # each instance's column, in dataset order (semi and weak may pick different block widths)
+            columns = [ev.owners.index(i) for i in range(len(ds))]
+            log_z, best = log_z.ravel()[columns], best.ravel()[columns]
             model = Model(kind, label_set, ev.config.feature_config, ev.dictionary, w)
             results[kind] = value, grad, log_z, best, model.predict_many(sentences)
         value, grad, log_z, best, spans = results["semi"]
